@@ -161,45 +161,67 @@ func BenchmarkLabBuild(b *testing.B) {
 }
 
 // BenchmarkServeThroughput measures the serving layer (internal/serve)
-// under a repeated workload: the kernels of a BERT-Large inference graph
-// queried round-robin from parallel clients, the traffic shape the LRU
-// prediction cache is built for. It reports sustained predictions/sec and
-// the cache hit rate — on repeats of a real graph the hit rate must be
-// well above zero, since transformer layers reuse identical kernel shapes.
+// under a repeated workload from parallel clients, in the two shapes the
+// caches are built for. kernel: the kernels of a BERT-Large inference
+// graph queried round-robin one at a time — the LRU prediction cache's
+// case; on repeats of a real graph the hit rate must be well above zero,
+// since transformer layers reuse identical kernel shapes. graph: the same
+// graph forecast whole — compiled into a plan, its distinct kernels read
+// from the cache, the total folded per node. Both report sustained kernel
+// predictions/sec (a graph counts every node) and the cache hit rate.
 func BenchmarkServeThroughput(b *testing.B) {
 	l := lab(b)
-	svc := serve.New(l.NeuSight, serve.Config{CacheSize: serve.DefaultCacheSize})
 	g := gpu.MustLookup("H100")
 	m, err := models.Lookup("BERT-Large")
 	if err != nil {
 		b.Fatal(err)
 	}
-	ks := ks4bench(m.InferenceGraph(2).Kernels())
+	gr := m.InferenceGraph(2)
+	ks := ks4bench(gr.Kernels())
 	if len(ks) == 0 {
 		b.Fatal("no predictable kernels in the benchmark graph")
 	}
-
-	var idx atomic.Int64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			k := ks[int(idx.Add(1))%len(ks)]
-			if _, err := svc.PredictKernel(k, g); err != nil {
-				b.Error(err)
-				return
-			}
+	report := func(b *testing.B, svc *serve.Service) {
+		st := svc.Stats()
+		if secs := b.Elapsed().Seconds(); secs > 0 {
+			b.ReportMetric(float64(st.Requests)/secs, "predictions/sec")
 		}
-	})
-	b.StopTimer()
+		b.ReportMetric(st.HitRate*100, "cache_hit_pct")
+		if b.N > len(ks) && st.HitRate == 0 {
+			b.Errorf("cache hit rate = 0 after %d requests over %d unique kernels", st.Requests, len(ks))
+		}
+	}
 
-	st := svc.Stats()
-	if secs := b.Elapsed().Seconds(); secs > 0 {
-		b.ReportMetric(float64(st.Requests)/secs, "predictions/sec")
-	}
-	b.ReportMetric(st.HitRate*100, "cache_hit_pct")
-	if b.N > len(ks) && st.HitRate == 0 {
-		b.Errorf("cache hit rate = 0 after %d requests over %d unique kernels", st.Requests, len(ks))
-	}
+	b.Run("kernel", func(b *testing.B) {
+		svc := serve.New(l.NeuSight, serve.Config{CacheSize: serve.DefaultCacheSize})
+		var idx atomic.Int64
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				k := ks[int(idx.Add(1))%len(ks)]
+				if _, err := svc.PredictKernel(k, g); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
+		b.StopTimer()
+		report(b, svc)
+	})
+	b.Run("graph", func(b *testing.B) {
+		svc := serve.New(l.NeuSight, serve.Config{CacheSize: serve.DefaultCacheSize})
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				if _, _, err := svc.PredictGraphEngine(context.Background(), "", gr, g); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
+		b.StopTimer()
+		report(b, svc)
+	})
 }
 
 // BenchmarkServeBatchThroughput measures the batched serving path: the

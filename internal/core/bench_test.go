@@ -8,6 +8,7 @@ import (
 	"neusight/internal/gpu"
 	"neusight/internal/gpusim"
 	"neusight/internal/kernels"
+	"neusight/internal/models"
 	"neusight/internal/tile"
 )
 
@@ -94,6 +95,26 @@ func BenchmarkPredictBatch(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/kernel")
 		})
 	}
+}
+
+// BenchmarkPredictGraph measures a whole-graph forecast offline: compiling
+// the graph into its plan, one PredictKernels round over the distinct
+// kernels, and the per-node fold. ns/node shows what repetition buys — a
+// BERT-Large graph has hundreds of nodes and about a dozen distinct kernels.
+func BenchmarkPredictGraph(b *testing.B) {
+	p, g := benchSetup(b)
+	gr := models.MustLookup("BERT-Large").InferenceGraph(2)
+	if _, _, err := p.PredictGraph(gr, g); err != nil { // resolve tiles before timing
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := p.PredictGraph(gr, g); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(gr.Nodes)), "ns/node")
 }
 
 func benchName(size int) string {

@@ -79,9 +79,10 @@ func (e *Ensemble) PredictKernelWithSpread(k kernels.Kernel, g gpu.Spec) (mean, 
 // PredictGraphWithSpread aggregates graph forecasts per member, returning
 // the mean and standard deviation of the end-to-end latency.
 func (e *Ensemble) PredictGraphWithSpread(gr *graph.Graph, g gpu.Spec) (mean, std float64) {
+	pl := graph.Compile(gr)
 	totals := make([]float64, len(e.members))
 	for i, m := range e.members {
-		totals[i], _, _ = m.PredictGraph(gr, g)
+		totals[i], _, _ = m.PredictPlan(pl, g)
 	}
 	for _, t := range totals {
 		mean += t

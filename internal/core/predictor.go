@@ -403,67 +403,70 @@ type GraphReport struct {
 	Network int `json:"network"`
 }
 
-// FoldPredictions folds positional per-kernel forecasts (lats[i]/errs[i]
-// answering ks[i]) into an end-to-end total: kernels that failed to predict
-// contribute the memory-bound estimate and are counted in rep, and the
-// returned error aggregates them (nil when every kernel predicted). A
-// context cancellation among the errors aborts the fold instead — a
-// half-evaluated graph must surface as a failure, not a quietly degraded
-// total assembled from fallback guesses. This is the one copy of the
-// fallback-aggregation rule; PredictGraph, the engine layer, and the
-// serving layer all share it.
-func FoldPredictions(lats []float64, errs []error, ks []kernels.Kernel, g gpu.Spec, rep *GraphReport) (float64, error) {
-	total := 0.0
+// FoldPredictions folds the forecasts of a plan's distinct kernels
+// (answer(j) is the forecast of pl.Kernels[j]) into the end-to-end total,
+// summing per node in graph order — the same addends in the same order as
+// a node-by-node walk, so the total is bit-identical to one. Kernels that
+// failed to predict contribute the memory-bound estimate and are counted
+// per node in the report, and the returned error aggregates them (nil
+// when every kernel predicted). A context cancellation among the errors
+// aborts the fold instead — a half-evaluated graph must surface as a
+// failure, not a quietly degraded total assembled from fallback guesses.
+// This is the one copy of the fallback-aggregation rule; PredictGraph,
+// the engine layer, and the serving layer all share it.
+func FoldPredictions(pl *graph.Plan, g gpu.Spec, answer func(j int) (lat float64, err error)) (float64, GraphReport, error) {
+	rep := GraphReport{Kernels: pl.Predictable(), Network: pl.Network}
+	lats := make([]float64, len(pl.Kernels))
+	fallbacks := 0
 	var firstErr error
-	for i, l := range lats {
-		if errs[i] != nil {
-			if errors.Is(errs[i], context.Canceled) || errors.Is(errs[i], context.DeadlineExceeded) {
-				// Leave a consistent report behind the abort: the partial
-				// Predicted/Fallbacks counts covered nothing that is being
-				// returned, so only the submission size survives.
-				*rep = GraphReport{Kernels: len(ks), Network: rep.Network}
-				return 0, errs[i]
+	for j, k := range pl.Kernels {
+		lat, err := answer(j)
+		if err != nil {
+			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+				// Only the submission size survives the abort: no
+				// Predicted/Fallbacks count covers anything returned.
+				return 0, rep, err
 			}
 			if firstErr == nil {
-				firstErr = errs[i]
+				firstErr = err
 			}
-			rep.Fallbacks++
-			l = MemBoundLatency(ks[i], g)
-		} else {
-			rep.Predicted++
+			fallbacks += pl.Counts[j]
+			lat = MemBoundLatency(k, g)
 		}
-		total += l
+		lats[j] = lat
 	}
-	rep.Kernels = len(ks)
+	rep.Predicted, rep.Fallbacks = rep.Kernels-fallbacks, fallbacks
+	total := 0.0
+	for _, j := range pl.Index {
+		if j >= 0 {
+			total += lats[j]
+		}
+	}
 	var err error
 	if rep.Fallbacks > 0 {
 		err = fmt.Errorf("core: %d of %d kernels could not be predicted and used the memory-bound fallback (first: %w)",
 			rep.Fallbacks, rep.Kernels, firstErr)
 	}
-	return total, err
+	return total, rep, err
 }
 
 // PredictGraph forecasts the end-to-end latency of a kernel graph on g by
-// sequential aggregation (Section 5), batching every predictable kernel
-// through one PredictKernels call per category so the whole graph pays for
-// a handful of compiled forward passes. Kernels that fail to predict
-// contribute their memory-bound fallback rather than aborting the forecast,
-// but the failure is no longer silent: the report counts them and the error
-// aggregates them (nil when every kernel predicted). Network kernels
-// contribute zero (the distributed layer prices them).
+// sequential aggregation (Section 5). Kernels that fail to predict
+// contribute their memory-bound fallback rather than aborting the
+// forecast, but the failure is not silent: the report counts them and the
+// error aggregates them (nil when every kernel predicted). Network
+// kernels contribute zero (the distributed layer prices them).
 func (p *Predictor) PredictGraph(gr *graph.Graph, g gpu.Spec) (float64, GraphReport, error) {
-	var rep GraphReport
-	ks := make([]kernels.Kernel, 0, len(gr.Nodes))
-	for _, n := range gr.Nodes {
-		if n.Kernel.Category() == kernels.CatNetwork {
-			rep.Network++
-			continue
-		}
-		ks = append(ks, n.Kernel)
-	}
-	lats, errs := p.PredictKernels(ks, g)
-	total, err := FoldPredictions(lats, errs, ks, g, &rep)
-	return total, rep, err
+	return p.PredictPlan(graph.Compile(gr), g)
+}
+
+// PredictPlan is PredictGraph for a graph already compiled: the plan's
+// distinct kernels go through one PredictKernels call — a handful of
+// compiled forward passes over a dozen rows, however many layers repeat
+// them — and FoldPredictions sums them per node.
+func (p *Predictor) PredictPlan(pl *graph.Plan, g gpu.Spec) (float64, GraphReport, error) {
+	lats, errs := p.PredictKernels(pl.Kernels, g)
+	return FoldPredictions(pl, g, func(j int) (float64, error) { return lats[j], errs[j] })
 }
 
 // TrainedCategories lists the categories with fitted MLPs, sorted.

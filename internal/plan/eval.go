@@ -11,7 +11,6 @@ import (
 	"neusight/internal/models"
 	"neusight/internal/network"
 	"neusight/internal/predict"
-	"neusight/internal/tile"
 )
 
 // refServer is the in-hand reference system whose measured link
@@ -109,7 +108,7 @@ func strategyOf(s string) (distributed.Strategy, error) {
 // unique compute kernels, one PredictKernels round prices them all, and
 // pass two re-walks the schedule reading the memo. Kernels the engine
 // cannot price fall back to the memory-bound estimate (counted in
-// Fallbacks), mirroring predict.FoldOutcomes.
+// Fallbacks), mirroring core.FoldPredictions.
 func Evaluate(ctx context.Context, eng predict.Engine, spec Spec, cfg Config) (Result, error) {
 	res := Result{Config: cfg}
 	if err := ctx.Err(); err != nil {
@@ -142,15 +141,15 @@ func Evaluate(ctx context.Context, eng predict.Engine, spec Spec, cfg Config) (R
 	}
 
 	// Pass 1: discover the unique compute kernels the schedule evaluates.
-	// Kernels are fingerprinted by tile.QueryKey (the serving cache key) —
-	// kernels.Kernel itself carries a slice field and cannot key a map.
+	// Every kernel of a cell runs on g, so the kernel's identity alone
+	// keys the memo.
 	var order []kernels.Kernel
-	memo := map[string]float64{}
+	memo := map[kernels.Key]float64{}
 	record := func(k kernels.Kernel) float64 {
 		if k.Category() == kernels.CatNetwork {
 			return 0
 		}
-		key := tile.QueryKey(k, g)
+		key := k.Key()
 		if _, ok := memo[key]; !ok {
 			memo[key] = 0
 			order = append(order, k)
@@ -177,7 +176,7 @@ func Evaluate(ctx context.Context, eng predict.Engine, spec Spec, cfg Config) (R
 			lat = core.MemBoundLatency(order[i], g)
 			res.Fallbacks++
 		}
-		memo[tile.QueryKey(order[i], g)] = lat
+		memo[order[i].Key()] = lat
 	}
 
 	// Pass 2: re-walk the same schedule reading the memo.
@@ -185,7 +184,7 @@ func Evaluate(ctx context.Context, eng predict.Engine, spec Spec, cfg Config) (R
 		if k.Category() == kernels.CatNetwork {
 			return 0
 		}
-		return memo[tile.QueryKey(k, g)]
+		return memo[k.Key()]
 	}
 	f, err := distributed.Estimate(dp, lookup, linkModel)
 	if err != nil {

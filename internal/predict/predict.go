@@ -119,8 +119,8 @@ type Calibrator interface {
 
 // GraphPredictor is implemented by engines with a whole-graph forecast
 // path that is cheaper or more faithful than summing PredictKernels —
-// core.Predictor batches every kernel through one compiled forward pass
-// per operator category.
+// core.Predictor batches a graph's distinct kernels through one compiled
+// forward pass per operator category.
 type GraphPredictor interface {
 	PredictGraph(ctx context.Context, gr *graph.Graph, g gpu.Spec) (float64, core.GraphReport, error)
 }
@@ -192,39 +192,21 @@ func checkRequest(ctx context.Context, req Request) error {
 	return nil
 }
 
-// FoldOutcomes folds positional batch outcomes (outs[i] answering ks[i])
-// into a latency total with the memory-bound fallback — the Outcome-shaped
-// face of core.FoldPredictions, which owns the aggregation rule (including
-// aborting on context cancellation rather than folding half a graph into
-// fallback guesses).
-func FoldOutcomes(outs []Outcome, ks []kernels.Kernel, g gpu.Spec, rep *core.GraphReport) (float64, error) {
-	lats := make([]float64, len(outs))
-	errs := make([]error, len(outs))
-	for i, out := range outs {
-		lats[i], errs[i] = out.Result.Latency, out.Err
-	}
-	return core.FoldPredictions(lats, errs, ks, g, rep)
-}
-
 // PredictGraphKernels forecasts a kernel list end to end with e under the
-// paper's sequential-execution assumption: network kernels are skipped for
-// the distributed layer, the rest go through e's batch path, and failures
-// fall back to the memory-bound estimate, counted in the report. It is the
-// graph aggregation every engine without a native PredictGraph shares.
+// paper's sequential-execution assumption: the list is compiled into a
+// graph.Plan, its distinct kernels go through e's batch path once, and
+// core.FoldPredictions sums them per kernel in list order — network
+// kernels skipped for the distributed layer, failures priced by the
+// memory-bound estimate and counted in the report. It is the graph
+// aggregation every engine without a native PredictGraph shares.
 func PredictGraphKernels(ctx context.Context, e Engine, ks []kernels.Kernel, g gpu.Spec) (float64, core.GraphReport, error) {
-	var rep core.GraphReport
-	reqs := make([]Request, 0, len(ks))
-	kept := make([]kernels.Kernel, 0, len(ks))
-	for _, k := range ks {
-		if k.Category() == kernels.CatNetwork {
-			rep.Network++
-			continue
-		}
-		reqs = append(reqs, Request{Kernel: k, GPU: g})
-		kept = append(kept, k)
+	pl := graph.CompileKernels(ks)
+	reqs := make([]Request, len(pl.Kernels))
+	for j, k := range pl.Kernels {
+		reqs[j] = Request{Kernel: k, GPU: g}
 	}
-	total, err := FoldOutcomes(e.PredictKernels(ctx, reqs), kept, g, &rep)
-	return total, rep, err
+	outs := e.PredictKernels(ctx, reqs)
+	return core.FoldPredictions(pl, g, func(j int) (float64, error) { return outs[j].Result.Latency, outs[j].Err })
 }
 
 // batchByGPU is the shared shape of the native batch adapters: requests

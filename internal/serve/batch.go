@@ -20,6 +20,18 @@ type batchGroup struct {
 	dups   []int
 }
 
+// resolve hands the group's finished call to every batch position that
+// shares it.
+func (grp *batchGroup) resolve(outs []predict.Outcome, fail func(i int, err error)) {
+	for _, i := range append(grp.dups, grp.leader) {
+		if grp.call.err != nil {
+			fail(i, grp.call.err)
+		} else {
+			outs[i].Result = grp.call.res
+		}
+	}
+}
+
 // PredictBatch forecasts every kernel in ks on g with the default engine,
 // amortizing one backend evaluation across all cache misses. Results are
 // positional and per-item: lats[i]/errs[i] correspond to ks[i].
@@ -68,20 +80,26 @@ func (s *Service) PredictBatchEngine(ctx context.Context, engine string, ks []ke
 	}
 	s.batches.Add(1)
 	s.batchedKernels.Add(uint64(len(ks)))
-	return s.predictMany(ctx, es, ks, g)
+	return s.predictMany(ctx, es, ks, g, nil)
 }
 
 // predictMany implements the batched path against one engine without
-// touching the batch-API counters, so internal callers
-// (PredictGraphEngine, trace warmup) reuse the machinery while
-// batch_requests / batched_kernels keep meaning "client batch calls".
+// touching the batch-API counters, so internal callers (graph forecasts,
+// trace warmup) reuse the machinery while batch_requests /
+// batched_kernels keep meaning "client batch calls".
 // A batch names one engine and one GPU, so the whole batch lives on one
 // partition: one shard admission, one cache, one coalescing table. A
 // saturated shard rejects the batch as a whole — the returned error wraps
 // ErrSaturated and no per-item work runs — so callers surface
 // backpressure (HTTP 503) instead of folding rejections into per-item
 // fallbacks.
-func (s *Service) predictMany(ctx context.Context, es *engineState, ks []kernels.Kernel, g gpu.Spec) ([]predict.Outcome, error) {
+//
+// counts, when non-nil, says how many requests each kernel answers: a
+// graph plan submits each distinct kernel once for counts[i] nodes. The
+// request and error counters move by that many, and every request beyond
+// the first is deduped — as is every repeat of a key within ks — so
+// requests == cache hits + cache misses + deduped for valid kernels.
+func (s *Service) predictMany(ctx context.Context, es *engineState, ks []kernels.Kernel, g gpu.Spec, counts []int) ([]predict.Outcome, error) {
 	// Admission precedes all accounting — see predictOne: rejected batches
 	// must not inflate request throughput or drag the latency percentiles
 	// toward the microsecond rejection path while the service sheds load.
@@ -94,9 +112,19 @@ func (s *Service) predictMany(ctx context.Context, es *engineState, ks []kernels
 	defer p.release()
 
 	start := time.Now()
-	s.requests.Add(uint64(len(ks)))
-	es.requests.Add(uint64(len(ks)))
-	p.requests.Add(uint64(len(ks)))
+	count := func(i int) uint64 {
+		if counts == nil {
+			return 1
+		}
+		return uint64(counts[i])
+	}
+	var total uint64
+	for i := range ks {
+		total += count(i)
+	}
+	s.requests.Add(total)
+	es.requests.Add(total)
+	p.requests.Add(total)
 	s.inFlightNow.Add(1)
 	defer func() {
 		s.inFlightNow.Add(-1)
@@ -104,16 +132,22 @@ func (s *Service) predictMany(ctx context.Context, es *engineState, ks []kernels
 	}()
 
 	outs := make([]predict.Outcome, len(ks))
+	fail := func(i int, err error) {
+		outs[i].Err = err
+		s.countErrors(es, p, count(i))
+	}
+	var deduped uint64
+	defer func() {
+		s.deduped.Add(deduped)
+		es.deduped.Add(deduped)
+	}()
 
 	// A caller that is already gone fails fast, before it can lead shared
 	// evaluations whose failure would poison coalesced waiters.
 	if err := ctx.Err(); err != nil {
 		for i := range outs {
-			outs[i].Err = err
+			fail(i, err)
 		}
-		s.errors.Add(uint64(len(ks)))
-		es.errors.Add(uint64(len(ks)))
-		p.errors.Add(uint64(len(ks)))
 		return outs, nil
 	}
 
@@ -126,21 +160,21 @@ func (s *Service) predictMany(ctx context.Context, es *engineState, ks []kernels
 	var missKeys []string               // insertion order, so backend input is deterministic
 	for i, k := range ks {
 		if k.Category() == kernels.CatNetwork {
-			s.errors.Add(1)
-			es.errors.Add(1)
-			p.errors.Add(1)
-			outs[i].Err = fmt.Errorf("serve: network kernel %s is priced by the distributed layer, not the kernel predictor", k.Label())
+			fail(i, fmt.Errorf("serve: network kernel %s is priced by the distributed layer, not the kernel predictor", k.Label()))
 			continue
 		}
 		key := es.key(k, g)
 		if grp, ok := groups[key]; ok { // duplicate of a miss we lead
 			grp.dups = append(grp.dups, i)
+			deduped += count(i)
 			continue
 		}
 		if grp, ok := waiting[key]; ok { // duplicate of a coalesced miss
 			grp.dups = append(grp.dups, i)
+			deduped += count(i)
 			continue
 		}
+		deduped += count(i) - 1
 		if v, ok := p.cache.Get(key); ok {
 			es.cacheHits.Add(1)
 			s.touchTrace(es.name, k, g)
@@ -182,16 +216,7 @@ func (s *Service) predictMany(ctx context.Context, es *engineState, ks []kernels
 				p.cache.Put(key, grp.call.res)
 				s.recordTrace(es.name, ks[grp.leader], g)
 			}
-			for _, i := range append(grp.dups, grp.leader) {
-				if grp.call.err != nil {
-					s.errors.Add(1)
-					es.errors.Add(1)
-					p.errors.Add(1)
-					outs[i].Err = grp.call.err
-				} else {
-					outs[i].Result = grp.call.res
-				}
-			}
+			grp.resolve(outs, fail)
 		}
 	}
 
@@ -199,16 +224,7 @@ func (s *Service) predictMany(ctx context.Context, es *engineState, ks []kernels
 	// before our backend round, so waiting after it never deadlocks.
 	for _, grp := range waiting {
 		<-grp.call.done
-		for _, i := range append(grp.dups, grp.leader) {
-			if grp.call.err != nil {
-				s.errors.Add(1)
-				es.errors.Add(1)
-				p.errors.Add(1)
-				outs[i].Err = grp.call.err
-			} else {
-				outs[i].Result = grp.call.res
-			}
-		}
+		grp.resolve(outs, fail)
 	}
 	return outs, nil
 }

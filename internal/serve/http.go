@@ -9,7 +9,6 @@ import (
 
 	"neusight/internal/core"
 	"neusight/internal/gpu"
-	"neusight/internal/graph"
 	"neusight/internal/kernels"
 	"neusight/internal/models"
 	"neusight/internal/observe"
@@ -279,12 +278,14 @@ type EnginesResponse struct {
 }
 
 // StatsV2 is the JSON reply of GET /v2/stats: the aggregate counters plus
-// one entry per engine traffic has touched, one entry per shard when the
-// service is sharded, the last cache-warmup report when one ran, and the
-// trace-compaction state when a compacting recorder is attached.
+// one entry per engine traffic has touched, the graph-plan memo counters,
+// one entry per shard when the service is sharded, the last cache-warmup
+// report when one ran, and the trace-compaction state when a compacting
+// recorder is attached.
 type StatsV2 struct {
 	Stats
 	Engines         []EngineStats    `json:"engines"`
+	GraphPlans      PlanMemoStats    `json:"graph_plans"`
 	Shards          []ShardStats     `json:"shards,omitempty"`
 	Warmup          *WarmupStats     `json:"warmup,omitempty"`
 	TraceCompaction *TraceCompaction `json:"trace_compaction,omitempty"`
@@ -459,16 +460,8 @@ func handleGraph(s *Service, v2 bool) http.HandlerFunc {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		var gr *graph.Graph
-		if req.Training {
-			gr = m.TrainingGraph(req.Batch)
-		} else {
-			gr = m.InferenceGraph(req.Batch)
-		}
-		if req.Fused {
-			gr = graph.Fuse(gr)
-		}
-		lat, rep, gerr := s.PredictGraphEngine(r.Context(), req.Engine, gr, g)
+		pl := s.graphPlan(m, req.Batch, req.Training, req.Fused)
+		lat, rep, gerr := s.predictPlan(r.Context(), req.Engine, pl, g)
 		// An unknown engine, a saturated shard, or a cancellation abort is
 		// a failed forecast, not a degraded one: the fold never ran (or
 		// stopped), so the total must not be served as an answer. Fallback
@@ -482,7 +475,7 @@ func handleGraph(s *Service, v2 bool) http.HandlerFunc {
 		v1 := GraphResponse{
 			Workload: m.Name, GPU: g.Name, Batch: req.Batch,
 			Training: req.Training, Fused: req.Fused,
-			Kernels: len(gr.Nodes), TotalFLOPs: gr.TotalFLOPs(), LatencyMs: lat,
+			Kernels: pl.Nodes(), TotalFLOPs: pl.FLOPs, LatencyMs: lat,
 			FitsMemory: m.FitsInMemory(req.Batch, g, req.Training),
 		}
 		if !v2 {
@@ -568,6 +561,7 @@ func NewHandler(s *Service) http.Handler {
 		writeJSON(w, http.StatusOK, StatsV2{
 			Stats:           s.Stats(),
 			Engines:         s.EngineStats(),
+			GraphPlans:      s.PlanMemoStats(),
 			Shards:          s.Shards(),
 			Warmup:          s.Warmup(),
 			TraceCompaction: s.TraceCompaction(),

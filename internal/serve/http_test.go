@@ -313,6 +313,7 @@ func TestHTTPMetricsExpositionFormat(t *testing.T) {
 		"neusight_requests_total":        4, // 2 singles + 2 batched
 		"neusight_cache_hits_total":      1,
 		"neusight_cache_misses_total":    3,
+		"neusight_deduped_total":         0,
 		"neusight_batch_requests_total":  1,
 		"neusight_batched_kernels_total": 2,
 		"neusight_batch_size_avg":        2,

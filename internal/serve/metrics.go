@@ -36,6 +36,7 @@ func metricsFor(st Stats) []promMetric {
 		{"neusight_cache_hits_total", "Prediction cache hits.", "counter", float64(st.CacheHits)},
 		{"neusight_cache_misses_total", "Prediction cache misses.", "counter", float64(st.CacheMisses)},
 		{"neusight_coalesced_total", "Requests coalesced onto an identical in-flight prediction.", "counter", float64(st.Coalesced)},
+		{"neusight_deduped_total", "Requests answered by another occurrence of the same kernel in their graph or batch (requests = cache hits + cache misses + deduped).", "counter", float64(st.Deduped)},
 		{"neusight_errors_total", "Predictions that returned an error.", "counter", float64(st.Errors)},
 		{"neusight_rejected_total", "Requests rejected by shard saturation backpressure.", "counter", float64(st.Rejected)},
 		{"neusight_shards", "Shard count the service routes across (1 = unsharded).", "gauge", float64(st.Shards)},

@@ -37,6 +37,7 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -148,10 +149,18 @@ type Service struct {
 	emu     sync.RWMutex
 	engines map[string]*engineState
 
-	requests       atomic.Uint64
-	coalesced      atomic.Uint64
-	errors         atomic.Uint64
-	graphs         atomic.Uint64
+	// plans memoizes compiled graph plans for the HTTP graph handlers
+	// (graphplan.go).
+	plans *lruCache[planKey, *graph.Plan]
+
+	requests  atomic.Uint64
+	coalesced atomic.Uint64
+	errors    atomic.Uint64
+	graphs    atomic.Uint64
+	// deduped counts requests answered without a cache lookup of their
+	// own: repeats of a kernel within one graph or batch, which share the
+	// first occurrence's answer.
+	deduped        atomic.Uint64
 	batches        atomic.Uint64
 	batchedKernels atomic.Uint64
 	rejected       atomic.Uint64
@@ -186,9 +195,13 @@ type engineState struct {
 	requests    atomic.Uint64
 	errors      atomic.Uint64
 	coalesced   atomic.Uint64
+	deduped     atomic.Uint64
 	cacheHits   atomic.Uint64
 	cacheMisses atomic.Uint64
 }
+
+// owns reports whether a cache key belongs to this engine state.
+func (es *engineState) owns(key string) bool { return strings.HasPrefix(key, es.prefix) }
 
 // key fingerprints a prediction request with the same fingerprint the
 // predictor's tile cache and the tile DB memo use, prefixed with the
@@ -274,6 +287,7 @@ func NewMulti(reg *predict.Registry, defaultEngine string, cfg Config) *Service 
 		lat:       newLatencyWindow(cfg.LatencyWindow),
 		start:     time.Now(),
 		engines:   map[string]*engineState{},
+		plans:     newLRUCache[planKey, *graph.Plan](planMemoSize),
 	}
 	if cfg.Shards > 1 {
 		perShard := cfg.ShardWorkers
@@ -388,7 +402,7 @@ func (s *Service) InvalidateEngine(name string) int {
 	}
 	n := 0
 	for _, p := range s.partitions() {
-		n += p.cache.DropPrefix(es.prefix)
+		n += p.cache.DropFunc(es.owns)
 	}
 	return n
 }
@@ -441,18 +455,14 @@ func (s *Service) predictOne(ctx context.Context, es *engineState, k kernels.Ker
 	}()
 
 	if k.Category() == kernels.CatNetwork {
-		s.errors.Add(1)
-		es.errors.Add(1)
-		p.errors.Add(1)
+		s.countErrors(es, p, 1)
 		return predict.Result{}, fmt.Errorf("serve: network kernel %s is priced by the distributed layer, not the kernel predictor", k.Label())
 	}
 
 	// A caller that is already gone fails fast, before it can become the
 	// leader of a shared evaluation.
 	if err := ctx.Err(); err != nil {
-		s.errors.Add(1)
-		es.errors.Add(1)
-		p.errors.Add(1)
+		s.countErrors(es, p, 1)
 		return predict.Result{}, err
 	}
 
@@ -472,9 +482,7 @@ func (s *Service) predictOne(ctx context.Context, es *engineState, k kernels.Ker
 		p.coalesced.Add(1)
 		<-call.done
 		if call.err != nil {
-			s.errors.Add(1)
-			es.errors.Add(1)
-			p.errors.Add(1)
+			s.countErrors(es, p, 1)
 		}
 		return call.res, call.err
 	}
@@ -485,14 +493,20 @@ func (s *Service) predictOne(ctx context.Context, es *engineState, k kernels.Ker
 	s.runBackend(ctx, es, p, call, key, k, g)
 
 	if call.err != nil {
-		s.errors.Add(1)
-		es.errors.Add(1)
-		p.errors.Add(1)
+		s.countErrors(es, p, 1)
 		return predict.Result{}, call.err
 	}
 	p.cache.Put(key, call.res)
 	s.recordTrace(es.name, k, g)
 	return call.res, nil
+}
+
+// countErrors records n failed predictions on the aggregate, engine and
+// partition counters.
+func (s *Service) countErrors(es *engineState, p *partition, n uint64) {
+	s.errors.Add(n)
+	es.errors.Add(n)
+	p.errors.Add(n)
 }
 
 // runBackend executes the engine prediction for a registered in-flight
@@ -542,36 +556,33 @@ func (s *Service) PredictGraph(gr *graph.Graph, g gpu.Spec) float64 {
 }
 
 // PredictGraphEngine is PredictGraph routed to a named engine ("" selects
-// the default). It routes every predictable kernel through the batched
-// prediction machinery (cache hits served directly, misses collapsed into
-// one backend round, identical kernels coalesced) and reports how the
-// forecast was assembled: the error is non-nil when any kernel fell back
-// to the memory-bound estimate, with the report counting them — failures
-// are surfaced, not silently absorbed into the total.
+// the default). It compiles gr into a plan and forecasts that; see
+// predictPlan.
 func (s *Service) PredictGraphEngine(ctx context.Context, engine string, gr *graph.Graph, g gpu.Spec) (float64, core.GraphReport, error) {
+	return s.predictPlan(ctx, engine, graph.Compile(gr), g)
+}
+
+// predictPlan forecasts a compiled graph with a named engine. The plan's
+// distinct kernels go through the batched prediction machinery once (cache
+// hits served directly, misses collapsed into one backend round, in-flight
+// kernels coalesced) and core.FoldPredictions sums them per node. The
+// error is non-nil when any kernel fell back to the memory-bound estimate,
+// with the report counting them per node — failures are surfaced, not
+// silently absorbed into the total.
+func (s *Service) predictPlan(ctx context.Context, engine string, pl *graph.Plan, g gpu.Spec) (float64, core.GraphReport, error) {
 	es, err := s.engine(engine)
 	if err != nil {
 		return 0, core.GraphReport{}, err
 	}
 	s.graphs.Add(1)
-	var rep core.GraphReport
-	ks := make([]kernels.Kernel, 0, len(gr.Nodes))
-	for _, n := range gr.Nodes {
-		if n.Kernel.Category() == kernels.CatNetwork {
-			rep.Network++ // network ops are priced by the distributed layer
-			continue
-		}
-		ks = append(ks, n.Kernel)
-	}
-	outs, err := s.predictMany(ctx, es, ks, g)
+	outs, err := s.predictMany(ctx, es, pl.Kernels, g, pl.Counts)
 	if err != nil {
 		// Whole-batch rejection (saturated shard): the forecast never ran,
 		// so there is no total to fold — callers surface backpressure
 		// instead of serving a fallback-assembled number.
-		return 0, rep, err
+		return 0, core.GraphReport{Network: pl.Network}, err
 	}
-	total, err := predict.FoldOutcomes(outs, ks, g, &rep)
-	return total, rep, err
+	return core.FoldPredictions(pl, g, func(j int) (float64, error) { return outs[j].Result.Latency, outs[j].Err })
 }
 
 // Stats is a point-in-time snapshot of the aggregate service counters,
@@ -588,6 +599,7 @@ type Stats struct {
 	CacheLen       int     `json:"cache_len"`
 	HitRate        float64 `json:"hit_rate"`
 	Coalesced      uint64  `json:"coalesced"`
+	Deduped        uint64  `json:"deduped"`
 	Errors         uint64  `json:"errors"`
 	Rejected       uint64  `json:"rejected"`
 	Shards         int     `json:"shard_count"` // "shards" is the per-shard section on /v2/stats
@@ -605,6 +617,7 @@ type EngineStats struct {
 	Requests    uint64  `json:"requests"`
 	Errors      uint64  `json:"errors"`
 	Coalesced   uint64  `json:"coalesced"`
+	Deduped     uint64  `json:"deduped"`
 	CacheHits   uint64  `json:"cache_hits"`
 	CacheMisses uint64  `json:"cache_misses"`
 	CacheLen    int     `json:"cache_len"`
@@ -655,6 +668,7 @@ func (s *Service) Stats() Stats {
 		CacheMisses:    misses,
 		CacheLen:       length,
 		Coalesced:      s.coalesced.Load(),
+		Deduped:        s.deduped.Load(),
 		Errors:         s.errors.Load(),
 		Rejected:       s.rejected.Load(),
 		Shards:         s.NumShards(),
@@ -682,7 +696,7 @@ func (s *Service) engineCacheLen(es *engineState) int {
 	}
 	n := 0
 	for _, p := range s.router.shards {
-		n += p.cache.LenPrefix(es.prefix)
+		n += p.cache.LenFunc(es.owns)
 	}
 	return n
 }
@@ -698,6 +712,7 @@ func (s *Service) EngineStats() []EngineStats {
 			Requests:    es.requests.Load(),
 			Errors:      es.errors.Load(),
 			Coalesced:   es.coalesced.Load(),
+			Deduped:     es.deduped.Load(),
 			CacheHits:   hits,
 			CacheMisses: misses,
 			CacheLen:    s.engineCacheLen(es),

@@ -304,7 +304,7 @@ func TestPredictGraphSumsAndSkipsNetwork(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := newLRUCache(2)
+	c := newLRUCache[string, predict.Result](2)
 	c.Put("a", predict.Result{Latency: 1})
 	c.Put("b", predict.Result{Latency: 2})
 	if _, ok := c.Get("a"); !ok { // refresh a: b becomes LRU

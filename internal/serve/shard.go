@@ -7,6 +7,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"neusight/internal/predict"
 )
 
 // ErrSaturated is wrapped by prediction calls rejected by per-shard
@@ -34,7 +36,7 @@ const DefaultShardQueue = 1024
 //     pool, serving (engine, GPU) keys assigned by consistent hashing.
 type partition struct {
 	shard int // shard index; -1 for a legacy per-engine partition
-	cache *lruCache
+	cache *lruCache[string, predict.Result]
 	sem   chan struct{}
 	// maxInFlight is the saturation bound; 0 disables backpressure.
 	maxInFlight int
@@ -54,7 +56,7 @@ type partition struct {
 func newPartition(shard, cacheSize int, sem chan struct{}, maxInFlight int) *partition {
 	return &partition{
 		shard:       shard,
-		cache:       newLRUCache(cacheSize),
+		cache:       newLRUCache[string, predict.Result](cacheSize),
 		sem:         sem,
 		maxInFlight: maxInFlight,
 		inflight:    map[string]*inflightCall{},
@@ -301,7 +303,7 @@ func (s *Service) Rebalance() {
 	// the stable shard set and need no retirement.
 	for _, es := range stale {
 		for _, p := range s.router.shards {
-			p.cache.DropPrefix(es.prefix)
+			p.cache.DropFunc(es.owns)
 		}
 	}
 	s.router.invalidate()

@@ -644,7 +644,7 @@ func (s *Service) warmEntries(ctx context.Context, entries []TraceEntry, ws *War
 		wg.Add(1)
 		go func(grp *group, es *engineState) {
 			defer wg.Done()
-			outs, batchErr := s.predictMany(ctx, es, grp.ks, grp.g)
+			outs, batchErr := s.predictMany(ctx, es, grp.ks, grp.g, nil)
 			ok, bad := 0, 0
 			if batchErr != nil { // e.g. a saturated shard: nothing primed
 				bad = len(grp.ks)

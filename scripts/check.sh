@@ -39,6 +39,16 @@ fi
 echo "==> go build ./..."
 go build ./...
 
+# bench/ is its own module (the frozen benchmark BENCHMARK.json declares),
+# so ./... above does not reach it. It compiles against this module's
+# exported API: vet and its short tests here make an API drift that stops
+# the benchmark compiling fail the gate, not the benchmark run.
+# TestSelfTimes is skipped: it compares a float sum taken in map order with
+# 1 exactly and fails about one run in seven at any commit; the file is
+# frozen with the benchmark, so the fix belongs to a benchmark change.
+echo "==> frozen benchmark module (cd bench && go vet ./... && go test -short ./...)"
+(cd bench && go vet ./... && go test -short -skip '^TestSelfTimes$' ./...)
+
 if [[ "$fast" == 1 ]]; then
   echo "==> go test ./... (fast mode, no race detector)"
   go test ./...
@@ -94,6 +104,9 @@ fi
 
 # Benchmark smoke run: one iteration each, so bit-rotted benchmarks (stale
 # APIs, broken fixtures) fail CI without CI paying for real measurement.
+# `-bench .` on internal/core includes BenchmarkPredictGraph, and 'Serve'
+# on the root package the kernel and graph cases of
+# BenchmarkServeThroughput.
 echo "==> benchmark smoke (-benchtime=1x)"
 go test -run '^$' -bench . -benchtime=1x ./internal/mat ./internal/core >/dev/null
 go test -run '^$' -bench 'EngineDispatch' -benchtime=1x ./internal/predict >/dev/null
