@@ -160,6 +160,13 @@ func BenchmarkLabBuild(b *testing.B) {
 	}
 }
 
+// neusightService serves the lab's trained predictor in the default layout.
+func neusightService(l *experiments.Lab) *serve.Service {
+	reg := predict.NewRegistry()
+	reg.MustRegister(predict.NewCoreEngine(l.NeuSight))
+	return serve.NewMulti(reg, predict.EngineNeuSight, serve.Config{})
+}
+
 // BenchmarkServeThroughput measures the serving layer (internal/serve)
 // under a repeated workload from parallel clients, in the two shapes the
 // caches are built for. kernel: the kernels of a BERT-Large inference
@@ -193,13 +200,13 @@ func BenchmarkServeThroughput(b *testing.B) {
 	}
 
 	b.Run("kernel", func(b *testing.B) {
-		svc := serve.New(l.NeuSight, serve.Config{CacheSize: serve.DefaultCacheSize})
+		svc := neusightService(l)
 		var idx atomic.Int64
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
 				k := ks[int(idx.Add(1))%len(ks)]
-				if _, err := svc.PredictKernel(k, g); err != nil {
+				if _, err := svc.PredictKernelEngine(context.Background(), "", k, g); err != nil {
 					b.Error(err)
 					return
 				}
@@ -209,7 +216,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 		report(b, svc)
 	})
 	b.Run("graph", func(b *testing.B) {
-		svc := serve.New(l.NeuSight, serve.Config{CacheSize: serve.DefaultCacheSize})
+		svc := neusightService(l)
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
@@ -226,13 +233,13 @@ func BenchmarkServeThroughput(b *testing.B) {
 
 // BenchmarkServeBatchThroughput measures the batched serving path: the
 // kernels of a BERT-Large inference graph submitted as whole batches from
-// parallel clients via Service.PredictBatch. The first batches miss and are
+// parallel clients via Service.PredictBatchEngine. The first batches miss and are
 // evaluated in one compiled forward pass per operator category; steady
 // state serves from cache. Compare kernels/sec against the per-request
 // predictions/sec of BenchmarkServeThroughput.
 func BenchmarkServeBatchThroughput(b *testing.B) {
 	l := lab(b)
-	svc := serve.New(l.NeuSight, serve.Config{CacheSize: serve.DefaultCacheSize})
+	svc := neusightService(l)
 	g := gpu.MustLookup("H100")
 	m, err := models.Lookup("BERT-Large")
 	if err != nil {
@@ -246,10 +253,14 @@ func BenchmarkServeBatchThroughput(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			_, errs := svc.PredictBatch(ks, g)
-			for _, err := range errs {
-				if err != nil {
-					b.Error(err)
+			outs, err := svc.PredictBatchEngine(context.Background(), "", ks, g)
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			for _, out := range outs {
+				if out.Err != nil {
+					b.Error(out.Err)
 					return
 				}
 			}
@@ -308,7 +319,7 @@ func BenchmarkShardedThroughput(b *testing.B) {
 					i++
 					k := ks[i%len(ks)]
 					g := gpus[i%len(gpus)]
-					if _, err := svc.PredictKernel(k, g); err != nil {
+					if _, err := svc.PredictKernelEngine(context.Background(), "", k, g); err != nil {
 						b.Error(err)
 						return
 					}

@@ -46,10 +46,10 @@ func loadgenCmd(args []string) error {
 	fs := flag.NewFlagSet("loadgen", flag.ExitOnError)
 	target := fs.String("target", "", "base URL of the service under test (e.g. http://127.0.0.1:8080)")
 	self := fs.String("self", "", "serve an in-process target instead of -target: roofline (analytical, instant) or quick (trains the reduced neusight predictor first)")
-	shards := fs.Int("shards", 0, "-self only: shard traffic by (engine, GPU) onto this many shards (0 or 1 = unsharded)")
-	shardQueue := fs.Int("shard-queue", 0, "-self only: per-shard in-flight bound before 503 backpressure (0 = default)")
-	workers := fs.Int("workers", 0, "-self only: max concurrent backend predictions (0 = GOMAXPROCS)")
-	cacheSize := fs.Int("cache", serve.DefaultCacheSize, "-self only: prediction LRU cache size per partition (negative disables)")
+	shards := fs.Int("shards", 0, "-self only: shard traffic by (engine, GPU) onto this many shards (0 or 1 = one shard)")
+	shardQueue := fs.Int("shard-queue", 0, "-self only: per-shard in-flight bound before 503 backpressure (0 = default, negative = unbounded)")
+	workers := fs.Int("workers", 0, "-self only: max concurrent backend predictions, split evenly across the shards (0 = GOMAXPROCS)")
+	cacheSize := fs.Int("cache", serve.DefaultCacheSize, "-self only: prediction LRU cache entries per shard (negative disables)")
 
 	clusterMode := fs.Bool("cluster", false, "treat -target as cluster seed URL(s), comma-separated: discover members via GET /v2/cluster/ring and fan the offered stream across all of them")
 	selfCluster := fs.Int("self-cluster", 0, "boot this many in-process cluster members as the target (needs -self for the engine mode; implies -cluster)")

@@ -32,8 +32,8 @@
 // "quick" trains a reduced predictor in-process (no files needed) — the
 // fastest way to get a forecast. "serve" exposes the engine registry as a
 // concurrent HTTP JSON API (/v2 selects an engine per request) with
-// per-engine prediction caching and request coalescing; -shards splits
-// traffic by (engine, GPU) onto dedicated shards, and -warmup /
+// prediction caching, request coalescing and a queue bound per shard;
+// -shards splits traffic by (engine, GPU) onto several, and -warmup /
 // -trace-record persist the workload profile across restarts. -peers forms
 // a cluster with other serve processes: engine-generation changes gossip
 // between members so a retrain anywhere invalidates every member's stale
@@ -402,23 +402,25 @@ func buildAltEngine(name string) (predict.Engine, error) {
 // (habitat, liregression, direct-mlp, direct-transformer) on the generated
 // dataset so every engine of the standard set is routable via /v2.
 //
-// -shards partitions traffic by (engine, GPU) onto dedicated shards;
-// -warmup replays a workload trace into the caches before the listener
-// opens, and -trace-record appends the served keys to one for the next
-// restart. SIGINT/SIGTERM trigger a graceful shutdown: the listener
-// closes immediately, in-flight requests drain up to -drain, then the
-// process exits cleanly (flushing the trace, if recording).
+// -shards (default one) partitions traffic by (engine, GPU) onto that many
+// shards, each with -cache entries, an even share of -workers and a
+// -shard-queue bound past which it answers 503; -warmup replays a workload
+// trace into the caches before the listener opens, and -trace-record
+// appends the served keys to one for the next restart. SIGINT/SIGTERM
+// trigger a graceful shutdown: the listener closes immediately, in-flight
+// requests drain up to -drain, then the process exits cleanly (flushing
+// the trace, if recording).
 func serveCmd(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	modelPath := fs.String("model", "", "trained predictor path (from `neusight train`)")
 	tilePath := fs.String("tiles", "tiles.json", "tile database path")
 	quickTrain := fs.Bool("quick", false, "train a reduced predictor in-process instead of loading one")
-	cacheSize := fs.Int("cache", serve.DefaultCacheSize, "prediction LRU cache size per partition (entries; negative disables)")
-	workers := fs.Int("workers", 0, "max concurrent backend predictions (0 = GOMAXPROCS)")
+	cacheSize := fs.Int("cache", serve.DefaultCacheSize, "prediction LRU cache entries per shard, shared by the engines routed there (negative disables)")
+	workers := fs.Int("workers", 0, "max concurrent backend predictions, split evenly across the shards, at least one each (0 = GOMAXPROCS)")
 	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout for in-flight requests")
-	shards := fs.Int("shards", 0, "shard traffic by (engine, GPU) onto this many dedicated shards (0 or 1 = unsharded)")
-	shardQueue := fs.Int("shard-queue", 0, "per-shard in-flight request bound before 503 backpressure (0 = default, negative = unbounded)")
+	shards := fs.Int("shards", 0, "shard traffic by (engine, GPU) onto this many shards, each with its own cache, worker pool and queue (0 or 1 = one shard)")
+	shardQueue := fs.Int("shard-queue", 0, fmt.Sprintf("per-shard in-flight request bound before 503 backpressure (0 = %d, negative = unbounded)", serve.DefaultShardQueue))
 	tracePath := fs.String("trace-record", "", "append served (kernel, GPU, engine) keys to this JSONL workload trace")
 	warmupPath := fs.String("warmup", "", "replay this workload trace to warm caches before accepting traffic")
 	traceCompact := fs.Int("trace-compact", 0, "age out trace keys not requested within the last K replays (0 = off; requires -trace-record)")
@@ -707,12 +709,8 @@ func serveCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	layout := "unsharded"
-	if n := svc.NumShards(); n > 1 {
-		layout = fmt.Sprintf("%d shards", n)
-	}
-	fmt.Printf("serving engines [%s] on %s, default %s (cache %d entries/partition, %s)\n",
-		strings.Join(reg.List(), " "), ln.Addr(), svc.DefaultEngine(), *cacheSize, layout)
+	fmt.Printf("serving engines [%s] on %s, default %s (shards %d, cache %d entries/shard)\n",
+		strings.Join(reg.List(), " "), ln.Addr(), svc.DefaultEngine(), svc.NumShards(), *cacheSize)
 	fmt.Println("endpoints: POST /v2/predict/kernel|batch|graph (per-request \"engine\")  GET /v2/engines  GET /v2/stats")
 	fmt.Println("           POST /v1/predict/kernel|batch|graph (default engine)  GET /v1/healthz  GET /v1/stats  GET /metrics")
 	fmt.Println("           POST|GET /v2/plan (what-if capacity sweeps)  GET|POST|DELETE /v2/plan/{id} (poll, resume, cancel)")

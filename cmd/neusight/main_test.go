@@ -20,6 +20,7 @@ import (
 	"neusight/internal/gpu"
 	"neusight/internal/gpusim"
 	"neusight/internal/kernels"
+	"neusight/internal/predict"
 	"neusight/internal/serve"
 	"neusight/internal/tile"
 )
@@ -236,7 +237,7 @@ func TestDeriveSelf(t *testing.T) {
 }
 
 // TestServeEndToEnd exercises the stack the serve subcommand assembles —
-// a real trained predictor behind serve.New and serve.NewHandler — through
+// a real trained predictor behind serve.NewMulti and serve.NewHandler — through
 // an httptest server, the same wiring minus ListenAndServe.
 func TestServeEndToEnd(t *testing.T) {
 	tdb := tile.NewDB()
@@ -249,7 +250,7 @@ func TestServeEndToEnd(t *testing.T) {
 	}, tdb)
 	p.Train(ds)
 
-	svc := serve.New(p, serve.Config{CacheSize: 256})
+	svc := serviceOf(predict.NewCoreEngine(p), serve.Config{CacheSize: 256})
 	ts := httptest.NewServer(serve.NewHandler(svc))
 	defer ts.Close()
 
@@ -326,7 +327,9 @@ func TestRunServerGracefulShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := serve.New(stubBackend{}, serve.Config{CacheSize: 16})
+	stub := predict.NewFuncEngine("stub", predict.SourceBackend,
+		func(kernels.Kernel, gpu.Spec) (float64, error) { return 1, nil })
+	svc := serviceOf(stub, serve.Config{CacheSize: 16})
 	srv := &http.Server{Handler: serve.NewHandler(svc)}
 	ctx, cancel := context.WithCancel(context.Background())
 
@@ -361,10 +364,9 @@ func TestRunServerGracefulShutdown(t *testing.T) {
 	}
 }
 
-// stubBackend is a minimal predictor for server-lifecycle tests.
-type stubBackend struct{}
-
-func (stubBackend) Name() string { return "stub" }
-func (stubBackend) PredictKernel(k kernels.Kernel, g gpu.Spec) (float64, error) {
-	return 1, nil
+// serviceOf serves eng as the single, default engine.
+func serviceOf(eng predict.Engine, cfg serve.Config) *serve.Service {
+	reg := predict.NewRegistry()
+	reg.MustRegister(eng)
+	return serve.NewMulti(reg, eng.Name(), cfg)
 }

@@ -10,6 +10,7 @@ import (
 	"neusight/internal/gpu"
 	"neusight/internal/kernels"
 	"neusight/internal/predict"
+	"neusight/internal/serve"
 )
 
 // stubEngine is a Generational engine whose answer and generation are
@@ -43,6 +44,12 @@ func (e *stubEngine) PredictKernels(ctx context.Context, reqs []predict.Request)
 		outs[i].Result, outs[i].Err = e.PredictKernel(ctx, req)
 	}
 	return outs
+}
+
+// predictKernel asks svc's default engine for one kernel's latency.
+func predictKernel(svc *serve.Service, k kernels.Kernel, g gpu.Spec) (float64, error) {
+	res, err := svc.PredictKernelEngine(context.Background(), "", k, g)
+	return res.Latency, err
 }
 
 // stubRegistry builds a registry holding one stub engine named "alpha".

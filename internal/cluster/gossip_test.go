@@ -260,14 +260,14 @@ func TestGossipInvalidationRoundTrip(t *testing.T) {
 	k := kernels.NewBMM(2, 64, 64, 64)
 
 	// B serves and caches its answer.
-	if lat, err := b.svc.PredictKernel(k, g); err != nil || lat != 2 {
+	if lat, err := predictKernel(b.svc, k, g); err != nil || lat != 2 {
 		t.Fatalf("B cold = (%v, %v), want 2", lat, err)
 	}
 	// The shared model changes behind B's back (B's replica will answer 99
 	// once re-evaluated) — but B's cache still holds the stale 2, and B's
 	// local generation never moved, so the cache key still reaches it.
 	b.eng.lat.Store(99.0)
-	if lat, _ := b.svc.PredictKernel(k, g); lat != 2 {
+	if lat, _ := predictKernel(b.svc, k, g); lat != 2 {
 		t.Fatalf("B pre-gossip = %v, want the stale cached 2 (the bug this layer fixes)", lat)
 	}
 
@@ -275,7 +275,7 @@ func TestGossipInvalidationRoundTrip(t *testing.T) {
 	// news to B, which drops its alpha partition.
 	a.eng.gen.Store(1)
 	a.node.SyncNow()
-	if lat, err := b.svc.PredictKernel(k, g); err != nil || lat != 99 {
+	if lat, err := predictKernel(b.svc, k, g); err != nil || lat != 99 {
 		t.Fatalf("B after push = (%v, %v), want fresh 99", lat, err)
 	}
 	if st := b.node.GossipStats(); st.Invalidations != 1 || st.DroppedEntries == 0 {
@@ -284,12 +284,12 @@ func TestGossipInvalidationRoundTrip(t *testing.T) {
 
 	// Poll direction: A retrains again; B's own sync polls A and absorbs.
 	b.eng.lat.Store(100.0)
-	if lat, _ := b.svc.PredictKernel(k, g); lat != 99 {
+	if lat, _ := predictKernel(b.svc, k, g); lat != 99 {
 		t.Fatal("B should have recached 99 before the second retrain")
 	}
 	a.eng.gen.Store(2)
 	b.node.SyncNow()
-	if lat, err := b.svc.PredictKernel(k, g); err != nil || lat != 100 {
+	if lat, err := predictKernel(b.svc, k, g); err != nil || lat != 100 {
 		t.Fatalf("B after poll = (%v, %v), want fresh 100", lat, err)
 	}
 	if st := a.node.GossipStats(); st.Pushes == 0 {

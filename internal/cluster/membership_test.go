@@ -213,7 +213,7 @@ func TestJoinWarmup(t *testing.T) {
 	// profile the joiner will inherit.
 	k := kernels.NewBMM(2, 64, 64, 64)
 	for _, g := range gpu.All() {
-		if _, err := a.svc.PredictKernel(k, g); err != nil {
+		if _, err := predictKernel(a.svc, k, g); err != nil {
 			t.Fatal(err)
 		}
 	}

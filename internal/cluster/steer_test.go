@@ -386,14 +386,14 @@ func TestClusterEndToEnd(t *testing.T) {
 	// Gossip: B caches, the model drifts, A retrains — the background loop
 	// must invalidate B without any explicit sync call.
 	k := kernels.NewBMM(4, 128, 128, 128)
-	if lat, err := b.svc.PredictKernel(k, gB); err != nil || lat != 2 {
+	if lat, err := predictKernel(b.svc, k, gB); err != nil || lat != 2 {
 		t.Fatalf("B cold = (%v, %v)", lat, err)
 	}
 	b.eng.lat.Store(42.0)
 	a.eng.gen.Store(1)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if lat, _ := b.svc.PredictKernel(k, gB); lat == 42 {
+		if lat, _ := predictKernel(b.svc, k, gB); lat == 42 {
 			break
 		}
 		if time.Now().After(deadline) {

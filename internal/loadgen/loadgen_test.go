@@ -112,10 +112,10 @@ func slowEngine(name string, d time.Duration) predict.Engine {
 // the package's race gate.
 func TestSaturatedShardedAgreement(t *testing.T) {
 	_, tgt := newServedTarget(t, slowEngine("slow", 3*time.Millisecond), serve.Config{
-		CacheSize:    -1,
-		Shards:       4,
-		ShardWorkers: 1,
-		ShardQueue:   1,
+		CacheSize:  -1,
+		Shards:     4,
+		Workers:    4, // one per shard
+		ShardQueue: 1,
 	})
 	res, err := Run(context.Background(), tgt, RunConfig{
 		Rate:     2500,

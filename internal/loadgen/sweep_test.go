@@ -41,10 +41,10 @@ func TestSLOCheck(t *testing.T) {
 // is structural rather than timing-sensitive.
 func TestSweepFindsKnee(t *testing.T) {
 	_, tgt := newServedTarget(t, slowEngine("slow", 5*time.Millisecond), serve.Config{
-		CacheSize:    -1,
-		Shards:       2,
-		ShardWorkers: 1,
-		ShardQueue:   1,
+		CacheSize:  -1,
+		Shards:     2,
+		Workers:    2, // one per shard
+		ShardQueue: 1,
 	})
 	cfg := SweepConfig{
 		Start:        20,

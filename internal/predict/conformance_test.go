@@ -300,48 +300,3 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 		t.Fatalf("Len = %d, want 8", reg.Len())
 	}
 }
-
-// TestBackendEngineAdapter covers the legacy-backend adapter: name
-// passthrough, native batch detection, and generation delegation.
-func TestBackendEngineAdapter(t *testing.T) {
-	reg := conformanceRegistry(t)
-	eng, err := reg.Get(EngineNeuSight)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := eng.(*CoreEngine).P
-
-	adapted := AdaptBackend(p)
-	if adapted.Name() != p.Name() {
-		t.Errorf("adapter name = %q, want backend name %q", adapted.Name(), p.Name())
-	}
-	if !adapted.NativeBatch() {
-		t.Error("core predictor batches natively; the adapter must detect it")
-	}
-	if adapted.Generation() != p.Generation() {
-		t.Error("adapter must delegate the backend generation")
-	}
-
-	ctx := context.Background()
-	req := conformanceRequests()[0]
-	direct, err := p.PredictKernel(req.Kernel, req.GPU)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := adapted.PredictKernel(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Latency != direct {
-		t.Errorf("adapted latency %v != direct %v", res.Latency, direct)
-	}
-	outs := adapted.PredictKernels(ctx, conformanceRequests())
-	for i, out := range outs {
-		if out.Err != nil {
-			t.Fatalf("batch item %d: %v", i, out.Err)
-		}
-	}
-	if outs[0].Result.Latency != direct {
-		t.Errorf("adapted batch latency %v != direct %v", outs[0].Result.Latency, direct)
-	}
-}

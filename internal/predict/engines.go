@@ -352,91 +352,6 @@ func (e *SimEngine) PredictKernels(ctx context.Context, reqs []Request) []Outcom
 	return sequentialKernels(ctx, e, reqs)
 }
 
-// KernelBackend is the minimal single-kernel backend AdaptBackend wraps —
-// the historical serving-layer contract (*core.Predictor, *core.Ensemble,
-// and test stubs all satisfy it).
-type KernelBackend interface {
-	Name() string
-	PredictKernel(k kernels.Kernel, g gpu.Spec) (float64, error)
-}
-
-// BatchBackend is optionally implemented by backends with a native batch
-// evaluation (the historical serve.BatchKernelPredictor shape).
-type BatchBackend interface {
-	PredictKernels(ks []kernels.Kernel, g gpu.Spec) ([]float64, []error)
-}
-
-// BackendEngine adapts a legacy KernelBackend into an Engine named after
-// the backend. It preserves the backend's native batch path and state
-// generation when the backend exposes them.
-type BackendEngine struct {
-	b KernelBackend
-}
-
-// AdaptBackend wraps b.
-func AdaptBackend(b KernelBackend) *BackendEngine {
-	if b == nil {
-		panic("predict: nil backend")
-	}
-	return &BackendEngine{b: b}
-}
-
-// Name implements Engine with the backend's own name.
-func (e *BackendEngine) Name() string { return e.b.Name() }
-
-// PredictKernel implements Engine.
-func (e *BackendEngine) PredictKernel(ctx context.Context, req Request) (Result, error) {
-	if err := checkRequest(ctx, req); err != nil {
-		return Result{}, err
-	}
-	lat, err := e.b.PredictKernel(req.Kernel, req.GPU)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Latency: lat, Engine: e.b.Name(), Source: SourceBackend}, nil
-}
-
-// PredictKernels implements Engine: natively when the backend batches,
-// sequentially otherwise.
-func (e *BackendEngine) PredictKernels(ctx context.Context, reqs []Request) []Outcome {
-	bb, ok := e.b.(BatchBackend)
-	if !ok {
-		return sequentialKernels(ctx, e, reqs)
-	}
-	return batchByGPU(ctx, reqs, func(ks []kernels.Kernel, g gpu.Spec, group []Outcome) {
-		lats, errs := bb.PredictKernels(ks, g)
-		if len(lats) != len(ks) || len(errs) != len(ks) {
-			err := fmt.Errorf("predict: backend %s returned %d/%d results for %d kernels", e.b.Name(), len(lats), len(errs), len(ks))
-			for j := range group {
-				group[j].Err = err
-			}
-			return
-		}
-		for j := range ks {
-			if errs[j] != nil {
-				group[j].Err = errs[j]
-				continue
-			}
-			group[j].Result = Result{Latency: lats[j], Engine: e.b.Name(), Source: SourceBackend}
-		}
-	})
-}
-
-// NativeBatch implements Batcher: true when the wrapped backend batches.
-func (e *BackendEngine) NativeBatch() bool {
-	_, ok := e.b.(BatchBackend)
-	return ok
-}
-
-// Generation implements Generational, delegating to the backend when it
-// tracks one (0 otherwise — a constant generation never invalidates).
-func (e *BackendEngine) Generation() uint64 {
-	if g, ok := e.b.(Generational); ok {
-		return g.Generation()
-	}
-	return 0
-}
-
 // FuncEngine wraps a bare prediction function as an engine — the cheapest
 // way to put an ad-hoc variant (an ablation knockout, a test stub) behind
 // the Engine contract.

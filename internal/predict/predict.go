@@ -73,8 +73,8 @@ const (
 	SourceAnalytical = "analytical"
 	// SourceSimulator marks micro-architectural simulation.
 	SourceSimulator = "simulator"
-	// SourceBackend marks forecasts from an adapted legacy backend whose
-	// provenance is unknown to the adapter.
+	// SourceBackend marks forecasts from an ad-hoc engine (a FuncEngine
+	// variant, a stub) that declares no provenance of its own.
 	SourceBackend = "backend"
 )
 

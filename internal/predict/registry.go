@@ -74,7 +74,7 @@ func (r *Registry) Unregister(name string) bool {
 
 // Version returns a counter that increases on every Register/Unregister.
 // Routers cache it alongside derived routing state (shard assignments,
-// per-engine partitions) and rebuild when it drifts — a cheap atomic load
+// per-engine states) and rebuild when it drifts — a cheap atomic load
 // per request instead of a registry diff.
 func (r *Registry) Version() uint64 { return r.version.Load() }
 

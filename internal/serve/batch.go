@@ -32,37 +32,19 @@ func (grp *batchGroup) resolve(outs []predict.Outcome, fail func(i int, err erro
 	}
 }
 
-// PredictBatch forecasts every kernel in ks on g with the default engine,
-// amortizing one backend evaluation across all cache misses. Results are
-// positional and per-item: lats[i]/errs[i] correspond to ks[i].
-func (s *Service) PredictBatch(ks []kernels.Kernel, g gpu.Spec) (lats []float64, errs []error) {
-	outs, err := s.PredictBatchEngine(context.Background(), "", ks, g)
-	lats = make([]float64, len(ks))
-	errs = make([]error, len(ks))
-	if err != nil { // unknown engine (unreachable for the default) or a saturated shard
-		for i := range errs {
-			errs[i] = err
-		}
-		return lats, errs
-	}
-	for i, out := range outs {
-		lats[i], errs[i] = out.Result.Latency, out.Err
-	}
-	return lats, errs
-}
-
-// PredictBatchEngine is PredictBatch routed to a named engine ("" selects
-// the default), returning structured outcomes. The layering mirrors
-// PredictKernelEngine, batch-wide:
+// PredictBatchEngine forecasts every kernel in ks on g with the named
+// engine ("" selects the default), amortizing one backend evaluation
+// across all cache misses. Outcomes are positional: outs[i] answers ks[i].
 //
-//  1. cache hits are served immediately from the engine's partition;
+//  1. cache hits are served immediately from the shard's cache;
 //  2. identical misses within the batch deduplicate onto one evaluation,
-//     and misses already in flight elsewhere (another batch or a concurrent
-//     PredictKernel on the same engine) coalesce onto that evaluation
+//     and misses already in flight elsewhere (another batch, graph or
+//     kernel request on the same engine) coalesce onto that evaluation
 //     instead of repeating it;
 //  3. the remaining unique misses go to the engine in a single
 //     PredictKernels call when it batches natively (one compiled forward
-//     pass for the whole set), else per-kernel fan-out under the pool.
+//     pass for the whole set), else per-kernel fan-out under the pool; a
+//     lone miss is a PredictKernel call either way.
 //
 // A failed item (network kernel, untrained category, backend error) reports
 // in outs[i].Err without affecting its neighbors. Successful misses
@@ -83,16 +65,16 @@ func (s *Service) PredictBatchEngine(ctx context.Context, engine string, ks []ke
 	return s.predictMany(ctx, es, ks, g, nil)
 }
 
-// predictMany implements the batched path against one engine without
-// touching the batch-API counters, so internal callers (graph forecasts,
-// trace warmup) reuse the machinery while batch_requests /
-// batched_kernels keep meaning "client batch calls".
+// predictMany is the one serving path: a kernel request is a batch of one,
+// a graph is a batch of its distinct kernels. It does not touch the
+// batch-API counters, so batch_requests / batched_kernels keep meaning
+// "client batch calls".
+//
 // A batch names one engine and one GPU, so the whole batch lives on one
-// partition: one shard admission, one cache, one coalescing table. A
-// saturated shard rejects the batch as a whole — the returned error wraps
-// ErrSaturated and no per-item work runs — so callers surface
-// backpressure (HTTP 503) instead of folding rejections into per-item
-// fallbacks.
+// shard: one admission, one cache, one coalescing table. A saturated shard
+// rejects the batch as a whole — the returned error wraps ErrSaturated and
+// no per-item work runs — so callers surface backpressure (HTTP 503)
+// instead of folding rejections into per-item fallbacks.
 //
 // counts, when non-nil, says how many requests each kernel answers: a
 // graph plan submits each distinct kernel once for counts[i] nodes. The
@@ -100,10 +82,12 @@ func (s *Service) PredictBatchEngine(ctx context.Context, engine string, ks []ke
 // the first is deduped — as is every repeat of a key within ks — so
 // requests == cache hits + cache misses + deduped for valid kernels.
 func (s *Service) predictMany(ctx context.Context, es *engineState, ks []kernels.Kernel, g gpu.Spec, counts []int) ([]predict.Outcome, error) {
-	// Admission precedes all accounting — see predictOne: rejected batches
-	// must not inflate request throughput or drag the latency percentiles
-	// toward the microsecond rejection path while the service sheds load.
-	p := s.partition(es, g)
+	// Admission precedes all accounting: a rejection returns in
+	// microseconds, and letting it into the request counters and the
+	// latency window would make an overloaded service look fast and busy on
+	// dashboards at exactly the moment it is shedding load. Rejections
+	// count only in rejected (aggregate and per-shard).
+	p := s.router.shardFor(es.affinity, g.Name)
 	if !p.admit() {
 		s.rejected.Add(1)
 		return nil, fmt.Errorf("serve: shard %d over %d requests in flight for a batch of %d: %w",
@@ -229,15 +213,21 @@ func (s *Service) predictMany(ctx context.Context, es *engineState, ks []kernels
 	return outs, nil
 }
 
-// runBatchBackend evaluates the unique misses of one batch. An engine with
-// a native batch path gets them in one PredictKernels call under a single
-// slot of the partition's worker pool (the whole point: one compiled
+// runBatchBackend evaluates the unique misses of one batch. A round of one
+// kernel is the engine's PredictKernel call, inline. Past that, an engine
+// with a native batch path gets the round in one PredictKernels call under
+// a single slot of the shard's worker pool (the whole point: one compiled
 // forward pass); an engine without one gets per-kernel calls fanned out
 // across the pool, preserving the concurrency a cold graph walk had before
 // batching existed. An engine panic — or a native batch returning
 // mis-sized results — is converted into per-item errors so every in-flight
 // call is still resolved; nothing wedges.
 func (s *Service) runBatchBackend(ctx context.Context, es *engineState, p *partition, ks []kernels.Kernel, g gpu.Spec) (outs []predict.Outcome) {
+	if len(ks) == 1 {
+		outs = make([]predict.Outcome, 1)
+		outs[0].Result, outs[0].Err = s.callEngine(ctx, es, p, ks[0], g)
+		return outs
+	}
 	if predict.NativeBatch(es.eng) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -264,7 +254,7 @@ func (s *Service) runBatchBackend(ctx context.Context, es *engineState, p *parti
 	}
 
 	// Engine without native batching: fan the kernels across the worker
-	// pool, one slot per prediction, mirroring the per-kernel path.
+	// pool, one slot per prediction.
 	outs = make([]predict.Outcome, len(ks))
 	var wg sync.WaitGroup
 	for i, k := range ks {

@@ -108,14 +108,6 @@ func (c *lruCache[K, V]) LenFunc(match func(K) bool) int {
 	return n
 }
 
-// Flush removes every entry, preserving the hit/miss counters.
-func (c *lruCache[K, V]) Flush() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.order.Init()
-	c.items = make(map[K]*list.Element)
-}
-
 // Len returns the current entry count.
 func (c *lruCache[K, V]) Len() int {
 	c.mu.Lock()

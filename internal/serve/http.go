@@ -279,14 +279,14 @@ type EnginesResponse struct {
 
 // StatsV2 is the JSON reply of GET /v2/stats: the aggregate counters plus
 // one entry per engine traffic has touched, the graph-plan memo counters,
-// one entry per shard when the service is sharded, the last cache-warmup
+// one entry per shard, the last cache-warmup
 // report when one ran, and the trace-compaction state when a compacting
 // recorder is attached.
 type StatsV2 struct {
 	Stats
 	Engines         []EngineStats    `json:"engines"`
 	GraphPlans      PlanMemoStats    `json:"graph_plans"`
-	Shards          []ShardStats     `json:"shards,omitempty"`
+	Shards          []ShardStats     `json:"shards"`
 	Warmup          *WarmupStats     `json:"warmup,omitempty"`
 	TraceCompaction *TraceCompaction `json:"trace_compaction,omitempty"`
 	Observe         *observe.Report  `json:"observe,omitempty"`
@@ -507,7 +507,7 @@ func handleEngines(s *Service) http.HandlerFunc {
 		for _, name := range s.Registry().List() {
 			eng, err := s.Registry().Get(name)
 			if err != nil {
-				continue // racing deregistration: not supported, but harmless
+				continue // unregistered between List and Get
 			}
 			info := EngineInfo{
 				Name:        name,
@@ -570,7 +570,7 @@ func NewHandler(s *Service) http.Handler {
 		})
 	})
 	healthz := func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok", "backend": s.Backend()})
+		writeJSON(w, http.StatusOK, map[string]string{"status": "ok", "backend": s.DefaultEngine()})
 	}
 	mux.HandleFunc("/v1/healthz", healthz)
 	mux.HandleFunc("/v2/healthz", healthz)

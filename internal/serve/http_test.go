@@ -15,7 +15,7 @@ import (
 func newTestServer(t *testing.T) (*httptest.Server, *stubPredictor) {
 	t.Helper()
 	stub := &stubPredictor{latency: 4.25}
-	ts := httptest.NewServer(NewHandler(New(stub, Config{CacheSize: 64})))
+	ts := httptest.NewServer(NewHandler(serviceOf(stub.engine(), Config{CacheSize: 64})))
 	t.Cleanup(ts.Close)
 	return ts, stub
 }
@@ -292,8 +292,8 @@ func TestHTTPMetricsExpositionFormat(t *testing.T) {
 			if len(f) != 2 {
 				t.Fatalf("malformed sample line %q", line)
 			}
-			// Engine-labeled samples carry {engine="..."}; the family name
-			// is everything before the label set.
+			// Labeled samples carry {engine="..."} or {shard="..."}; the
+			// family name is everything before the label set.
 			family := f[0]
 			if i := strings.IndexByte(family, '{'); i >= 0 {
 				family = family[:i]
@@ -319,6 +319,8 @@ func TestHTTPMetricsExpositionFormat(t *testing.T) {
 		"neusight_batch_size_avg":        2,
 		"neusight_errors_total":          0,
 		"neusight_inflight_requests":     0,
+		"neusight_rejected_total":        0,
+		"neusight_shards":                1,
 	}
 	for name, v := range want {
 		got, ok := samples[name]
@@ -334,14 +336,24 @@ func TestHTTPMetricsExpositionFormat(t *testing.T) {
 		t.Error("uptime gauge missing")
 	}
 	// The engine-labeled series must mirror the single engine's share of
-	// the traffic — here all of it.
-	wantEngine := map[string]float64{
+	// the traffic, and the shard-labeled series the default layout's single
+	// shard's — here all of it.
+	wantLabeled := map[string]float64{
 		`neusight_engine_requests_total{engine="stub"}`:     4,
 		`neusight_engine_cache_hits_total{engine="stub"}`:   1,
 		`neusight_engine_cache_misses_total{engine="stub"}`: 3,
 		`neusight_engine_errors_total{engine="stub"}`:       0,
+		`neusight_shard_requests_total{shard="0"}`:          4,
+		`neusight_shard_cache_hits_total{shard="0"}`:        1,
+		`neusight_shard_cache_misses_total{shard="0"}`:      3,
+		`neusight_shard_errors_total{shard="0"}`:            0,
+		`neusight_shard_coalesced_total{shard="0"}`:         0,
+		`neusight_shard_rejected_total{shard="0"}`:          0,
+		`neusight_shard_cache_entries{shard="0"}`:           3,
+		`neusight_shard_keys{shard="0"}`:                    1,
+		`neusight_shard_inflight_requests{shard="0"}`:       0,
 	}
-	for name, v := range wantEngine {
+	for name, v := range wantLabeled {
 		got, ok := samples[name]
 		if !ok {
 			t.Errorf("labeled metric %s missing from exposition", name)

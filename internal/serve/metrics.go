@@ -39,7 +39,7 @@ func metricsFor(st Stats) []promMetric {
 		{"neusight_deduped_total", "Requests answered by another occurrence of the same kernel in their graph or batch (requests = cache hits + cache misses + deduped).", "counter", float64(st.Deduped)},
 		{"neusight_errors_total", "Predictions that returned an error.", "counter", float64(st.Errors)},
 		{"neusight_rejected_total", "Requests rejected by shard saturation backpressure.", "counter", float64(st.Rejected)},
-		{"neusight_shards", "Shard count the service routes across (1 = unsharded).", "gauge", float64(st.Shards)},
+		{"neusight_shards", "Shards the service routes across, each with its own cache, worker pool and queue bound (default 1).", "gauge", float64(st.Shards)},
 		{"neusight_cache_entries", "Prediction cache entries currently resident.", "gauge", float64(st.CacheLen)},
 		{"neusight_inflight_requests", "Prediction requests currently being served.", "gauge", float64(st.InFlight)},
 		{"neusight_batch_size_avg", "Mean kernels per batched prediction call.", "gauge", avgBatch},
@@ -64,7 +64,7 @@ func WriteMetrics(w io.Writer, st Stats) error {
 }
 
 // engineFamily is one engine-labeled metric family: HELP/TYPE metadata and
-// one sample per engine partition.
+// one sample per engine.
 type engineFamily struct {
 	name  string
 	help  string
@@ -91,7 +91,7 @@ var engineFamilies = []engineFamily{
 
 // WriteEngineMetrics renders per-engine labeled series, one family per
 // block with one labeled sample per engine. Engines with no traffic yet
-// have no partition and therefore no series.
+// have no state and therefore no series.
 func WriteEngineMetrics(w io.Writer, engines []EngineStats) error {
 	for _, f := range engineFamilies {
 		if len(engines) == 0 {
@@ -139,8 +139,7 @@ var shardFamilies = []shardFamily{
 }
 
 // WriteShardMetrics renders per-shard labeled series, one family per
-// block with one labeled sample per shard. An unsharded service exports
-// none.
+// block with one labeled sample per shard.
 func WriteShardMetrics(w io.Writer, shards []ShardStats) error {
 	for _, f := range shardFamilies {
 		if len(shards) == 0 {

@@ -7,23 +7,24 @@
 // The serving shape follows directly from the NeuSight design
 // (conf_asplos_LeeP025): a forecast decomposes into per-kernel queries
 // against small models, DNN graphs repeat identical kernels across layers,
-// and users repeat identical (workload, GPU) questions — so a per-engine
-// LRU keyed by (kernel fingerprint, GPU, engine generation) absorbs most
+// and users repeat identical (workload, GPU) questions — so an LRU keyed
+// by (engine, kernel fingerprint, GPU, engine generation) absorbs most
 // traffic, and coalescing collapses identical in-flight misses onto a
 // single model evaluation. Multi-engine routing rides the same machinery:
-// every registered engine gets its own cache partition, in-flight table,
-// and counters, so a cheap roofline bound and the learned NeuSight pipeline
+// cache keys carry the engine, and every registered engine keeps its own
+// counters, so a cheap roofline bound and the learned NeuSight pipeline
 // are a per-request routing decision, not separate deployments.
 //
 // Two subsystems scale that machinery to production traffic:
 //
-//   - Sharding (shard.go): with Config.Shards > 1, traffic is partitioned
-//     by (engine, GPU) key onto N dedicated shards via consistent hashing.
-//     Each shard owns its cache, coalescing table, and worker pool, so
-//     concurrent clients hitting different (engine, GPU) pairs stop
-//     contending on one lock; saturated shards push back with ErrSaturated
-//     instead of queueing without bound, and engine registration changes
-//     trigger a rebalance that evicts orphaned cache slices.
+//   - Sharding (shard.go): traffic is partitioned by (engine, GPU) key
+//     onto Config.Shards shards (default one) via consistent hashing.
+//     Each shard owns its cache, coalescing table, worker pool, and
+//     bounded queue, so concurrent clients hitting different (engine,
+//     GPU) pairs on different shards do not contend on one lock; a
+//     saturated shard pushes back with ErrSaturated instead of queueing
+//     without bound, and engine registration changes trigger a rebalance
+//     that evicts orphaned cache slices.
 //   - Workload traces (trace.go): the keys the service actually serves can
 //     be recorded to an append-only JSONL trace, and a saved trace replayed
 //     at startup to warm the caches concurrently before the listener
@@ -52,50 +53,25 @@ import (
 	"neusight/internal/tile"
 )
 
-// KernelPredictor is the legacy single-backend contract New wraps. Both
-// *core.Predictor and *core.Ensemble satisfy it; tests substitute stubs.
-// Implementations must be safe for concurrent PredictKernel calls.
-type KernelPredictor interface {
-	Name() string
-	PredictKernel(k kernels.Kernel, g gpu.Spec) (float64, error)
-}
-
-// BatchKernelPredictor is optionally implemented by legacy backends that
-// can amortize one model evaluation across many kernels (*core.Predictor
-// does, via its compiled inference path). Results are positional and
-// per-item: lats[i]/errs[i] correspond to ks[i].
-type BatchKernelPredictor interface {
-	PredictKernels(ks []kernels.Kernel, g gpu.Spec) (lats []float64, errs []error)
-}
-
-// Config sizes the service.
+// Config sizes the service. The cache size, the worker budget and the
+// queue bound are all per shard; the default is one shard.
 type Config struct {
-	// CacheSize is the LRU capacity in entries of each cache partition
-	// (per engine when unsharded, per shard when Shards > 1). Zero means
-	// DefaultCacheSize; negative disables caching.
+	// CacheSize is the LRU capacity in entries of each shard's cache, shared
+	// by every engine routed to that shard. Zero means DefaultCacheSize;
+	// negative disables caching.
 	CacheSize int
-	// Workers bounds how many predictions run concurrently in the backends
-	// (shared across engines). Zero means GOMAXPROCS. When Shards > 1 it
-	// is the total budget split evenly across the shard pools (see
-	// ShardWorkers) — but every shard pool gets at least one slot, so the
-	// effective aggregate bound is max(Workers, Shards): dedicated pools
-	// cannot share a budget below one slot each.
+	// Workers bounds how many predictions run concurrently in the backends.
+	// Zero means GOMAXPROCS. It is the total budget, split evenly across the
+	// shard pools — but every pool gets at least one slot, so the effective
+	// aggregate bound is max(Workers, Shards).
 	Workers int
-	// LatencyWindow is the request-latency ring size for percentile stats.
-	// Zero means a reasonable default.
-	LatencyWindow int
-	// Shards partitions traffic by (engine, GPU) key onto this many
-	// dedicated shards — each with its own cache, coalescing table, and
-	// worker pool — assigned by consistent hashing. Zero or one keeps the
-	// single-lock-domain-per-engine layout.
+	// Shards partitions traffic by (engine, GPU) key onto this many shards —
+	// each with its own cache, coalescing table, worker pool, and queue —
+	// assigned by consistent hashing. Zero or one means one shard.
 	Shards int
-	// ShardWorkers sizes each shard's worker pool. Zero derives it from
-	// Workers/Shards (minimum 1). Ignored when Shards <= 1.
-	ShardWorkers int
 	// ShardQueue bounds how many requests may be in flight on one shard
 	// before arrivals are rejected with ErrSaturated. Zero means
-	// DefaultShardQueue; negative disables backpressure. Ignored when
-	// Shards <= 1.
+	// DefaultShardQueue; negative disables backpressure.
 	ShardQueue int
 }
 
@@ -107,25 +83,26 @@ const DefaultCacheSize = 4096
 // Service is a thread-safe prediction server. It layers three mechanisms
 // over every registered engine:
 //
-//  1. a per-engine LRU prediction cache keyed by (kernel fingerprint, GPU
+//  1. an LRU prediction cache keyed by (engine, kernel fingerprint, GPU
 //     name) plus the engine's state generation, so retraining invalidates
 //     cached forecasts without a manual flush;
 //  2. request coalescing: concurrent misses on the same key share one
 //     backend evaluation instead of duplicating it;
-//  3. a bounded worker pool shared across engines so graph fan-out cannot
-//     oversubscribe the CPU.
+//  3. a bounded worker pool so graph fan-out cannot oversubscribe the CPU,
+//     behind a bounded queue so overload is shed, not buffered.
+//
+// All three live on the shard the request's (engine, GPU) key routes to
+// (shard.go).
 //
 // Requests name an engine (or take the default); engines are looked up in
 // the registry per request, so engines registered after the service starts
 // become routable immediately.
 type Service struct {
-	reg       *predict.Registry
-	def       string
-	cacheSize int
-	sem       chan struct{} // legacy shared worker pool (Shards <= 1)
-	router    *shardRouter  // non-nil when sharded
-	lat       *latencyWindow
-	start     time.Time
+	reg    *predict.Registry
+	def    string
+	router *shardRouter
+	lat    *latencyWindow
+	start  time.Time
 
 	// regVersion is the registry version the routing state was built
 	// against; drift triggers Rebalance (see shard.go). epoch numbers the
@@ -165,20 +142,11 @@ type Service struct {
 	batchedKernels atomic.Uint64
 	rejected       atomic.Uint64
 	inFlightNow    atomic.Int64
-
-	// retiredHits/retiredMisses preserve the cache counter history of
-	// per-engine partitions discarded by Rebalance (unsharded layout), so
-	// the aggregate hit/miss counters — exported to Prometheus as
-	// monotonic counters — never go backwards when an engine unregisters.
-	retiredHits   atomic.Uint64
-	retiredMisses atomic.Uint64
 }
 
 // engineState is one engine's routing entry and its slice of the
-// counters. Where its traffic's cache, coalescing table, and worker pool
-// live depends on the layout: unsharded, the engine owns one partition
-// (part); sharded, the router assigns each of the engine's (engine, GPU)
-// keys to a shard and part is nil.
+// counters. Its traffic's cache, coalescing table, and worker pool live on
+// the shards the router assigns its (engine, GPU) keys to.
 type engineState struct {
 	name     string
 	eng      predict.Engine
@@ -190,7 +158,6 @@ type engineState struct {
 	// prefix and can never be served by the replacement — even for engines
 	// that track no generation.
 	prefix string
-	part   *partition // legacy per-engine partition; nil when sharded
 
 	requests    atomic.Uint64
 	errors      atomic.Uint64
@@ -218,48 +185,12 @@ func (es *engineState) key(k kernels.Kernel, g gpu.Spec) string {
 	return es.prefix + key
 }
 
-// partition resolves the serving partition for one (engine, GPU) request:
-// the engine's own partition when unsharded, else the consistent-hash
-// shard owning the (affinity, GPU) key.
-func (s *Service) partition(es *engineState, g gpu.Spec) *partition {
-	if s.router == nil {
-		return es.part
-	}
-	return s.router.shardFor(es.affinity, g.Name)
-}
-
-// partitions returns every partition currently provisioned: the shard set
-// when sharded, else the per-engine partitions created so far.
-func (s *Service) partitions() []*partition {
-	if s.router != nil {
-		return s.router.shards
-	}
-	out := make([]*partition, 0)
-	for _, es := range s.states() {
-		out = append(out, es.part)
-	}
-	return out
-}
-
 // inflightCall is one in-progress backend prediction that later arrivals
 // for the same key wait on.
 type inflightCall struct {
 	done chan struct{}
 	res  predict.Result
 	err  error
-}
-
-// New returns a Service wrapping a single legacy backend: pred is adapted
-// into an engine registered under its own name, which becomes the default.
-// Existing callers keep the exact pre-registry behavior.
-func New(pred KernelPredictor, cfg Config) *Service {
-	if pred == nil {
-		panic("serve: nil predictor")
-	}
-	reg := predict.NewRegistry()
-	eng := predict.AdaptBackend(pred)
-	reg.MustRegister(eng)
-	return NewMulti(reg, eng.Name(), cfg)
 }
 
 // NewMulti returns a Service routing across every engine in reg, serving
@@ -279,32 +210,22 @@ func NewMulti(reg *predict.Registry, defaultEngine string, cfg Config) *Service 
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	s := &Service{
-		reg:       reg,
-		def:       defaultEngine,
-		cacheSize: size,
-		sem:       make(chan struct{}, workers),
-		lat:       newLatencyWindow(cfg.LatencyWindow),
-		start:     time.Now(),
-		engines:   map[string]*engineState{},
-		plans:     newLRUCache[planKey, *graph.Plan](planMemoSize),
+	shards := max(cfg.Shards, 1)
+	queue := cfg.ShardQueue
+	switch {
+	case queue == 0:
+		queue = DefaultShardQueue
+	case queue < 0:
+		queue = 0 // backpressure disabled
 	}
-	if cfg.Shards > 1 {
-		perShard := cfg.ShardWorkers
-		if perShard <= 0 {
-			perShard = workers / cfg.Shards
-			if perShard < 1 {
-				perShard = 1
-			}
-		}
-		queue := cfg.ShardQueue
-		switch {
-		case queue == 0:
-			queue = DefaultShardQueue
-		case queue < 0:
-			queue = 0 // backpressure disabled
-		}
-		s.router = newShardRouter(cfg.Shards, size, perShard, queue)
+	s := &Service{
+		reg:     reg,
+		def:     defaultEngine,
+		router:  newShardRouter(shards, size, max(workers/shards, 1), queue),
+		lat:     newLatencyWindow(),
+		start:   time.Now(),
+		engines: map[string]*engineState{},
+		plans:   newLRUCache[planKey, *graph.Plan](planMemoSize),
 	}
 	s.regVersion.Store(reg.Version())
 	return s
@@ -315,10 +236,6 @@ func (s *Service) Registry() *predict.Registry { return s.reg }
 
 // DefaultEngine returns the engine name served when a request names none.
 func (s *Service) DefaultEngine() string { return s.def }
-
-// Backend returns the default engine's name — the pre-registry notion of
-// "the backend".
-func (s *Service) Backend() string { return s.def }
 
 // engine resolves name ("" means the default) to its serving state,
 // creating the state on first use so engines registered after the service
@@ -358,14 +275,11 @@ func (s *Service) engine(name string) (*engineState, error) {
 		affinity: predict.ShardAffinity(eng),
 		prefix:   name + "#" + strconv.FormatUint(s.epoch.Add(1), 10) + "|",
 	}
-	if s.router == nil {
-		es.part = newPartition(-1, s.cacheSize, s.sem, 0)
-	}
 	s.engines[name] = es
 	return es, nil
 }
 
-// states returns the engine partitions created so far, sorted by name.
+// states returns the engine states created so far, sorted by name.
 func (s *Service) states() []*engineState {
 	s.emu.RLock()
 	out := make([]*engineState, 0, len(s.engines))
@@ -377,17 +291,8 @@ func (s *Service) states() []*engineState {
 	return out
 }
 
-// FlushCache drops every cached prediction in every partition (hit/miss
-// counters are kept). Generation-keyed engines invalidate automatically on
-// retrain; the flush remains for backends that track no generation.
-func (s *Service) FlushCache() {
-	for _, p := range s.partitions() {
-		p.cache.Flush()
-	}
-}
-
 // InvalidateEngine drops every cached forecast of the engine named name
-// from every partition, returning how many entries were dropped. It is
+// from every shard, returning how many entries were dropped. It is
 // the cluster layer's invalidation hook: a peer process reporting a newer
 // state generation for this engine means locally cached forecasts may be
 // stale even though the local engine's own generation — the one cache
@@ -401,139 +306,47 @@ func (s *Service) InvalidateEngine(name string) int {
 		return 0
 	}
 	n := 0
-	for _, p := range s.partitions() {
+	for _, p := range s.router.shards {
 		n += p.cache.DropFunc(es.owns)
 	}
 	return n
 }
 
-// PredictKernel forecasts the latency of kernel k on device g in
-// milliseconds with the default engine, serving from cache when possible
-// and coalescing concurrent identical requests. It is safe for arbitrary
-// concurrent use.
-func (s *Service) PredictKernel(k kernels.Kernel, g gpu.Spec) (float64, error) {
-	res, err := s.PredictKernelEngine(context.Background(), "", k, g)
-	return res.Latency, err
-}
-
-// PredictKernelEngine is PredictKernel routed to a named engine (""
-// selects the default), with the full structured Result and request
-// context. Unknown engine names fail before any counters move.
+// PredictKernelEngine forecasts the latency of kernel k on device g with
+// the named engine ("" selects the default): a batch of one through
+// predictMany, so it is cached, coalesced, and admitted exactly like every
+// other request. Unknown engine names fail before any counters move. It is
+// safe for arbitrary concurrent use.
 func (s *Service) PredictKernelEngine(ctx context.Context, engine string, k kernels.Kernel, g gpu.Spec) (predict.Result, error) {
 	es, err := s.engine(engine)
 	if err != nil {
 		return predict.Result{}, err
 	}
-	return s.predictOne(ctx, es, k, g)
-}
-
-// predictOne is the single-kernel serving path against one engine's
-// partition: admit past backpressure, then cache, coalesce, and evaluate
-// under the partition's worker pool.
-func (s *Service) predictOne(ctx context.Context, es *engineState, k kernels.Kernel, g gpu.Spec) (predict.Result, error) {
-	// Admission runs before any accounting: a rejection returns in
-	// microseconds, and letting it into the request counters and the
-	// latency window would make an overloaded service look fast and busy
-	// on dashboards at exactly the moment it is shedding load. Rejections
-	// count only in rejected (aggregate and per-shard).
-	p := s.partition(es, g)
-	if !p.admit() {
-		s.rejected.Add(1)
-		return predict.Result{}, fmt.Errorf("serve: shard %d over %d requests in flight predicting %s: %w",
-			p.shard, p.maxInFlight, k.Label(), ErrSaturated)
-	}
-	defer p.release()
-
-	start := time.Now()
-	s.requests.Add(1)
-	es.requests.Add(1)
-	p.requests.Add(1)
-	s.inFlightNow.Add(1)
-	defer func() {
-		s.inFlightNow.Add(-1)
-		s.lat.Observe(time.Since(start))
-	}()
-
-	if k.Category() == kernels.CatNetwork {
-		s.countErrors(es, p, 1)
-		return predict.Result{}, fmt.Errorf("serve: network kernel %s is priced by the distributed layer, not the kernel predictor", k.Label())
-	}
-
-	// A caller that is already gone fails fast, before it can become the
-	// leader of a shared evaluation.
-	if err := ctx.Err(); err != nil {
-		s.countErrors(es, p, 1)
+	outs, err := s.predictMany(ctx, es, []kernels.Kernel{k}, g, nil)
+	if err != nil {
 		return predict.Result{}, err
 	}
-
-	key := es.key(k, g)
-	if v, ok := p.cache.Get(key); ok {
-		es.cacheHits.Add(1)
-		s.touchTrace(es.name, k, g)
-		return v, nil
-	}
-	es.cacheMisses.Add(1)
-
-	p.mu.Lock()
-	if call, ok := p.inflight[key]; ok {
-		p.mu.Unlock()
-		s.coalesced.Add(1)
-		es.coalesced.Add(1)
-		p.coalesced.Add(1)
-		<-call.done
-		if call.err != nil {
-			s.countErrors(es, p, 1)
-		}
-		return call.res, call.err
-	}
-	call := &inflightCall{done: make(chan struct{})}
-	p.inflight[key] = call
-	p.mu.Unlock()
-
-	s.runBackend(ctx, es, p, call, key, k, g)
-
-	if call.err != nil {
-		s.countErrors(es, p, 1)
-		return predict.Result{}, call.err
-	}
-	p.cache.Put(key, call.res)
-	s.recordTrace(es.name, k, g)
-	return call.res, nil
+	return outs[0].Result, outs[0].Err
 }
 
 // countErrors records n failed predictions on the aggregate, engine and
-// partition counters.
+// shard counters.
 func (s *Service) countErrors(es *engineState, p *partition, n uint64) {
 	s.errors.Add(n)
 	es.errors.Add(n)
 	p.errors.Add(n)
 }
 
-// runBackend executes the engine prediction for a registered in-flight
-// call. Unregistering the call and closing done run even if the engine
-// panics (callEngine converts the panic to an error), so both the leader
-// and every coalesced waiter fail cleanly instead of wedging the key
-// forever.
-func (s *Service) runBackend(ctx context.Context, es *engineState, p *partition, call *inflightCall, key string, k kernels.Kernel, g gpu.Spec) {
-	defer func() {
-		p.mu.Lock()
-		delete(p.inflight, key)
-		p.mu.Unlock()
-		close(call.done)
-	}()
-	call.res, call.err = s.callEngine(ctx, es, p, k, g)
-}
-
 // callEngine runs one per-kernel engine prediction under a slot of the
-// partition's worker pool, converting an engine panic into an error with
-// the slot released. It is the shared primitive of the single-kernel path
-// and the batch fan-out for engines without native batch support.
+// shard's worker pool, converting an engine panic into an error with the
+// slot released. A backend round of one kernel and the fan-out for engines
+// without native batch support both go through it.
 //
 // The evaluation runs detached from the caller's cancellation: in-flight
 // calls are shared by coalescing, so cancelling the leader's request must
 // not poison the result every coalesced waiter receives (the classic
 // singleflight-with-context bug). Cancelled callers fail fast before
-// leading or joining an evaluation instead.
+// leading or joining an evaluation instead (see predictMany).
 func (s *Service) callEngine(ctx context.Context, es *engineState, p *partition, k kernels.Kernel, g gpu.Spec) (res predict.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -546,18 +359,11 @@ func (s *Service) callEngine(ctx context.Context, es *engineState, p *partition,
 	return es.eng.PredictKernel(context.WithoutCancel(ctx), predict.Request{Kernel: k, GPU: g})
 }
 
-// PredictGraph forecasts the end-to-end latency of gr on g with the
-// default engine under the paper's sequential-execution assumption.
-// Kernels that fail to predict contribute their memory-bound fallback,
-// mirroring core.Predictor.PredictGraph.
-func (s *Service) PredictGraph(gr *graph.Graph, g gpu.Spec) float64 {
-	lat, _, _ := s.PredictGraphEngine(context.Background(), "", gr, g)
-	return lat
-}
-
-// PredictGraphEngine is PredictGraph routed to a named engine ("" selects
-// the default). It compiles gr into a plan and forecasts that; see
-// predictPlan.
+// PredictGraphEngine forecasts the end-to-end latency of gr on g with the
+// named engine ("" selects the default) under the paper's
+// sequential-execution assumption. Kernels that fail to predict contribute
+// their memory-bound fallback, mirroring core.Predictor.PredictGraph. It
+// compiles gr into a plan and forecasts that; see predictPlan.
 func (s *Service) PredictGraphEngine(ctx context.Context, engine string, gr *graph.Graph, g gpu.Spec) (float64, core.GraphReport, error) {
 	return s.predictPlan(ctx, engine, graph.Compile(gr), g)
 }
@@ -587,7 +393,7 @@ func (s *Service) predictPlan(ctx context.Context, engine string, pl *graph.Plan
 
 // Stats is a point-in-time snapshot of the aggregate service counters,
 // exposed on /v1/stats and consumed by the throughput benchmark. Cache
-// counters sum over every engine partition.
+// counters sum over every shard.
 type Stats struct {
 	Backend        string  `json:"backend"`
 	Requests       uint64  `json:"requests"`
@@ -610,7 +416,7 @@ type Stats struct {
 	UptimeSec      float64 `json:"uptime_sec"`
 }
 
-// EngineStats is one engine partition's slice of the counters, exposed on
+// EngineStats is one engine's slice of the counters, exposed on
 // /v2/stats and as labeled Prometheus series.
 type EngineStats struct {
 	Engine      string  `json:"engine"`
@@ -626,29 +432,16 @@ type EngineStats struct {
 	Generation  uint64  `json:"generation"`
 }
 
-// cacheTotals sums cache counters across live partitions plus the retired
-// history, under the same lock Rebalance folds and removes under — a
-// concurrent rebalance can therefore never be observed half-applied
-// (partition gone but its history not yet retired, or counted twice),
-// which keeps the Prometheus-exported aggregate counters monotonic.
+// cacheTotals sums the cache counters of every shard. The shard set is
+// fixed for the life of the service — Rebalance evicts a stale engine's
+// entries but never its shard — so the aggregates, exported to Prometheus
+// as counters, are monotonic.
 func (s *Service) cacheTotals() (hits, misses uint64, length int) {
-	s.emu.RLock()
-	defer s.emu.RUnlock()
-	hits, misses = s.retiredHits.Load(), s.retiredMisses.Load()
-	if s.router != nil {
-		for _, p := range s.router.shards {
-			h, m := p.cache.Counters()
-			hits += h
-			misses += m
-			length += p.cache.Len()
-		}
-		return hits, misses, length
-	}
-	for _, es := range s.engines {
-		h, m := es.part.cache.Counters()
+	for _, p := range s.router.shards {
+		h, m := p.cache.Counters()
 		hits += h
 		misses += m
-		length += es.part.cache.Len()
+		length += p.cache.Len()
 	}
 	return hits, misses, length
 }
@@ -685,15 +478,11 @@ func (s *Service) Stats() Stats {
 }
 
 // engineCacheLen counts the cache entries the engine currently owns: its
-// partition's full population when unsharded, else its keys' slice of
-// every shard cache. The sharded case is an O(entries) scan under each
+// keys' slice of every shard cache. That is an O(entries) scan under each
 // shard's cache lock — acceptable because it runs only on stats/metrics
 // reads against bounded caches; if scrape frequency ever makes it hurt,
 // replace with per-engine resident counters maintained on Put/evict.
 func (s *Service) engineCacheLen(es *engineState) int {
-	if s.router == nil {
-		return es.part.cache.Len()
-	}
 	n := 0
 	for _, p := range s.router.shards {
 		n += p.cache.LenFunc(es.owns)

@@ -15,7 +15,7 @@ import (
 )
 
 // TestInvalidateEngine pins the cluster layer's invalidation hook: only
-// the named engine's cached forecasts drop, in both partition layouts.
+// the named engine's cached forecasts drop, with one shard and with four.
 func TestInvalidateEngine(t *testing.T) {
 	for _, shards := range []int{0, 4} {
 		reg := predict.NewRegistry()
@@ -85,6 +85,46 @@ func (s *stubPredictor) PredictKernel(k kernels.Kernel, g gpu.Spec) (float64, er
 	return s.latency, nil
 }
 
+// engine puts the stub behind the Engine contract, named "stub".
+func (s *stubPredictor) engine() predict.Engine {
+	return predict.NewFuncEngine(s.Name(), predict.SourceBackend, s.PredictKernel)
+}
+
+// serviceOf serves eng as the single, default engine.
+func serviceOf(eng predict.Engine, cfg Config) *Service {
+	reg := predict.NewRegistry()
+	reg.MustRegister(eng)
+	return NewMulti(reg, eng.Name(), cfg)
+}
+
+// predictKernel asks the default engine for one kernel's latency.
+func predictKernel(s *Service, k kernels.Kernel, g gpu.Spec) (float64, error) {
+	res, err := s.PredictKernelEngine(context.Background(), "", k, g)
+	return res.Latency, err
+}
+
+// predictBatch asks the default engine for a batch, as positional
+// latencies and errors; a whole-batch rejection fails every item.
+func predictBatch(s *Service, ks []kernels.Kernel, g gpu.Spec) (lats []float64, errs []error) {
+	outs, err := s.PredictBatchEngine(context.Background(), "", ks, g)
+	lats = make([]float64, len(ks))
+	errs = make([]error, len(ks))
+	for i := range ks {
+		if err != nil {
+			errs[i] = err
+			continue
+		}
+		lats[i], errs[i] = outs[i].Result.Latency, outs[i].Err
+	}
+	return lats, errs
+}
+
+// predictGraph asks the default engine for a graph's end-to-end latency.
+func predictGraph(s *Service, gr *graph.Graph, g gpu.Spec) float64 {
+	lat, _, _ := s.PredictGraphEngine(context.Background(), "", gr, g)
+	return lat
+}
+
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -100,13 +140,13 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 func TestCacheHitMissAccounting(t *testing.T) {
 	stub := &stubPredictor{latency: 1.25}
-	svc := New(stub, Config{CacheSize: 16})
+	svc := serviceOf(stub.engine(), Config{CacheSize: 16})
 	g := gpu.MustLookup("V100")
 	k1 := kernels.NewBMM(4, 128, 128, 128)
 	k2 := kernels.NewLinear(64, 256, 256)
 
 	for i := 0; i < 3; i++ {
-		l, err := svc.PredictKernel(k1, g)
+		l, err := predictKernel(svc, k1, g)
 		if err != nil {
 			t.Fatalf("PredictKernel: %v", err)
 		}
@@ -114,7 +154,7 @@ func TestCacheHitMissAccounting(t *testing.T) {
 			t.Fatalf("latency = %v, want 1.25", l)
 		}
 	}
-	if _, err := svc.PredictKernel(k2, g); err != nil {
+	if _, err := predictKernel(svc, k2, g); err != nil {
 		t.Fatalf("PredictKernel k2: %v", err)
 	}
 
@@ -138,12 +178,12 @@ func TestCacheHitMissAccounting(t *testing.T) {
 
 func TestCacheDistinguishesGPUAndDType(t *testing.T) {
 	stub := &stubPredictor{latency: 2}
-	svc := New(stub, Config{CacheSize: 16})
+	svc := serviceOf(stub.engine(), Config{CacheSize: 16})
 	k := kernels.NewBMM(2, 64, 64, 64)
 
-	svc.PredictKernel(k, gpu.MustLookup("V100"))
-	svc.PredictKernel(k, gpu.MustLookup("H100"))
-	svc.PredictKernel(k.WithDType(kernels.FP16), gpu.MustLookup("H100"))
+	predictKernel(svc, k, gpu.MustLookup("V100"))
+	predictKernel(svc, k, gpu.MustLookup("H100"))
+	predictKernel(svc, k.WithDType(kernels.FP16), gpu.MustLookup("H100"))
 
 	if got := stub.calls.Load(); got != 3 {
 		t.Errorf("backend calls = %d, want 3 (distinct GPU and dtype must not collide)", got)
@@ -152,12 +192,12 @@ func TestCacheDistinguishesGPUAndDType(t *testing.T) {
 
 func TestErrorsAreNotCached(t *testing.T) {
 	stub := &stubPredictor{fail: true}
-	svc := New(stub, Config{CacheSize: 16})
+	svc := serviceOf(stub.engine(), Config{CacheSize: 16})
 	g := gpu.MustLookup("V100")
 	k := kernels.NewBMM(2, 32, 32, 32)
 
 	for i := 0; i < 2; i++ {
-		if _, err := svc.PredictKernel(k, g); err == nil {
+		if _, err := predictKernel(svc, k, g); err == nil {
 			t.Fatal("expected error from failing backend")
 		}
 	}
@@ -171,8 +211,8 @@ func TestErrorsAreNotCached(t *testing.T) {
 
 func TestNetworkKernelRejected(t *testing.T) {
 	stub := &stubPredictor{latency: 1}
-	svc := New(stub, Config{})
-	if _, err := svc.PredictKernel(kernels.NewAllReduce(1024), gpu.MustLookup("V100")); err == nil {
+	svc := serviceOf(stub.engine(), Config{})
+	if _, err := predictKernel(svc, kernels.NewAllReduce(1024), gpu.MustLookup("V100")); err == nil {
 		t.Fatal("expected network kernels to be rejected")
 	}
 	if got := stub.calls.Load(); got != 0 {
@@ -180,9 +220,12 @@ func TestNetworkKernelRejected(t *testing.T) {
 	}
 }
 
+// TestCoalescingSharesOneBackendCall: identical misses in flight at once —
+// kernel requests and one-kernel batches alike, they are the same path —
+// cost one backend call.
 func TestCoalescingSharesOneBackendCall(t *testing.T) {
 	stub := &stubPredictor{latency: 3.5, gate: make(chan struct{})}
-	svc := New(stub, Config{CacheSize: 16, Workers: 8})
+	svc := serviceOf(stub.engine(), Config{CacheSize: 16, Workers: 8})
 	g := gpu.MustLookup("V100")
 	k := kernels.NewSoftmax(512, 512)
 
@@ -194,7 +237,12 @@ func TestCoalescingSharesOneBackendCall(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = svc.PredictKernel(k, g)
+			if i%2 == 0 {
+				results[i], errs[i] = predictKernel(svc, k, g)
+				return
+			}
+			lats, berrs := predictBatch(svc, []kernels.Kernel{k}, g)
+			results[i], errs[i] = lats[0], berrs[0]
 		}(i)
 	}
 
@@ -215,14 +263,17 @@ func TestCoalescingSharesOneBackendCall(t *testing.T) {
 	if got := stub.calls.Load(); got != 1 {
 		t.Errorf("backend calls = %d, want 1 (identical in-flight requests must coalesce)", got)
 	}
-	if st := svc.Stats(); st.CacheLen != 1 {
-		t.Errorf("cache len = %d, want 1", st.CacheLen)
+	if st := svc.Stats(); st.CacheLen != 1 || st.CacheMisses != n {
+		t.Errorf("cache len/misses = %d/%d, want 1/%d", st.CacheLen, st.CacheMisses, n)
+	}
+	if e, sh := svc.EngineStats()[0], svc.Shards()[0]; e.Coalesced != n-1 || sh.Coalesced != n-1 {
+		t.Errorf("engine/shard coalesced = %d/%d, want %d on both", e.Coalesced, sh.Coalesced, n-1)
 	}
 }
 
 func TestWorkerPoolBoundsBackendConcurrency(t *testing.T) {
 	stub := &stubPredictor{latency: 1, gate: make(chan struct{})}
-	svc := New(stub, Config{CacheSize: 16, Workers: 2})
+	svc := serviceOf(stub.engine(), Config{CacheSize: 16, Workers: 2})
 	g := gpu.MustLookup("V100")
 
 	var wg sync.WaitGroup
@@ -230,7 +281,7 @@ func TestWorkerPoolBoundsBackendConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			svc.PredictKernel(kernels.NewBMM(1, 8+i, 8, 8), g) // all distinct: no coalescing
+			predictKernel(svc, kernels.NewBMM(1, 8+i, 8, 8), g) // all distinct: no coalescing
 		}(i)
 	}
 	waitFor(t, "2 backend calls in flight", func() bool { return stub.active.Load() == 2 })
@@ -251,23 +302,23 @@ func TestWorkerPoolBoundsBackendConcurrency(t *testing.T) {
 
 func TestBackendPanicDoesNotWedgeKey(t *testing.T) {
 	stub := &stubPredictor{latency: 6}
-	svc := New(stub, Config{CacheSize: 16})
+	svc := serviceOf(stub.engine(), Config{CacheSize: 16})
 	g := gpu.MustLookup("V100")
 	k := kernels.NewBMM(3, 48, 48, 48)
 
 	stub.panicOnce.Store(true)
-	if _, err := svc.PredictKernel(k, g); err == nil {
+	if _, err := predictKernel(svc, k, g); err == nil {
 		t.Fatal("expected the backend panic to surface as an error")
 	}
 	// The key must not be wedged: the next request runs the backend again
 	// and succeeds (the worker-pool slot was released too, or this would
 	// deadlock with Workers=1).
-	svc2 := New(stub, Config{CacheSize: 16, Workers: 1})
+	svc2 := serviceOf(stub.engine(), Config{CacheSize: 16, Workers: 1})
 	stub.panicOnce.Store(true)
-	if _, err := svc2.PredictKernel(k, g); err == nil {
+	if _, err := predictKernel(svc2, k, g); err == nil {
 		t.Fatal("expected panic error")
 	}
-	l, err := svc2.PredictKernel(k, g)
+	l, err := predictKernel(svc2, k, g)
 	if err != nil {
 		t.Fatalf("key wedged after backend panic: %v", err)
 	}
@@ -281,7 +332,7 @@ func TestBackendPanicDoesNotWedgeKey(t *testing.T) {
 
 func TestPredictGraphSumsAndSkipsNetwork(t *testing.T) {
 	stub := &stubPredictor{latency: 2.5}
-	svc := New(stub, Config{CacheSize: 16})
+	svc := serviceOf(stub.engine(), Config{CacheSize: 16})
 	g := gpu.MustLookup("V100")
 
 	gr := graph.New("test")
@@ -290,7 +341,7 @@ func TestPredictGraphSumsAndSkipsNetwork(t *testing.T) {
 	gr.Add(kernels.NewAllReduce(4096), b) // must contribute 0
 	gr.Add(kernels.NewBMM(2, 64, 64, 64), b)
 
-	total := svc.PredictGraph(gr, g)
+	total := predictGraph(svc, gr, g)
 	if want := 3 * 2.5; total != want {
 		t.Errorf("graph latency = %v, want %v", total, want)
 	}
@@ -325,34 +376,35 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-func TestFlushCacheForcesReprediction(t *testing.T) {
+// TestInvalidateEngineForcesReprediction: dropping an engine's cached
+// forecasts sends its next request to the backend and keeps the counters.
+func TestInvalidateEngineForcesReprediction(t *testing.T) {
 	stub := &stubPredictor{latency: 1}
-	svc := New(stub, Config{CacheSize: 16})
+	svc := serviceOf(stub.engine(), Config{CacheSize: 16})
 	g := gpu.MustLookup("V100")
 	k := kernels.NewBMM(2, 24, 24, 24)
 
-	svc.PredictKernel(k, g)
-	svc.PredictKernel(k, g) // hit
-	svc.FlushCache()
-	if svc.Stats().CacheLen != 0 {
-		t.Fatal("cache not empty after flush")
+	predictKernel(svc, k, g)
+	predictKernel(svc, k, g) // hit
+	if n := svc.InvalidateEngine("stub"); n != 1 || svc.Stats().CacheLen != 0 {
+		t.Fatalf("invalidate dropped %d entries leaving %d, want 1 and 0", n, svc.Stats().CacheLen)
 	}
-	svc.PredictKernel(k, g) // must reach the backend again
+	predictKernel(svc, k, g) // must reach the backend again
 	if got := stub.calls.Load(); got != 2 {
-		t.Errorf("backend calls = %d, want 2 after flush", got)
+		t.Errorf("backend calls = %d, want 2 after invalidation", got)
 	}
 	if st := svc.Stats(); st.CacheHits != 1 {
-		t.Errorf("hits = %d, want counters preserved across flush", st.CacheHits)
+		t.Errorf("hits = %d, want counters preserved across invalidation", st.CacheHits)
 	}
 }
 
 func TestDisabledCacheNeverStores(t *testing.T) {
 	stub := &stubPredictor{latency: 1}
-	svc := New(stub, Config{CacheSize: -1})
+	svc := serviceOf(stub.engine(), Config{CacheSize: -1})
 	g := gpu.MustLookup("V100")
 	k := kernels.NewBMM(2, 16, 16, 16)
-	svc.PredictKernel(k, g)
-	svc.PredictKernel(k, g)
+	predictKernel(svc, k, g)
+	predictKernel(svc, k, g)
 	if got := stub.calls.Load(); got != 2 {
 		t.Errorf("backend calls = %d, want 2 with caching disabled", got)
 	}
@@ -360,10 +412,10 @@ func TestDisabledCacheNeverStores(t *testing.T) {
 
 func TestLatencyPercentilesPopulate(t *testing.T) {
 	stub := &stubPredictor{latency: 1}
-	svc := New(stub, Config{CacheSize: 16})
+	svc := serviceOf(stub.engine(), Config{CacheSize: 16})
 	g := gpu.MustLookup("V100")
 	for i := 0; i < 10; i++ {
-		svc.PredictKernel(kernels.NewBMM(1, 4+i, 4, 4), g)
+		predictKernel(svc, kernels.NewBMM(1, 4+i, 4, 4), g)
 	}
 	st := svc.Stats()
 	if st.LatencyP99ms < st.LatencyP50ms {

@@ -25,17 +25,13 @@ var ErrSaturated = errors.New("serve: shard saturated")
 // reported as backpressure rather than unbounded memory growth.
 const DefaultShardQueue = 1024
 
-// partition is one serving lock domain: the unit that owns a cache, an
-// in-flight coalescing table, and a worker-pool semaphore. The service
-// always speaks to exactly one partition per request; what varies is how
-// partitions are provisioned:
-//
-//   - legacy (Config.Shards <= 1): one partition per engine, all sharing
-//     the service-wide worker pool — the pre-sharding behavior;
-//   - sharded: Config.Shards dedicated partitions, each with its own
-//     pool, serving (engine, GPU) keys assigned by consistent hashing.
+// partition is one shard, the serving lock domain: it owns a cache, an
+// in-flight coalescing table, a worker-pool semaphore, and a bounded
+// queue. The service speaks to exactly one shard per request — the one
+// its (engine, GPU) key hashes to. Config.Shards of them are built at
+// startup (default one) and the set never changes.
 type partition struct {
-	shard int // shard index; -1 for a legacy per-engine partition
+	shard int // shard index
 	cache *lruCache[string, predict.Result]
 	sem   chan struct{}
 	// maxInFlight is the saturation bound; 0 disables backpressure.
@@ -51,13 +47,12 @@ type partition struct {
 	inFlight  atomic.Int64
 }
 
-// newPartition returns a partition with its own cache, sharing sem as its
-// worker pool.
-func newPartition(shard, cacheSize int, sem chan struct{}, maxInFlight int) *partition {
+// newPartition returns a shard with its own cache and a workers-slot pool.
+func newPartition(shard, cacheSize, workers, maxInFlight int) *partition {
 	return &partition{
 		shard:       shard,
 		cache:       newLRUCache[string, predict.Result](cacheSize),
-		sem:         sem,
+		sem:         make(chan struct{}, workers),
 		maxInFlight: maxInFlight,
 		inflight:    map[string]*inflightCall{},
 	}
@@ -125,7 +120,7 @@ func newShardRouter(n, cacheSize, workers, maxInFlight int) *shardRouter {
 	empty := map[string]map[string]*partition{}
 	r.assign.Store(&empty)
 	for i := 0; i < n; i++ {
-		r.shards[i] = newPartition(i, cacheSize, make(chan struct{}, workers), maxInFlight)
+		r.shards[i] = newPartition(i, cacheSize, workers, maxInFlight)
 		for v := 0; v < ringReplicas; v++ {
 			r.points = append(r.points, ringPoint{hash: hash64(fmt.Sprintf("shard-%d-%d", i, v)), p: r.shards[i]})
 		}
@@ -219,12 +214,8 @@ type ShardStats struct {
 	InFlight    int64   `json:"in_flight"`
 }
 
-// Shards returns per-shard counters, one entry per shard in id order, or
-// nil when the service runs unsharded.
+// Shards returns per-shard counters, one entry per shard in id order.
 func (s *Service) Shards() []ShardStats {
-	if s.router == nil {
-		return nil
-	}
 	keys := s.router.keyCounts()
 	out := make([]ShardStats, len(s.router.shards))
 	for i, p := range s.router.shards {
@@ -249,20 +240,15 @@ func (s *Service) Shards() []ShardStats {
 	return out
 }
 
-// NumShards returns how many shards the service routes across (1 when
-// unsharded: the legacy per-engine layout is a single lock domain per
-// engine, not a shard set).
-func (s *Service) NumShards() int {
-	if s.router == nil {
-		return 1
-	}
-	return len(s.router.shards)
-}
+// NumShards returns how many shards the service routes across.
+func (s *Service) NumShards() int { return len(s.router.shards) }
 
 // Rebalance reconciles the service's routing state with the current
-// registry: partitions of engines that unregistered (or were replaced by
-// a new instance under the same name) are dropped, their cached forecasts
-// evicted from every shard, and the shard assignment memo rebuilt. It
+// registry: states of engines that unregistered (or were replaced by a new
+// instance under the same name) are dropped, their cached forecasts
+// evicted from every shard, and the shard assignment memo rebuilt. Shard
+// cache counters live on the fixed shard set, so the aggregate hit/miss
+// counters keep their history. It
 // runs automatically when the registry version drifts from the one the
 // service last observed — explicit calls are only needed by callers that
 // want eviction to happen eagerly rather than on the next request.
@@ -278,29 +264,17 @@ func (s *Service) Rebalance() {
 	for name, es := range s.engines {
 		cur, err := s.reg.Get(name)
 		if err != nil || cur != es.eng {
-			// Unsharded: the stale engine owns its partition outright — the
-			// whole cache is reclaimed with it, no prefix scan needed. Fold
-			// its counter history into the retired accumulators *before*
-			// the state leaves the map, so a concurrent Stats() never
-			// observes the partition gone but its history not yet retired
-			// (the aggregate counters are Prometheus-monotonic).
-			if s.router == nil {
-				h, m := es.part.cache.Counters()
-				s.retiredHits.Add(h)
-				s.retiredMisses.Add(m)
-			}
 			delete(s.engines, name)
 			stale = append(stale, es)
 		}
 	}
 	s.emu.Unlock()
 
-	if len(stale) == 0 || s.router == nil {
+	if len(stale) == 0 {
 		return
 	}
-	// Sharded: caches are shared across engines, so evict each stale
-	// engine's key slice from every shard. Shard cache counters live on
-	// the stable shard set and need no retirement.
+	// Shard caches are shared across engines, so evict each stale engine's
+	// key slice from every shard.
 	for _, es := range stale {
 		for _, p := range s.router.shards {
 			p.cache.DropFunc(es.owns)

@@ -2,14 +2,17 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"neusight/internal/gpu"
 	"neusight/internal/graph"
@@ -160,7 +163,7 @@ func TestShardBackpressure(t *testing.T) {
 			<-gate
 			return 1, nil
 		}))
-	svc := NewMulti(reg, "slow", Config{CacheSize: 64, Shards: 2, ShardWorkers: 4, ShardQueue: 1})
+	svc := NewMulti(reg, "slow", Config{CacheSize: 64, Shards: 2, Workers: 8, ShardQueue: 1})
 	g := gpu.MustLookup("V100")
 	ctx := context.Background()
 
@@ -288,15 +291,108 @@ func TestRebalanceDropsUnregisteredEngineState(t *testing.T) {
 	}
 }
 
-// TestUnshardedRebalanceKeepsCounterHistory pins that dropping an
-// engine's private partition (unsharded layout) does not regress the
-// aggregate cache counters — they are exported to Prometheus as
-// monotonic counters.
+// TestDefaultLayoutShedsPastQueueBound drives the default layout — one
+// shard — past its queue bound over HTTP: the excess is shed with 503 and
+// counted as rejected on the aggregate and on shard 0, never as requests
+// or latency samples, and the service answers again once load drops.
+func TestDefaultLayoutShedsPastQueueBound(t *testing.T) {
+	gate := make(chan struct{})
+	started := make(chan struct{}, 16)
+	reg := predict.NewRegistry()
+	reg.MustRegister(predict.NewFuncEngine("slow", "test",
+		func(k kernels.Kernel, g gpu.Spec) (float64, error) {
+			started <- struct{}{}
+			<-gate
+			return 1, nil
+		}))
+	const bound, excess = 2, 5
+	svc := NewMulti(reg, "slow", Config{ShardQueue: bound})
+	ts := httptest.NewServer(NewHandler(svc))
+	defer ts.Close()
+	// Without a queue bound the excess requests would wait on the gate
+	// forever; the timeout turns that into a failure.
+	client := &http.Client{Timeout: 5 * time.Second}
+	post := func(m int) (int, string) {
+		resp, err := client.Post(ts.URL+"/v2/predict/kernel", "application/json",
+			strings.NewReader(fmt.Sprintf(`{"op":"linear","m":%d,"k":16,"n":16,"gpu":"V100"}`, m)))
+		if err != nil {
+			return 0, err.Error()
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+
+	// Fill the bound with distinct kernels held in the backend.
+	var held sync.WaitGroup
+	for i := 0; i < bound; i++ {
+		held.Add(1)
+		go func(i int) {
+			defer held.Done()
+			if code, body := post(8 + i); code != http.StatusOK {
+				t.Errorf("admitted request %d = %d %s, want 200", i, code, body)
+			}
+		}(i)
+	}
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release() // also on a failed assertion, so ts.Close can return
+	for i := 0; i < bound; i++ {
+		<-started
+	}
+
+	for i := 0; i < excess; i++ {
+		if code, body := post(100 + i); code != http.StatusServiceUnavailable || !strings.Contains(body, ErrSaturated.Error()) {
+			t.Fatalf("request %d past the bound = %d %s, want 503 naming %q", i, code, body, ErrSaturated)
+		}
+	}
+	if _, err := svc.PredictKernelEngine(context.Background(), "", kernels.NewLinear(200, 16, 16), gpu.MustLookup("V100")); !errors.Is(err, ErrSaturated) {
+		t.Fatalf("in-process request past the bound = %v, want ErrSaturated", err)
+	}
+
+	resp, err := client.Get(ts.URL + "/v2/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st StatsV2
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Rejected != excess+1 || st.Requests != bound || st.InFlight != bound {
+		t.Errorf("rejected/requests/in_flight = %d/%d/%d, want %d/%d/%d (rejections are not requests)",
+			st.Rejected, st.Requests, st.InFlight, excess+1, bound, bound)
+	}
+	if st.LatencyP50ms != 0 || st.LatencyP99ms != 0 {
+		t.Errorf("latency p50/p99 = %v/%v with no admitted request finished, want 0/0 (rejections are not latency samples)",
+			st.LatencyP50ms, st.LatencyP99ms)
+	}
+	if st.Stats.Shards != 1 || len(st.Shards) != 1 {
+		t.Fatalf("shard_count = %d, shards section = %+v; want the one default shard", st.Stats.Shards, st.Shards)
+	}
+	if sh := st.Shards[0]; sh.Shard != 0 || sh.Rejected != excess+1 || sh.Requests != bound || sh.InFlight != bound {
+		t.Errorf("shard 0 = %+v, want %d rejected, %d requests, %d in flight", sh, excess+1, bound, bound)
+	}
+
+	release()
+	held.Wait()
+	if code, body := post(100); code != http.StatusOK {
+		t.Errorf("request after the load dropped = %d %s, want 200", code, body)
+	}
+	if got := svc.Stats(); got.Requests != bound+1 || got.Rejected != excess+1 {
+		t.Errorf("after drain requests/rejected = %d/%d, want %d/%d", got.Requests, got.Rejected, bound+1, excess+1)
+	}
+}
+
+// TestUnshardedRebalanceKeepsCounterHistory pins that dropping an engine
+// (and registering it again) in the default one-shard layout does not
+// regress the aggregate cache counters — they are exported to Prometheus
+// as monotonic counters.
 func TestUnshardedRebalanceKeepsCounterHistory(t *testing.T) {
 	reg := predict.NewRegistry()
 	reg.MustRegister(constEngine("alpha", 1))
 	reg.MustRegister(constEngine("gamma", 3))
-	svc := NewMulti(reg, "alpha", Config{CacheSize: 64}) // unsharded
+	svc := NewMulti(reg, "alpha", Config{CacheSize: 64}) // one shard
 	g := gpu.MustLookup("V100")
 	k := kernels.NewBMM(2, 64, 64, 64)
 	ctx := context.Background()
@@ -318,6 +414,16 @@ func TestUnshardedRebalanceKeepsCounterHistory(t *testing.T) {
 	}
 	if after.CacheLen != 0 {
 		t.Errorf("cache len after dropping the only traffic's engine = %d, want 0", after.CacheLen)
+	}
+
+	// The engine comes back under its name: a new state with an empty cache
+	// slice, on top of the same history.
+	reg.MustRegister(constEngine("gamma", 3))
+	for i := 0; i < 2; i++ {
+		svc.PredictKernelEngine(ctx, "gamma", k, g)
+	}
+	if back := svc.Stats(); back.CacheHits != 5 || back.CacheMisses != 2 {
+		t.Errorf("hits/misses after re-registering = %d/%d, want 5/2", back.CacheHits, back.CacheMisses)
 	}
 }
 

@@ -22,11 +22,8 @@ type latencyWindow struct {
 // letting hours-old requests dominate.
 const defaultLatencyWindow = 4096
 
-func newLatencyWindow(size int) *latencyWindow {
-	if size <= 0 {
-		size = defaultLatencyWindow
-	}
-	return &latencyWindow{ring: make([]time.Duration, size)}
+func newLatencyWindow() *latencyWindow {
+	return &latencyWindow{ring: make([]time.Duration, defaultLatencyWindow)}
 }
 
 // Observe records one request duration.

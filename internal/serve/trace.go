@@ -536,7 +536,7 @@ type WarmupStats struct {
 func (s *Service) Warmup() *WarmupStats { return s.warmup.Load() }
 
 // WarmFromTrace replays the workload trace at path through the serving
-// path, priming every partition's cache before the process starts
+// path, priming every shard's cache before the process starts
 // accepting traffic: each (engine, GPU) group of entries is replayed
 // concurrently as one batched prediction, so warmup parallelizes across
 // shards and amortizes native-batch engines exactly like live traffic.
@@ -597,7 +597,7 @@ func (s *Service) warmEntries(ctx context.Context, entries []TraceEntry, ws *War
 	defer s.warming.Store(false)
 
 	// Group by (engine, GPU): each group is one batched replay against one
-	// partition.
+	// shard.
 	type group struct {
 		engine string
 		g      gpu.Spec

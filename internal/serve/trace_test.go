@@ -65,11 +65,11 @@ func TestWarmupFirstRequestIsCacheHit(t *testing.T) {
 	}
 	svcA.SetTraceRecorder(rec)
 	for _, k := range ks {
-		if _, err := svcA.PredictKernel(k, g); err != nil {
+		if _, err := predictKernel(svcA, k, g); err != nil {
 			t.Fatalf("PredictKernel: %v", err)
 		}
 		// Repeats are cache hits and must not duplicate trace entries.
-		svcA.PredictKernel(k, g)
+		predictKernel(svcA, k, g)
 	}
 	if err := rec.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -106,7 +106,7 @@ func TestWarmupFirstRequestIsCacheHit(t *testing.T) {
 	// The first live request for every trace-covered key is a cache hit.
 	hitsBefore := svcB.Stats().CacheHits
 	for _, k := range ks {
-		if _, err := svcB.PredictKernel(k, g); err != nil {
+		if _, err := predictKernel(svcB, k, g); err != nil {
 			t.Fatalf("post-warmup PredictKernel: %v", err)
 		}
 	}
@@ -204,8 +204,8 @@ func TestTraceRecorderDedupsAcrossBatchAndSingle(t *testing.T) {
 	k1 := kernels.NewBMM(2, 64, 64, 64)
 	k2 := kernels.NewLinear(8, 16, 16)
 
-	svc.PredictKernel(k1, g)
-	svc.PredictBatch([]kernels.Kernel{k1, k2, k2}, g) // k1 already recorded, k2 once
+	predictKernel(svc, k1, g)
+	predictBatch(svc, []kernels.Kernel{k1, k2, k2}, g) // k1 already recorded, k2 once
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -357,8 +357,8 @@ func TestTraceCompactionServingIntegration(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc1.SetTraceRecorder(rec1)
-	svc1.PredictKernel(k1, g)
-	svc1.PredictKernel(k2, g)
+	predictKernel(svc1, k1, g)
+	predictKernel(svc1, k2, g)
 	if err := rec1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +381,7 @@ func TestTraceCompactionServingIntegration(t *testing.T) {
 		t.Fatalf("trace compaction after warmup = %+v, want 0 touched (replay is not a request)", tc)
 	}
 	hitsBefore := svc2.Stats().CacheHits
-	if _, err := svc2.PredictKernel(k1, g); err != nil {
+	if _, err := predictKernel(svc2, k1, g); err != nil {
 		t.Fatal(err)
 	}
 	if svc2.Stats().CacheHits != hitsBefore+1 {
@@ -458,7 +458,7 @@ func TestTraceCompactionOnStats(t *testing.T) {
 	}
 	defer rec.Close()
 	svc.SetTraceRecorder(rec)
-	svc.PredictKernel(kernels.NewBMM(2, 64, 64, 64), gpu.MustLookup("V100"))
+	predictKernel(svc, kernels.NewBMM(2, 64, 64, 64), gpu.MustLookup("V100"))
 	raw, ok := stats()["trace_compaction"]
 	if !ok {
 		t.Fatal("trace_compaction missing from /v2/stats")

@@ -126,7 +126,7 @@ func (e *genEngine) Generation() uint64 { return e.gen.Load() }
 
 // TestGenerationInvalidatesCache is the retrain-push satellite: a bumped
 // engine generation makes cached forecasts unreachable without any manual
-// FlushCache.
+// invalidation.
 func TestGenerationInvalidatesCache(t *testing.T) {
 	eng := &genEngine{lat: 5}
 	reg := predict.NewRegistry()
@@ -135,21 +135,21 @@ func TestGenerationInvalidatesCache(t *testing.T) {
 	g := gpu.MustLookup("V100")
 	k := kernels.NewBMM(2, 48, 48, 48)
 
-	svc.PredictKernel(k, g)
-	svc.PredictKernel(k, g)
+	predictKernel(svc, k, g)
+	predictKernel(svc, k, g)
 	if got := eng.calls.Load(); got != 1 {
 		t.Fatalf("backend calls = %d, want 1 (second request cached)", got)
 	}
 
 	eng.gen.Add(1) // "retrain"
-	if lat, err := svc.PredictKernel(k, g); err != nil || lat != 5 {
+	if lat, err := predictKernel(svc, k, g); err != nil || lat != 5 {
 		t.Fatalf("post-retrain predict = (%v, %v)", lat, err)
 	}
 	if got := eng.calls.Load(); got != 2 {
 		t.Fatalf("backend calls = %d, want 2 (generation bump must bypass the stale entry)", got)
 	}
 	// And the new generation is itself cached.
-	svc.PredictKernel(k, g)
+	predictKernel(svc, k, g)
 	if got := eng.calls.Load(); got != 2 {
 		t.Fatalf("backend calls = %d, want 2 (new generation cached)", got)
 	}
