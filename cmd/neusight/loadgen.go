@@ -27,7 +27,7 @@ import (
 // service: either an external one (-target URL) or one it boots in-process
 // on a loopback port (-self roofline|quick) so capacity can be measured
 // with a single command and no background process management — which is
-// how scripts/bench.sh --sweep and CI use it.
+// how the scripts/check.sh smoke sweeps use it.
 //
 // Two modes: -rate/-duration offers one fixed-rate step; -sweep
 // "start:step:max" walks the offered rate up until an SLO breach
@@ -413,9 +413,8 @@ func parseFault(s string) (step int, member string, pid int, err error) {
 }
 
 // startSelfCluster boots n in-process cluster members wired all-to-all —
-// a full local cluster behind one command, which is how scripts/bench.sh
-// --cluster-sweep and the check.sh smoke measure cluster capacity without
-// managing processes. Returns a stop function, the member seed URLs, and
+// a full local cluster behind one command, which is how the check.sh
+// smoke sweep exercises cluster mode without managing processes. Returns a stop function, the member seed URLs, and
 // a kill hook that tears one member down abruptly (listener, connections,
 // and background loops) for -fault injection.
 func startSelfCluster(mode string, n int, steer string, cfg serve.Config) (func(), []string, func(string) error, error) {

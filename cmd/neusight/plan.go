@@ -39,7 +39,7 @@ func planResolver(reg *predict.Registry, def string) func(string) (predict.Engin
 // (-target URL) or an in-process one (-self roofline|quick, optionally
 // -self-cluster N to fan the evaluation across N cluster members) so a
 // full planning round needs no background process management — which is
-// how scripts/plan_e2e.sh and scripts/bench.sh --plan-sweep use it.
+// how scripts/plan_e2e.sh uses it.
 func planCmd(args []string) error {
 	fs := flag.NewFlagSet("plan", flag.ExitOnError)
 	target := fs.String("target", "", "base URL of the planning service (e.g. http://127.0.0.1:8080)")

@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"neusight/internal/gpu"
+	"neusight/internal/promtext"
 )
 
 // Cluster control routes. They live under /v2 because they are part of the
@@ -244,7 +245,7 @@ func (n *Node) Handler(next http.Handler) http.Handler {
 			// The serving layer writes its families, then the cluster
 			// families are appended — text exposition format concatenates.
 			next.ServeHTTP(w, r)
-			n.WriteMetrics(w)
+			n.WriteMetrics(promtext.NewWriter(w))
 			return
 		}
 		if r.Method == http.MethodPost && isPredictPath(r.URL.Path) {

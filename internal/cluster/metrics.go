@@ -1,23 +1,12 @@
 package cluster
 
-import (
-	"fmt"
-	"io"
-)
-
-// clusterMetric is one exported sample in Prometheus text format.
-type clusterMetric struct {
-	name  string
-	help  string
-	typ   string
-	value float64
-}
+import "neusight/internal/promtext"
 
 // WriteMetrics renders the cluster counters in Prometheus text exposition
 // format. The serving layer's /metrics handler output is a concatenation
 // of families, so the cluster families are simply appended after it (see
 // Handler).
-func (n *Node) WriteMetrics(w io.Writer) error {
+func (n *Node) WriteMetrics(p *promtext.Writer) {
 	gs := n.GossipStats()
 	ss := n.SteerStats()
 	hs := n.HealthStats()
@@ -30,38 +19,30 @@ func (n *Node) WriteMetrics(w io.Writer) error {
 			dead++
 		}
 	}
-	for _, m := range []clusterMetric{
-		{"neusight_cluster_peers", "Peer processes this node gossips with.", "gauge", float64(len(n.Peers()))},
-		{"neusight_cluster_members_suspect", "Members currently suspected by the failure detector.", "gauge", suspect},
-		{"neusight_cluster_members_dead", "Members currently declared dead (evicted from the ring).", "gauge", dead},
-		{"neusight_cluster_steered_total", "Prediction requests steered to their shard owner (redirected plus proxied).", "counter", float64(ss.Steered)},
-		{"neusight_cluster_redirected_total", "Prediction requests answered with a 307 redirect to the shard owner.", "counter", float64(ss.Redirected)},
-		{"neusight_cluster_proxied_total", "Prediction requests transparently proxied to the shard owner.", "counter", float64(ss.Proxied)},
-		{"neusight_cluster_misrouted_total", "Steered requests arriving at a non-owner (ring disagreement); served locally.", "counter", float64(ss.Misrouted)},
-		{"neusight_cluster_proxy_failures_total", "Proxy attempts that failed to reach the target (non-timeout).", "counter", float64(ss.ProxyFailures)},
-		{"neusight_cluster_proxy_timeouts_total", "Proxy attempts that hit the per-attempt deadline.", "counter", float64(ss.ProxyTimeouts)},
-		{"neusight_cluster_failed_over_total", "Proxied requests retried against the replica after a failed primary attempt.", "counter", float64(ss.FailedOver)},
-		{"neusight_cluster_relay_errors_total", "Proxied responses truncated while relaying the body to the client.", "counter", float64(ss.RelayErrors)},
-		{"neusight_cluster_probes_total", "Health probes issued by the background sweeper.", "counter", float64(hs.Probes)},
-		{"neusight_cluster_probe_failures_total", "Health probes that failed (no 200 within the deadline).", "counter", float64(hs.ProbeFailures)},
-		{"neusight_cluster_evictions_total", "Members declared dead and evicted from the ring.", "counter", float64(hs.Evictions)},
-		{"neusight_cluster_readmissions_total", "Dead members readmitted after a successful contact.", "counter", float64(hs.Readmissions)},
-		{"neusight_cluster_joins_accepted_total", "Join requests admitted on /v2/cluster/join.", "counter", float64(hs.JoinsAccepted)},
-		{"neusight_cluster_auth_rejected_total", "Control-plane requests rejected for a missing or invalid bearer token.", "counter", float64(hs.AuthRejected)},
-		{"neusight_cluster_gossip_pushes_total", "Generation snapshots pushed to peers.", "counter", float64(gs.Pushes)},
-		{"neusight_cluster_gossip_push_failures_total", "Generation pushes that failed to reach a peer.", "counter", float64(gs.PushFailures)},
-		{"neusight_cluster_gossip_polls_total", "Peer generation views polled.", "counter", float64(gs.Polls)},
-		{"neusight_cluster_gossip_poll_failures_total", "Peer polls that failed.", "counter", float64(gs.PollFailures)},
-		{"neusight_cluster_gossip_absorbed_total", "Peer generation views absorbed (pushes received plus poll replies).", "counter", float64(gs.Absorbed)},
-		{"neusight_cluster_invalidations_total", "Engines whose cached forecasts were dropped on a newer peer generation.", "counter", float64(gs.Invalidations)},
-		{"neusight_cluster_invalidated_entries_total", "Cache entries dropped by cluster generation invalidations.", "counter", float64(gs.DroppedEntries)},
-		{"neusight_cluster_plan_evals_total", "Plan configuration batches evaluated here for a peer's plan job.", "counter", float64(n.planEvalsServed.Load())},
-		{"neusight_cluster_plan_eval_cells_total", "Plan configurations evaluated here for a peer's plan job.", "counter", float64(n.planEvalCells.Load())},
-	} {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %v\n",
-			m.name, m.help, m.name, m.typ, m.name, m.value); err != nil {
-			return err
-		}
-	}
-	return nil
+	p.Gauge("neusight_cluster_peers", "Peer processes this node gossips with.", float64(len(n.Peers())))
+	p.Gauge("neusight_cluster_members_suspect", "Members currently suspected by the failure detector.", suspect)
+	p.Gauge("neusight_cluster_members_dead", "Members currently declared dead (evicted from the ring).", dead)
+	p.Counter("neusight_cluster_steered_total", "Prediction requests steered to their shard owner (redirected plus proxied).", float64(ss.Steered))
+	p.Counter("neusight_cluster_redirected_total", "Prediction requests answered with a 307 redirect to the shard owner.", float64(ss.Redirected))
+	p.Counter("neusight_cluster_proxied_total", "Prediction requests transparently proxied to the shard owner.", float64(ss.Proxied))
+	p.Counter("neusight_cluster_misrouted_total", "Steered requests arriving at a non-owner (ring disagreement); served locally.", float64(ss.Misrouted))
+	p.Counter("neusight_cluster_proxy_failures_total", "Proxy attempts that failed to reach the target (non-timeout).", float64(ss.ProxyFailures))
+	p.Counter("neusight_cluster_proxy_timeouts_total", "Proxy attempts that hit the per-attempt deadline.", float64(ss.ProxyTimeouts))
+	p.Counter("neusight_cluster_failed_over_total", "Proxied requests retried against the replica after a failed primary attempt.", float64(ss.FailedOver))
+	p.Counter("neusight_cluster_relay_errors_total", "Proxied responses truncated while relaying the body to the client.", float64(ss.RelayErrors))
+	p.Counter("neusight_cluster_probes_total", "Health probes issued by the background sweeper.", float64(hs.Probes))
+	p.Counter("neusight_cluster_probe_failures_total", "Health probes that failed (no 200 within the deadline).", float64(hs.ProbeFailures))
+	p.Counter("neusight_cluster_evictions_total", "Members declared dead and evicted from the ring.", float64(hs.Evictions))
+	p.Counter("neusight_cluster_readmissions_total", "Dead members readmitted after a successful contact.", float64(hs.Readmissions))
+	p.Counter("neusight_cluster_joins_accepted_total", "Join requests admitted on /v2/cluster/join.", float64(hs.JoinsAccepted))
+	p.Counter("neusight_cluster_auth_rejected_total", "Control-plane requests rejected for a missing or invalid bearer token.", float64(hs.AuthRejected))
+	p.Counter("neusight_cluster_gossip_pushes_total", "Generation snapshots pushed to peers.", float64(gs.Pushes))
+	p.Counter("neusight_cluster_gossip_push_failures_total", "Generation pushes that failed to reach a peer.", float64(gs.PushFailures))
+	p.Counter("neusight_cluster_gossip_polls_total", "Peer generation views polled.", float64(gs.Polls))
+	p.Counter("neusight_cluster_gossip_poll_failures_total", "Peer polls that failed.", float64(gs.PollFailures))
+	p.Counter("neusight_cluster_gossip_absorbed_total", "Peer generation views absorbed (pushes received plus poll replies).", float64(gs.Absorbed))
+	p.Counter("neusight_cluster_invalidations_total", "Engines whose cached forecasts were dropped on a newer peer generation.", float64(gs.Invalidations))
+	p.Counter("neusight_cluster_invalidated_entries_total", "Cache entries dropped by cluster generation invalidations.", float64(gs.DroppedEntries))
+	p.Counter("neusight_cluster_plan_evals_total", "Plan configuration batches evaluated here for a peer's plan job.", float64(n.planEvalsServed.Load()))
+	p.Counter("neusight_cluster_plan_eval_cells_total", "Plan configurations evaluated here for a peer's plan job.", float64(n.planEvalCells.Load()))
 }

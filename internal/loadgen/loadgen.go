@@ -22,9 +22,8 @@
 //	Sweep (sweep.go)          — stepped rate escalation with SLO evaluation
 //	                            and knee reporting
 //
-// `neusight loadgen` is the CLI front end; scripts/bench.sh --sweep runs
-// a standard sweep and commits the result as BENCH_serve.json, the repo's
-// reviewable perf trajectory.
+// `neusight loadgen` is the CLI front end — an operator tool for sizing a
+// deployment, not the repository's benchmark (that is bench/).
 package loadgen
 
 import (

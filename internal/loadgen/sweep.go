@@ -129,8 +129,7 @@ func Sweep(ctx context.Context, tgt *Target, cfg SweepConfig) (SweepResult, erro
 
 // Report is the machine-readable JSON document `neusight loadgen` emits:
 // the run's identity and configuration, plus exactly one of Sweep
-// (stepped mode) or Run (fixed-rate mode). scripts/bench.sh --sweep
-// embeds it under the "sweep" key of BENCH_serve.json.
+// (stepped mode) or Run (fixed-rate mode).
 type Report struct {
 	Kind     string      `json:"kind"` // "neusight-loadgen"
 	Target   string      `json:"target"`
@@ -142,9 +141,7 @@ type Report struct {
 	Run   *StepResult  `json:"run,omitempty"`
 
 	// ClusterSweep and ClusterRun are the cluster-mode equivalents
-	// (`neusight loadgen -cluster`); scripts/bench.sh --cluster-sweep
-	// embeds a ClusterSweep report under the "cluster_sweep" key of
-	// BENCH_serve.json.
+	// (`neusight loadgen -cluster`).
 	ClusterSweep *ClusterSweepResult `json:"cluster_sweep,omitempty"`
 	ClusterRun   *ClusterStepResult  `json:"cluster_run,omitempty"`
 }

@@ -104,7 +104,7 @@ func TestSweepValidation(t *testing.T) {
 
 // TestReportRoundTrip pins the report schema: the JSON document survives a
 // marshal/unmarshal cycle with its discriminator and knee intact, which is
-// what scripts/bench.sh --sweep and CI consumers parse.
+// what report consumers (the scripts/check.sh smoke sweeps) parse.
 func TestReportRoundTrip(t *testing.T) {
 	in := Report{
 		Kind:     ReportKind,

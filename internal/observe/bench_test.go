@@ -2,6 +2,7 @@ package observe
 
 import (
 	"context"
+	"path/filepath"
 	"testing"
 
 	"neusight/internal/gpu"
@@ -24,6 +25,30 @@ func BenchmarkObserveIngest(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := m.Ingest(ctx, "neusight", ks[i%len(ks)], g, 1.5); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkStoreAppend measures one persisted observation on a store that
+// is already at DefaultStoreCap — every append evicts the oldest record,
+// and every DefaultStoreCap-th compacts the file.
+func BenchmarkStoreAppend(b *testing.B) {
+	st, err := OpenStore(filepath.Join(b.TempDir(), "obs.jsonl"), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	rec := NewRecord("neusight", kernels.NewBMM(1, 64, 64, 64), "H100", 1.5)
+	for i := 0; i < DefaultStoreCap; i++ {
+		if err := st.Append(rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := st.Append(rec); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,75 +1,38 @@
 package observe
 
-import (
-	"fmt"
-	"io"
-)
+import "neusight/internal/promtext"
+
+var windowFamilies = []promtext.Family[WindowReport]{
+	promtext.GaugeOf("neusight_observe_mape", "Rolling MAPE of predictions vs observations per (engine, GPU).",
+		func(w WindowReport) float64 { return w.MAPE }),
+	promtext.GaugeOf("neusight_observe_window_samples", "Observations currently in the drift window.",
+		func(w WindowReport) float64 { return float64(w.Samples) }),
+	promtext.GaugeOf("neusight_observe_drifting", "1 when the window MAPE is above the threshold.",
+		func(w WindowReport) float64 { return promtext.Bool(w.Drifting) }),
+	promtext.GaugeOf("neusight_observe_retrainable", "1 when the engine has a registered calibration retrainer.",
+		func(w WindowReport) float64 { return promtext.Bool(w.Retrainable) }),
+}
 
 // WriteMetrics renders a drift report as neusight_observe_* Prometheus
 // text-format families. A nil report (observation ingestion disabled)
 // writes nothing, matching the other optional metric sections.
-func WriteMetrics(w io.Writer, rep *Report) {
+func WriteMetrics(p *promtext.Writer, rep *Report) {
 	if rep == nil {
 		return
 	}
-	scalar := []struct {
-		name, help, typ string
-		value           float64
-	}{
-		{"neusight_observe_ingested_total", "Observations accepted into drift windows.", "counter", float64(rep.Ingested)},
-		{"neusight_observe_rejected_total", "Observations rejected (bad latency or failed prediction).", "counter", float64(rep.Rejected)},
-		{"neusight_observe_retrains_total", "Calibration retrains completed.", "counter", float64(rep.Retrains)},
-		{"neusight_observe_retrain_errors_total", "Calibration retrains that failed.", "counter", float64(rep.RetrainErrors)},
-		{"neusight_observe_retrain_active", "1 while a background retrain is in flight.", "gauge", boolVal(rep.RetrainActive)},
-		{"neusight_observe_drift_threshold", "Rolling-MAPE level above which a retrainable engine retrains.", "gauge", rep.Threshold},
-		{"neusight_observe_windows", "Live (engine, GPU) drift windows.", "gauge", float64(len(rep.Windows))},
-	}
+	p.Counter("neusight_observe_ingested_total", "Observations accepted into drift windows.", float64(rep.Ingested))
+	p.Counter("neusight_observe_rejected_total", "Observations rejected (bad latency or failed prediction).", float64(rep.Rejected))
+	p.Counter("neusight_observe_retrains_total", "Calibration retrains completed.", float64(rep.Retrains))
+	p.Counter("neusight_observe_retrain_errors_total", "Calibration retrains that failed.", float64(rep.RetrainErrors))
+	p.Gauge("neusight_observe_retrain_active", "1 while a background retrain is in flight.", promtext.Bool(rep.RetrainActive))
+	p.Gauge("neusight_observe_drift_threshold", "Rolling-MAPE level above which a retrainable engine retrains.", rep.Threshold)
+	p.Gauge("neusight_observe_windows", "Live (engine, GPU) drift windows.", float64(len(rep.Windows)))
 	if rep.Store != nil {
-		scalar = append(scalar,
-			struct {
-				name, help, typ string
-				value           float64
-			}{"neusight_observe_store_records", "Observations held in the persistent store.", "gauge", float64(rep.Store.Records)},
-			struct {
-				name, help, typ string
-				value           float64
-			}{"neusight_observe_store_evicted_total", "Observations evicted past the store cap.", "counter", float64(rep.Store.Evicted)},
-			struct {
-				name, help, typ string
-				value           float64
-			}{"neusight_observe_store_compactions_total", "Store compactions (tmp+rename rewrites).", "counter", float64(rep.Store.Compactions)},
-		)
+		p.Gauge("neusight_observe_store_records", "Observations held in the persistent store.", float64(rep.Store.Records))
+		p.Counter("neusight_observe_store_evicted_total", "Observations evicted past the store cap.", float64(rep.Store.Evicted))
+		p.Counter("neusight_observe_store_compactions_total", "Store compactions (tmp+rename rewrites).", float64(rep.Store.Compactions))
 	}
-	for _, m := range scalar {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %v\n", m.name, m.help, m.name, m.typ, m.name, m.value)
-	}
-	if len(rep.Windows) == 0 {
-		return
-	}
-	families := []struct {
-		name, help, typ string
-		value           func(WindowReport) float64
-	}{
-		{"neusight_observe_mape", "Rolling MAPE of predictions vs observations per (engine, GPU).", "gauge",
-			func(w WindowReport) float64 { return w.MAPE }},
-		{"neusight_observe_window_samples", "Observations currently in the drift window.", "gauge",
-			func(w WindowReport) float64 { return float64(w.Samples) }},
-		{"neusight_observe_drifting", "1 when the window MAPE is above the threshold.", "gauge",
-			func(w WindowReport) float64 { return boolVal(w.Drifting) }},
-		{"neusight_observe_retrainable", "1 when the engine has a registered calibration retrainer.", "gauge",
-			func(w WindowReport) float64 { return boolVal(w.Retrainable) }},
-	}
-	for _, fam := range families {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", fam.name, fam.help, fam.name, fam.typ)
-		for _, win := range rep.Windows {
-			fmt.Fprintf(w, "%s{engine=%q,gpu=%q} %v\n", fam.name, win.Engine, win.GPU, fam.value(win))
-		}
-	}
-}
-
-func boolVal(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
+	promtext.Families(p, rep.Windows, func(w WindowReport) string {
+		return promtext.Label("engine", w.Engine) + "," + promtext.Label("gpu", w.GPU)
+	}, windowFamilies...)
 }

@@ -11,6 +11,7 @@ import (
 	"neusight/internal/dataset"
 	"neusight/internal/gpu"
 	"neusight/internal/kernels"
+	"neusight/internal/promtext"
 )
 
 // flatPredict always predicts 1ms — drift is then entirely in the
@@ -281,7 +282,7 @@ func TestWriteMetrics(t *testing.T) {
 	ingestN(t, m, "neusight", 3, 10)
 	rep := m.Report()
 	var b strings.Builder
-	WriteMetrics(&b, &rep)
+	WriteMetrics(promtext.NewWriter(&b), &rep)
 	out := b.String()
 	for _, want := range []string{
 		"neusight_observe_ingested_total 3",
@@ -295,7 +296,7 @@ func TestWriteMetrics(t *testing.T) {
 		}
 	}
 	var none strings.Builder
-	WriteMetrics(&none, nil)
+	WriteMetrics(promtext.NewWriter(&none), nil)
 	if none.Len() != 0 {
 		t.Fatalf("nil report exported %q, want nothing", none.String())
 	}

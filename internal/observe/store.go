@@ -10,13 +10,11 @@
 package observe
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"sync"
 
+	"neusight/internal/jsonl"
 	"neusight/internal/kernels"
 )
 
@@ -70,63 +68,65 @@ func (r Record) Kernel() (kernels.Kernel, error) {
 const DefaultStoreCap = 8192
 
 // Store is a bounded, crash-safe observation log: an append-only JSONL
-// file holding the newest cap observations. Every append is flushed
-// through to the file (an observation accepted is an observation that
-// survives a kill), the oldest records are evicted past the cap, and the
-// file is compacted — atomically, via tmp+rename — once the on-disk log
+// file (internal/jsonl) holding the newest cap observations. Every append
+// is flushed through to the file (an observation accepted is an
+// observation that survives a kill), the oldest records are evicted past
+// the cap, and the file is compacted — atomically — once the on-disk log
 // grows to twice the cap, so disk usage is bounded even though appends
 // never rewrite the file. Safe for concurrent use.
 type Store struct {
 	mu        sync.Mutex
 	path      string
 	cap       int
-	f         *os.File
-	bw        *bufio.Writer
+	log       *jsonl.Log
 	recs      []Record
 	fileLines int    // lines currently in the file, evicted records included
 	skipped   int    // corrupt/unparseable lines dropped at open
 	evicted   uint64 // records dropped past the cap
-	compacts  uint64 // tmp+rename rewrites
+	compacts  uint64 // atomic rewrites
 	err       error  // first write error; appends stop permanently
 }
 
 // OpenStore opens (creating if absent) the observation store at path,
-// keeping at most capacity records (DefaultStoreCap when <= 0). A
-// leftover temporary file from a crash mid-compaction is discarded — the
-// rename never happened, so the main file is the authoritative copy.
-// Damaged lines in the file are skipped and counted, never fatal; if the
-// file holds more than capacity valid records only the newest survive,
-// and the pruned file is written back immediately so evicted records
-// cannot resurrect after a kill.
+// keeping at most capacity records (DefaultStoreCap when <= 0). Damaged
+// lines in the file are skipped and counted, never fatal; if the file
+// holds more than capacity valid records only the newest survive, and the
+// pruned file is written back immediately so evicted records cannot
+// resurrect after a kill.
 func OpenStore(path string, capacity int) (*Store, error) {
 	if capacity <= 0 {
 		capacity = DefaultStoreCap
 	}
-	os.Remove(path + compactSuffix)
 	s := &Store{path: path, cap: capacity}
 	if f, err := os.Open(path); err == nil {
-		s.recs, s.skipped = readRecords(f)
+		s.skipped = jsonl.Scan(f, func(r Record) bool {
+			if r.Op == "" || r.GPU == "" || r.Engine == "" || !(r.ObservedMs > 0) {
+				return false
+			}
+			s.recs = append(s.recs, r)
+			return true
+		})
 		f.Close()
 		s.fileLines = len(s.recs) + s.skipped
 	}
 	if over := len(s.recs) - capacity; over > 0 {
-		s.recs = append([]Record(nil), s.recs[over:]...)
+		s.recs = s.recs[over:]
 		s.evicted += uint64(over)
 	}
 	if s.evicted > 0 || s.skipped > 0 {
 		// Rewrite now, not lazily: a kill before the next compaction must
 		// not bring evicted or corrupt lines back.
-		if err := writeRecordFile(path, s.recs); err != nil {
-			return nil, err
+		if err := jsonl.Replace(path, s.recs); err != nil {
+			return nil, fmt.Errorf("observe: prune store: %w", err)
 		}
 		s.fileLines = len(s.recs)
 		s.compacts++
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	log, err := jsonl.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("observe: open store: %w", err)
 	}
-	s.f, s.bw = f, bufio.NewWriter(f)
+	s.log = log
 	return s, nil
 }
 
@@ -140,49 +140,43 @@ func (s *Store) Append(r Record) error {
 	if s.err != nil {
 		return s.err
 	}
-	line, err := json.Marshal(r)
-	if err == nil {
-		_, err = s.bw.Write(append(line, '\n'))
+	if s.err = s.log.Append(r); s.err == nil {
+		s.err = s.log.Flush()
 	}
-	if err == nil {
-		err = s.bw.Flush()
-	}
-	if err != nil {
-		s.err = err
-		return err
+	if s.err != nil {
+		return s.err
 	}
 	s.fileLines++
 	s.recs = append(s.recs, r)
 	if len(s.recs) > s.cap {
-		n := copy(s.recs, s.recs[1:])
-		s.recs = s.recs[:n]
+		// Evict by reslicing: append reallocates (dropping the evicted
+		// prefix) only when the tail runs out, so eviction is amortised
+		// O(1) instead of a memmove of the whole store per observation.
+		s.recs = s.recs[1:]
 		s.evicted++
 	}
 	if s.fileLines >= 2*s.cap && s.fileLines > len(s.recs) {
-		if err := s.compactLocked(); err != nil {
-			s.err = err
-			return err
-		}
+		s.err = s.compactLocked()
 	}
-	return nil
+	return s.err
 }
 
 // compactLocked rewrites the file down to the live records: close the
-// append handle, atomically replace the file (tmp+rename — a crash leaves
-// the old log or the new one, never a torn file), reopen for append.
-// Callers hold s.mu.
+// append handle, atomically replace the file (a crash leaves the old log
+// or the new one, never a torn file), reopen for append. Callers hold
+// s.mu.
 func (s *Store) compactLocked() error {
-	if err := s.f.Close(); err != nil {
+	if err := s.log.Close(); err != nil {
 		return fmt.Errorf("observe: compact store: %w", err)
 	}
-	if err := writeRecordFile(s.path, s.recs); err != nil {
-		return err
+	if err := jsonl.Replace(s.path, s.recs); err != nil {
+		return fmt.Errorf("observe: compact store: %w", err)
 	}
-	f, err := os.OpenFile(s.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	log, err := jsonl.Open(s.path)
 	if err != nil {
 		return fmt.Errorf("observe: compact store: %w", err)
 	}
-	s.f, s.bw = f, bufio.NewWriter(f)
+	s.log = log
 	s.fileLines = len(s.recs)
 	s.compacts++
 	return nil
@@ -219,89 +213,8 @@ func (s *Store) Stats() StoreStats {
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.bw.Flush(); err != nil && s.err == nil {
-		s.err = err
-	}
-	if err := s.f.Close(); err != nil && s.err == nil {
+	if err := s.log.Close(); s.err == nil {
 		s.err = err
 	}
 	return s.err
-}
-
-const compactSuffix = ".compact.tmp"
-
-// writeRecordFile atomically replaces the store at path with recs (write
-// to a temporary file, then rename).
-func writeRecordFile(path string, recs []Record) error {
-	tmp := path + compactSuffix
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("observe: compact store: %w", err)
-	}
-	bw := bufio.NewWriter(f)
-	for _, r := range recs {
-		line, err := json.Marshal(r)
-		if err == nil {
-			_, err = bw.Write(append(line, '\n'))
-		}
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("observe: compact store: %w", err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("observe: compact store: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("observe: compact store: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("observe: compact store: %w", err)
-	}
-	return nil
-}
-
-// readRecords parses JSONL observation data with the same damage
-// tolerance as trace replay: truncated, corrupt, unparseable, or absurdly
-// long lines are skipped and counted — damage anywhere in the file must
-// not void the valid observations before or after it.
-func readRecords(r io.Reader) (recs []Record, skipped int) {
-	br := bufio.NewReaderSize(r, 64*1024)
-	for {
-		line, isPrefix, readErr := br.ReadLine()
-		if readErr != nil {
-			if readErr != io.EOF {
-				skipped++
-			}
-			break
-		}
-		if isPrefix {
-			// A line longer than the read buffer is not an observation
-			// (records are a few hundred bytes): drain and count one skip.
-			skipped++
-			for isPrefix && readErr == nil {
-				_, isPrefix, readErr = br.ReadLine()
-			}
-			if readErr != nil {
-				break
-			}
-			continue
-		}
-		if len(line) == 0 {
-			continue
-		}
-		var rec Record
-		if jsonErr := json.Unmarshal(line, &rec); jsonErr != nil ||
-			rec.Op == "" || rec.GPU == "" || rec.Engine == "" || !(rec.ObservedMs > 0) {
-			skipped++
-			continue
-		}
-		recs = append(recs, rec)
-	}
-	return recs, skipped
 }

@@ -81,36 +81,52 @@ func TestStoreReopenAfterKill(t *testing.T) {
 	}
 }
 
+// TestStoreSkipsCorruptLines proves the store is wired to the shared log
+// (internal/jsonl, whose own suite crosses every fault with every
+// operation) and adds the store's own rule for what a valid record is:
+// damage between two valid records is skipped and counted, and the
+// damaged file is rewritten at open so a later kill cannot resurrect it.
 func TestStoreSkipsCorruptLines(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "obs.jsonl")
-	var b strings.Builder
-	b.WriteString(`{"engine":"neusight","gpu":"H100","op":"bmm","b":1,"m":64,"k":64,"n":64,"observed_ms":1}` + "\n")
-	b.WriteString("not json at all\n")                                 // garbage
-	b.WriteString(`{"engine":"neusight","gpu":"H100","op":"bmm","obs`) // truncated mid-line
-	b.WriteString("\n")
-	b.WriteString(`{"engine":"","gpu":"H100","op":"bmm","observed_ms":1}` + "\n")  // no engine
-	b.WriteString(`{"engine":"e","gpu":"H100","op":"bmm","observed_ms":0}` + "\n") // non-positive
-	b.WriteString("\n")                                                            // blank lines are framing, not damage
-	b.WriteString(`{"engine":"neusight","gpu":"H100","op":"bmm","b":1,"m":65,"k":64,"n":64,"observed_ms":2}` + "\n")
-	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
-		t.Fatal(err)
+	const (
+		first  = `{"engine":"neusight","gpu":"H100","op":"bmm","b":1,"m":64,"k":64,"n":64,"observed_ms":1}` + "\n"
+		second = `{"engine":"neusight","gpu":"H100","op":"bmm","b":1,"m":65,"k":64,"n":64,"observed_ms":2}` + "\n"
+	)
+	cases := []struct {
+		name, damage string
+		skipped      int
+	}{
+		{"garbage", "not json at all\n", 1},
+		{"truncated mid-line", `{"engine":"neusight","gpu":"H100","op":"bmm","obs` + "\n", 1},
+		{"overlong line", strings.Repeat("x", 100<<10) + "\n", 1},
+		{"no engine", `{"engine":"","gpu":"H100","op":"bmm","observed_ms":1}` + "\n", 1},
+		{"no gpu, no op", `{"engine":"e","op":"bmm","observed_ms":1}` + "\n" + `{"engine":"e","gpu":"H100","observed_ms":1}` + "\n", 2},
+		{"non-positive latency", `{"engine":"e","gpu":"H100","op":"bmm","observed_ms":0}` + "\n", 1},
+		{"blank lines are framing, not damage", "\n\n", 0},
 	}
-	st, err := OpenStore(path, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	stats := st.Stats()
-	if stats.Records != 2 {
-		t.Fatalf("loaded %d records, want 2", stats.Records)
-	}
-	if stats.Skipped != 4 {
-		t.Fatalf("skipped %d corrupt lines, want 4", stats.Skipped)
-	}
-	// The damaged file was rewritten: only the valid lines remain on disk,
-	// so a later kill cannot resurrect the corruption.
-	if got := fileLineCount(t, path); got != 2 {
-		t.Fatalf("file holds %d lines after corrupt-load rewrite, want 2", got)
+	for _, c := range cases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "obs.jsonl")
+			if err := os.WriteFile(path, []byte(first+c.damage+second), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			st, err := OpenStore(path, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			stats := st.Stats()
+			if stats.Records != 2 || stats.Skipped != c.skipped {
+				t.Fatalf("loaded %d records, skipped %d; want 2 and %d", stats.Records, stats.Skipped, c.skipped)
+			}
+			want := first + second
+			if c.skipped == 0 {
+				want = first + c.damage + second // nothing to heal, nothing rewritten
+			}
+			if data, _ := os.ReadFile(path); string(data) != want {
+				t.Fatalf("file after open = %q, want %q", data, want)
+			}
+		})
 	}
 }
 

@@ -1,24 +1,23 @@
 package plan
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
+
+	"neusight/internal/jsonl"
 )
 
 // A plan job's checkpoint is an append-only JSONL file, one per job
-// (<dir>/<id>.jsonl), mirroring the observe store's crash-safety
-// discipline: every line is flushed through before the write reports
-// success, damaged lines are skipped at read time rather than voiding
-// the file, and the first write error poisons the checkpoint permanently.
-// Unlike the observe store the log needs no cap or compaction — a job's
-// matrix is bounded by MaxMatrix, and each cell writes exactly one line.
+// (<dir>/<id>.jsonl), on the shared crash-safe log (internal/jsonl):
+// every line is flushed through before the write reports success,
+// damaged lines are skipped at read time rather than voiding the file,
+// and the first write error poisons the checkpoint permanently. Unlike
+// the observe store the log needs no cap or compaction — a job's matrix
+// is bounded by MaxMatrix, and each cell writes exactly one line.
 //
 // Line framing: the first line is a header carrying the job id and its
 // normalized spec; each evaluated cell appends one result line; a
@@ -41,49 +40,34 @@ const checkpointExt = ".jsonl"
 
 // Checkpoint is one job's open on-disk log.
 type Checkpoint struct {
-	mu   sync.Mutex
-	path string
-	f    *os.File
-	bw   *bufio.Writer
-	err  error // first write error; records stop permanently
+	mu  sync.Mutex
+	log *jsonl.Log
 }
 
-// createCheckpoint starts a fresh checkpoint for job id, writing the
+// createCheckpoint starts the checkpoint for a new job id, writing the
 // header line through to disk before returning — a submitted job is a
 // resumable job from its first instant.
 func createCheckpoint(dir, id string, spec Spec) (*Checkpoint, error) {
-	path := filepath.Join(dir, id+checkpointExt)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	c, err := openCheckpoint(dir, id)
 	if err != nil {
-		return nil, fmt.Errorf("plan: create checkpoint: %w", err)
+		return nil, err
 	}
-	c := &Checkpoint{path: path, f: f, bw: bufio.NewWriter(f)}
 	if err := c.write(checkpointLine{Plan: id, Spec: &spec}); err != nil {
-		f.Close()
-		os.Remove(path)
+		c.log.Close()
+		os.Remove(filepath.Join(dir, id+checkpointExt))
 		return nil, err
 	}
 	return c, nil
 }
 
-// write marshals one line and flushes it through to the file.
+// write appends one line and flushes it through to the file.
 func (c *Checkpoint) write(line checkpointLine) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.err != nil {
-		return c.err
+	if err := c.log.Append(line); err != nil {
+		return err
 	}
-	b, err := json.Marshal(line)
-	if err == nil {
-		_, err = c.bw.Write(append(b, '\n'))
-	}
-	if err == nil {
-		err = c.bw.Flush()
-	}
-	if err != nil {
-		c.err = err
-	}
-	return err
+	return c.log.Flush()
 }
 
 // Record persists one evaluated cell.
@@ -98,22 +82,22 @@ func (c *Checkpoint) Seal(state, errMsg string) error {
 	werr := c.write(checkpointLine{State: state, Error: errMsg})
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.f.Close(); err != nil && werr == nil {
+	if err := c.log.Close(); werr == nil {
 		werr = err
 	}
 	return werr
 }
 
-// reopenCheckpoint reopens a sealed checkpoint for append: new result
-// lines and a fresh terminal line follow the old ones, and replay takes
-// the last terminal state, so resume needs no rewrite.
-func reopenCheckpoint(dir, id string) (*Checkpoint, error) {
-	path := filepath.Join(dir, id+checkpointExt)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+// openCheckpoint opens a job's checkpoint for append. On resume of a
+// sealed one, new result lines and a fresh terminal line follow the old
+// ones and replay takes the last terminal state, so resume needs no
+// rewrite.
+func openCheckpoint(dir, id string) (*Checkpoint, error) {
+	log, err := jsonl.Open(filepath.Join(dir, id+checkpointExt))
 	if err != nil {
-		return nil, fmt.Errorf("plan: reopen checkpoint: %w", err)
+		return nil, fmt.Errorf("plan: open checkpoint: %w", err)
 	}
-	return &Checkpoint{path: path, f: f, bw: bufio.NewWriter(f)}, nil
+	return &Checkpoint{log: log}, nil
 }
 
 // Snapshot is the replayable content of one checkpoint file.
@@ -126,8 +110,8 @@ type Snapshot struct {
 	Skipped int // damaged lines dropped
 }
 
-// readSnapshot replays one checkpoint file with the observe store's
-// damage tolerance: corrupt, truncated, or overlong lines are skipped and
+// readSnapshot replays one checkpoint file with the shared log's damage
+// tolerance: corrupt, truncated, or overlong lines are skipped and
 // counted; result lines arriving before the header or after a terminal
 // line still count (a crash can interleave nothing — but a partially
 // written header must not void the results that follow it on resume of a
@@ -141,33 +125,7 @@ func readSnapshot(path string) (Snapshot, error) {
 
 	snap := Snapshot{ID: strings.TrimSuffix(filepath.Base(path), checkpointExt)}
 	byIndex := map[int]Result{}
-	br := bufio.NewReaderSize(f, 64*1024)
-	for {
-		line, isPrefix, readErr := br.ReadLine()
-		if readErr != nil {
-			if readErr != io.EOF {
-				snap.Skipped++
-			}
-			break
-		}
-		if isPrefix {
-			snap.Skipped++
-			for isPrefix && readErr == nil {
-				_, isPrefix, readErr = br.ReadLine()
-			}
-			if readErr != nil {
-				break
-			}
-			continue
-		}
-		if len(line) == 0 {
-			continue
-		}
-		var rec checkpointLine
-		if json.Unmarshal(line, &rec) != nil {
-			snap.Skipped++
-			continue
-		}
+	snap.Skipped = jsonl.Scan(f, func(rec checkpointLine) bool {
 		switch {
 		case rec.Spec != nil:
 			snap.Spec = *rec.Spec
@@ -176,9 +134,10 @@ func readSnapshot(path string) (Snapshot, error) {
 		case rec.State != "":
 			snap.State, snap.Error = rec.State, rec.Error
 		default:
-			snap.Skipped++
+			return false
 		}
-	}
+		return true
+	})
 	idxs := make([]int, 0, len(byIndex))
 	for i := range byIndex {
 		idxs = append(idxs, i)

@@ -277,7 +277,7 @@ func (m *Manager) Resume(id string) (Status, error) {
 		return st, fmt.Errorf("%w: %q", ErrJobDone, id)
 	}
 	if m.dir != "" {
-		cp, err := reopenCheckpoint(m.dir, j.id)
+		cp, err := openCheckpoint(m.dir, j.id)
 		if err != nil {
 			j.mu.Unlock()
 			return Status{}, err

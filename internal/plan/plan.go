@@ -13,8 +13,8 @@
 //
 // A full matrix is millions of kernel predictions, so plans run as
 // resumable async jobs (job.go): progress checkpoints per evaluated
-// configuration to a crash-safe JSONL file (checkpoint.go, mirroring the
-// observe store), and configuration batches fan out across the cluster's
+// configuration to a crash-safe JSONL file (checkpoint.go, on the shared
+// internal/jsonl log), and configuration batches fan out across the cluster's
 // shard owners through a Dispatcher the cluster layer implements — a
 // killed member's pending batches are re-dispatched to the survivors, so
 // the job completes with every cell evaluated exactly once.

@@ -1,10 +1,8 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -12,6 +10,7 @@ import (
 	"time"
 
 	"neusight/internal/gpu"
+	"neusight/internal/jsonl"
 	"neusight/internal/kernels"
 )
 
@@ -130,11 +129,9 @@ type compactEntry struct {
 type TraceRecorder struct {
 	mu      sync.Mutex
 	path    string
-	f       *os.File
-	bw      *bufio.Writer
+	log     *jsonl.Log // buffered appends; its first write error stops recording permanently
 	seen    map[string]struct{}
 	dropped uint64 // novel keys not recorded (dedup set full or write error)
-	err     error  // first write error; recording stops permanently
 
 	// loaded and fresh retain the recorder's entries in memory (bounded by
 	// the same maxTraceKeys cap as the dedup set): the carried-over file
@@ -202,19 +199,15 @@ func newTraceRecorder(path string, compactAfter int) (*TraceRecorder, error) {
 	if r.agedOut > 0 {
 		// Write the pruned file back now, not at Close: the aged keys must
 		// not resurrect if this run is killed before a clean shutdown.
-		kept := make([]TraceEntry, len(r.loaded))
-		for i, ce := range r.loaded {
-			kept[i] = ce.e
-		}
-		if err := writeTraceFile(path, kept); err != nil {
-			return nil, err
+		if err := jsonl.Replace(path, r.Entries()); err != nil {
+			return nil, fmt.Errorf("serve: compact trace: %w", err)
 		}
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	log, err := jsonl.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("serve: open trace: %w", err)
 	}
-	r.f, r.bw = f, bufio.NewWriter(f)
+	r.log = log
 	return r, nil
 }
 
@@ -240,21 +233,16 @@ func (r *TraceRecorder) record(engine string, k kernels.Kernel, g gpu.Spec, touc
 	if _, ok := r.seen[key]; ok {
 		return
 	}
-	if r.err != nil || len(r.seen) >= maxTraceKeys {
+	if len(r.seen) >= maxTraceKeys {
+		r.dropped++
+		return
+	}
+	entry := entryFromKernel(engine, k, g)
+	if r.log.Append(entry) != nil {
 		r.dropped++
 		return
 	}
 	r.seen[key] = struct{}{}
-	entry := entryFromKernel(engine, k, g)
-	line, err := json.Marshal(entry)
-	if err == nil {
-		_, err = r.bw.Write(append(line, '\n'))
-	}
-	if err != nil {
-		r.err = err
-		r.dropped++
-		return
-	}
 	r.fresh = append(r.fresh, entry)
 }
 
@@ -306,10 +294,7 @@ func (r *TraceRecorder) touchLocked(key string) {
 func (r *TraceRecorder) Flush() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := r.bw.Flush(); err != nil && r.err == nil {
-		r.err = err
-	}
-	return r.err
+	return r.log.Flush()
 }
 
 // Dropped returns how many novel keys were not recorded (dedup set full
@@ -325,18 +310,15 @@ func (r *TraceRecorder) Dropped() uint64 {
 // reset to idle 0, untouched keys age one replay, and keys reaching the
 // idle bound are dropped.
 func (r *TraceRecorder) Close() error {
-	flushErr := r.Flush()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := r.f.Close(); err != nil {
-		return err
-	}
+	err := r.log.Close()
 	if r.compactAfter > 0 {
-		if err := r.compactLocked(); err != nil && flushErr == nil {
-			flushErr = err
+		if cerr := r.compactLocked(); err == nil {
+			err = cerr
 		}
 	}
-	return flushErr
+	return err
 }
 
 // compactLocked rewrites the trace with this run's aging folded in.
@@ -356,41 +338,7 @@ func (r *TraceRecorder) compactLocked() error {
 		out = append(out, e)
 	}
 	out = append(out, r.fresh...) // recorded this run: idle 0 by construction
-	return writeTraceFile(r.path, out)
-}
-
-// writeTraceFile atomically replaces the trace at path with entries
-// (write to a temporary file, then rename), so a crash mid-rewrite leaves
-// either the old trace or the new one — never a torn file.
-func writeTraceFile(path string, entries []TraceEntry) error {
-	tmp := path + ".compact.tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("serve: compact trace: %w", err)
-	}
-	bw := bufio.NewWriter(f)
-	for _, e := range entries {
-		line, err := json.Marshal(e)
-		if err == nil {
-			_, err = bw.Write(append(line, '\n'))
-		}
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("serve: compact trace: %w", err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("serve: compact trace: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("serve: compact trace: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := jsonl.Replace(r.path, out); err != nil {
 		return fmt.Errorf("serve: compact trace: %w", err)
 	}
 	return nil
@@ -483,40 +431,13 @@ func ReadTrace(path string) (entries []TraceEntry, skipped int, err error) {
 // damage tolerance. It is the shared core of file replay (ReadTrace) and
 // peer-trace replay (Service.WarmFromTraceData).
 func readTraceEntries(r io.Reader) (entries []TraceEntry, skipped int) {
-	br := bufio.NewReaderSize(r, 64*1024)
-	for {
-		line, isPrefix, readErr := br.ReadLine()
-		if readErr != nil {
-			// io.EOF is the clean end; any other read error truncates the
-			// profile at the damage, counted once.
-			if readErr != io.EOF {
-				skipped++
-			}
-			break
-		}
-		if isPrefix {
-			// A line longer than the read buffer is not a trace entry
-			// (entries are a few hundred bytes): drain its remainder and
-			// count one skip, then continue with the next line.
-			skipped++
-			for isPrefix && readErr == nil {
-				_, isPrefix, readErr = br.ReadLine()
-			}
-			if readErr != nil {
-				break
-			}
-			continue
-		}
-		if len(line) == 0 {
-			continue
-		}
-		var e TraceEntry
-		if jsonErr := json.Unmarshal(line, &e); jsonErr != nil || e.Op == "" || e.GPU == "" {
-			skipped++
-			continue
+	skipped = jsonl.Scan(r, func(e TraceEntry) bool {
+		if e.Op == "" || e.GPU == "" {
+			return false
 		}
 		entries = append(entries, e)
-	}
+		return true
+	})
 	return entries, skipped
 }
 
@@ -678,12 +599,7 @@ func (s *Service) TraceJSONL() []byte {
 	}
 	var buf bytes.Buffer
 	for _, e := range r.Entries() {
-		line, err := json.Marshal(e)
-		if err != nil {
-			continue
-		}
-		buf.Write(line)
-		buf.WriteByte('\n')
+		jsonl.Encode(&buf, e) // an entry that cannot be encoded is left out
 	}
 	return buf.Bytes()
 }

@@ -157,27 +157,64 @@ func TestWarmupSkipsCorruptLines(t *testing.T) {
 	}
 }
 
-// TestReadTraceSurvivesOverlongLineMidFile pins that a single absurdly
-// long corrupt line in the middle of a trace costs exactly one skip — the
-// valid entries after it still parse.
-func TestReadTraceSurvivesOverlongLineMidFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "long.jsonl")
-	var b strings.Builder
-	b.WriteString(`{"engine":"alpha","gpu":"V100","op":"bmm","b":2,"m":64,"k":64,"n":64}` + "\n")
-	b.WriteString(strings.Repeat("x", 2<<20) + "\n") // 2 MiB of garbage, one line
-	b.WriteString(`{"engine":"alpha","gpu":"V100","op":"softmax","b":1024,"m":128}` + "\n")
-	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
-		t.Fatal(err)
+// TestTraceOnSharedLog proves the trace is wired to the shared log
+// (internal/jsonl, whose own suite crosses every fault with every
+// operation): damage between two valid entries costs the skips the log
+// counts and never the entries around it — on file replay, on peer-trace
+// replay, and through a recorder reopening the file — and a recorder
+// discards the temporary file a crashed compaction left behind.
+func TestTraceOnSharedLog(t *testing.T) {
+	const (
+		first  = `{"engine":"alpha","gpu":"V100","op":"bmm","b":2,"m":64,"k":64,"n":64}` + "\n"
+		second = `{"engine":"alpha","gpu":"V100","op":"softmax","b":1024,"m":128}` + "\n"
+	)
+	cases := []struct {
+		name, damage string
+		skipped      int
+	}{
+		{"overlong line", strings.Repeat("x", 100<<10) + "\n", 1},
+		{"binary garbage", "\x00\xff\xfe not json\n", 1},
+		{"truncated entry", `{"engine":"alpha","gpu":"V100","op":"li` + "\n", 1},
+		{"entry without op or gpu", `{"engine":"alpha","gpu":"V100"}` + "\n" + `{"engine":"alpha","op":"bmm"}` + "\n", 2},
+		{"blank lines", "\n\r\n", 0},
 	}
-	entries, skipped, err := ReadTrace(path)
-	if err != nil {
-		t.Fatalf("ReadTrace: %v", err)
-	}
-	if len(entries) != 2 {
-		t.Errorf("entries = %d, want 2 (the valid line after the damage must survive)", len(entries))
-	}
-	if skipped != 1 {
-		t.Errorf("skipped = %d, want 1", skipped)
+	for _, c := range cases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "trace.jsonl")
+			data := []byte(first + c.damage + second)
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			stale := path + ".compact.tmp"
+			if err := os.WriteFile(stale, []byte(first[:20]), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			entries, skipped, err := ReadTrace(path)
+			if err != nil || len(entries) != 2 || skipped != c.skipped {
+				t.Errorf("ReadTrace = (%d entries, %d skipped, %v), want 2 entries, %d skipped", len(entries), skipped, err, c.skipped)
+			}
+
+			reg := predict.NewRegistry()
+			reg.MustRegister(constEngine("alpha", 1))
+			svc := NewMulti(reg, "alpha", Config{CacheSize: 64})
+			if warmed, err := svc.WarmFromTraceData(context.Background(), data, nil); err != nil || warmed != 2 {
+				t.Errorf("WarmFromTraceData = (%d warmed, %v), want 2", warmed, err)
+			}
+
+			rec, err := NewTraceRecorder(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rec.Close()
+			if got := len(rec.Entries()); got != 2 {
+				t.Errorf("recorder loaded %d entries, want 2", got)
+			}
+			if _, err := os.Stat(stale); !os.IsNotExist(err) {
+				t.Errorf("leftover %s not discarded at open (stat err %v)", stale, err)
+			}
+		})
 	}
 }
 

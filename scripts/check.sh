@@ -110,13 +110,13 @@ fi
 echo "==> benchmark smoke (-benchtime=1x)"
 go test -run '^$' -bench . -benchtime=1x ./internal/mat ./internal/core >/dev/null
 go test -run '^$' -bench 'EngineDispatch' -benchtime=1x ./internal/predict >/dev/null
-go test -run '^$' -bench 'ObserveIngest' -benchtime=1x ./internal/observe >/dev/null
+go test -run '^$' -bench 'ObserveIngest|StoreAppend' -benchtime=1x ./internal/observe >/dev/null
 go test -run '^$' -bench 'Serve|ShardedThroughput' -benchtime=1x . >/dev/null
 
 # Loadgen smoke sweep: two short steps against a self-served roofline
 # target, generous SLO — exercises the whole harness path (CLI flags,
 # in-process target, sweep loop, JSON report) in about a second without
-# measuring anything. scripts/bench.sh --sweep is the real measurement.
+# measuring anything.
 echo "==> loadgen smoke sweep"
 smoke_out=$(mktemp)
 cluster_smoke_out=$(mktemp)
@@ -135,8 +135,7 @@ EOF
 
 # Cluster-sweep smoke: two short steps fanned across an in-process
 # 2-member cluster — exercises ring discovery, the load split, per-member
-# aggregation, and the merged report in about a second. scripts/bench.sh
-# --cluster-sweep is the real measurement.
+# aggregation, and the merged report in about a second.
 echo "==> loadgen cluster-sweep smoke (2-member in-process cluster)"
 go run ./cmd/neusight loadgen -self roofline -self-cluster 2 -sweep 100:100:200 \
   -step-duration 250ms -cooldown 100ms -slo-errors 0.5 -seed 7 \
