@@ -35,74 +35,3 @@ func TestParseMix(t *testing.T) {
 		}
 	}
 }
-
-func TestParseSweep(t *testing.T) {
-	cases := []struct {
-		in               string
-		start, step, max float64
-		wantErr          bool
-	}{
-		{in: "100:100:2000", start: 100, step: 100, max: 2000},
-		{in: " 50 : 25 : 50 ", start: 50, step: 25, max: 50},
-		{in: "100:100", wantErr: true},
-		{in: "a:b:c", wantErr: true},
-		{in: "0:100:2000", wantErr: true},
-		{in: "100:0:2000", wantErr: true},
-		{in: "2000:100:100", wantErr: true},
-	}
-	for _, tc := range cases {
-		start, step, max, err := parseSweep(tc.in)
-		if tc.wantErr {
-			if err == nil {
-				t.Errorf("parseSweep(%q): expected error", tc.in)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("parseSweep(%q): %v", tc.in, err)
-			continue
-		}
-		if start != tc.start || step != tc.step || max != tc.max {
-			t.Errorf("parseSweep(%q) = %g:%g:%g, want %g:%g:%g", tc.in, start, step, max, tc.start, tc.step, tc.max)
-		}
-	}
-}
-
-func TestParseFault(t *testing.T) {
-	cases := []struct {
-		in      string
-		step    int
-		member  string
-		pid     int
-		wantErr bool
-	}{
-		{in: "step=2", step: 2},
-		{in: "step=3,member=127.0.0.1:8080", step: 3, member: "127.0.0.1:8080"},
-		{in: " step=1 , member=host:1 , pid=42 ", step: 1, member: "host:1", pid: 42},
-		{in: "", wantErr: true},                   // no step
-		{in: "member=host:1", wantErr: true},      // no step
-		{in: "step=0", wantErr: true},             // step must be >= 1
-		{in: "step=x", wantErr: true},             // non-numeric step
-		{in: "step=2,pid=0", wantErr: true},       // pid must be positive
-		{in: "step=2,member=", wantErr: true},     // empty member
-		{in: "step=2,node=host:1", wantErr: true}, // unknown key
-		{in: "step", wantErr: true},               // not key=value
-	}
-	for _, tc := range cases {
-		step, member, pid, err := parseFault(tc.in)
-		if tc.wantErr {
-			if err == nil {
-				t.Errorf("parseFault(%q): expected error", tc.in)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("parseFault(%q): %v", tc.in, err)
-			continue
-		}
-		if step != tc.step || member != tc.member || pid != tc.pid {
-			t.Errorf("parseFault(%q) = %d/%q/%d, want %d/%q/%d",
-				tc.in, step, member, pid, tc.step, tc.member, tc.pid)
-		}
-	}
-}

@@ -327,7 +327,7 @@ func TestRunServerGracefulShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stub := predict.NewFuncEngine("stub", predict.SourceBackend,
+	stub := predict.NewFuncEngine("stub", predict.SourceAnalytical,
 		func(kernels.Kernel, gpu.Spec) (float64, error) { return 1, nil })
 	svc := serviceOf(stub, serve.Config{CacheSize: 16})
 	srv := &http.Server{Handler: serve.NewHandler(svc)}

@@ -94,7 +94,7 @@ func planCmd(args []string) error {
 	if *self != "" {
 		cfg := serve.Config{CacheSize: serve.DefaultCacheSize}
 		if *selfCluster > 0 {
-			stop, seeds, _, err := startSelfCluster(*self, *selfCluster, *steer, cfg)
+			stop, seeds, err := startSelfCluster(*self, *selfCluster, *steer, cfg)
 			if err != nil {
 				return err
 			}

@@ -1,0 +1,425 @@
+package main
+
+import (
+	"context"
+	"flag"
+	"fmt"
+	"net"
+	"net/http"
+	"os"
+	"os/signal"
+	"strings"
+	"syscall"
+	"time"
+
+	"neusight/internal/cluster"
+	"neusight/internal/core"
+	"neusight/internal/dataset"
+	"neusight/internal/gpu"
+	"neusight/internal/kernels"
+	"neusight/internal/observe"
+	"neusight/internal/plan"
+	"neusight/internal/predict"
+	"neusight/internal/serve"
+	"neusight/internal/tile"
+)
+
+// serveCmd runs the multi-engine HTTP prediction service around either a
+// predictor saved by train (-model/-tiles) or a reduced one trained
+// in-process (-quick). The registry always carries the neusight, roofline,
+// and gpusim engines; -quick additionally trains the comparison baselines
+// (habitat, liregression, direct-mlp, direct-transformer) on the generated
+// dataset so every engine of the standard set is routable via /v2.
+//
+// -shards (default one) partitions traffic by (engine, GPU) onto that many
+// shards, each with -cache entries, an even share of -workers and a
+// -shard-queue bound past which it answers 503; -warmup replays a workload
+// trace into the caches before the listener opens, and -trace-record
+// appends the served keys to one for the next restart. SIGINT/SIGTERM
+// trigger a graceful shutdown: the listener closes immediately, in-flight
+// requests drain up to -drain, then the process exits cleanly (flushing
+// the trace, if recording).
+func serveCmd(args []string) error {
+	fs := flag.NewFlagSet("serve", flag.ExitOnError)
+	addr := fs.String("addr", ":8080", "listen address")
+	modelPath := fs.String("model", "", "trained predictor path (from `neusight train`)")
+	tilePath := fs.String("tiles", "tiles.json", "tile database path")
+	quickTrain := fs.Bool("quick", false, "train a reduced predictor in-process instead of loading one")
+	cacheSize := fs.Int("cache", serve.DefaultCacheSize, "prediction LRU cache entries per shard, shared by the engines routed there (negative disables)")
+	workers := fs.Int("workers", 0, "max concurrent backend predictions, split evenly across the shards, at least one each (0 = GOMAXPROCS)")
+	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout for in-flight requests")
+	shards := fs.Int("shards", 0, "shard traffic by (engine, GPU) onto this many shards, each with its own cache, worker pool and queue (0 or 1 = one shard)")
+	shardQueue := fs.Int("shard-queue", 0, fmt.Sprintf("per-shard in-flight request bound before 503 backpressure (0 = %d, negative = unbounded)", serve.DefaultShardQueue))
+	tracePath := fs.String("trace-record", "", "append served (kernel, GPU, engine) keys to this JSONL workload trace")
+	warmupPath := fs.String("warmup", "", "replay this workload trace to warm caches before accepting traffic")
+	traceCompact := fs.Int("trace-compact", 0, "age out trace keys not requested within the last K replays (0 = off; requires -trace-record)")
+	engineList := fs.String("engines", "", "serve only these non-trainable engines, comma-separated (no -model/-quick needed; e.g. roofline,gpusim)")
+	peers := fs.String("peers", "", "comma-separated addresses of peer serve processes forming a cluster")
+	join := fs.String("join", "", "join a running cluster by announcing this process to the given member address")
+	steer := fs.String("steer", cluster.SteerRedirect, "cluster steering for requests owned by a peer: redirect (307), proxy (transparent), or off")
+	advertise := fs.String("advertise", "", "address peers reach this process at (default: -addr with an empty host replaced by 127.0.0.1)")
+	clusterListen := fs.String("cluster-listen", "", "optional extra listener serving only the cluster control routes (/v2/cluster/*)")
+	clusterToken := fs.String("cluster-token", "", "shared bearer token required on all /v2/cluster/* control routes (every member must use the same one)")
+	healthInterval := fs.Duration("health-interval", 0, "cluster health-sweep cadence driving the suspect/dead failure detector (0 = default 1s)")
+	observeFlag := fs.Bool("observe", false, "accept measured kernel latencies on POST /v2/observe and track prediction drift (retrainable engines background-retrain past -drift-threshold)")
+	driftThreshold := fs.Float64("drift-threshold", observe.DefaultThreshold, "rolling-MAPE level above which a retrainable engine recalibrates from observations (requires -observe)")
+	observeStore := fs.String("observe-store", "", "persist observations to this bounded JSONL store, replayed into drift windows on restart (requires -observe)")
+	observeCap := fs.Int("observe-cap", 0, fmt.Sprintf("observation store capacity in records, oldest evicted (0 = default %d; requires -observe-store)", observe.DefaultStoreCap))
+	planDir := fs.String("plan-dir", "", "persist /v2/plan job checkpoints to this directory so interrupted sweeps restore as resumable after a restart (default: in-memory only)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *traceCompact < 0 {
+		return fmt.Errorf("serve: -trace-compact must be >= 0, got %d", *traceCompact)
+	}
+	if *traceCompact > 0 && *tracePath == "" {
+		return fmt.Errorf("serve: -trace-compact requires -trace-record")
+	}
+	if !*observeFlag && (*observeStore != "" || *driftThreshold != observe.DefaultThreshold) {
+		return fmt.Errorf("serve: -observe-store and -drift-threshold require -observe")
+	}
+	if *driftThreshold <= 0 {
+		return fmt.Errorf("serve: -drift-threshold must be positive, got %v", *driftThreshold)
+	}
+	if *observeCap != 0 && *observeStore == "" {
+		return fmt.Errorf("serve: -observe-cap requires -observe-store")
+	}
+	if *observeCap < 0 {
+		return fmt.Errorf("serve: -observe-cap must be >= 0, got %d", *observeCap)
+	}
+	clustered := *peers != "" || *join != ""
+	if (*clusterListen != "" || *advertise != "" || *clusterToken != "" || *healthInterval != 0) && !clustered {
+		return fmt.Errorf("serve: -cluster-listen, -advertise, -cluster-token, and -health-interval require -peers or -join")
+	}
+	// Validate -steer before the expensive model loading/training below: a
+	// typo'd mode must fail in milliseconds, not after a -quick train.
+	switch *steer {
+	case cluster.SteerRedirect, cluster.SteerProxy, cluster.SteerOff:
+	default:
+		return fmt.Errorf("serve: unknown -steer mode %q (want %s, %s, or %s)",
+			*steer, cluster.SteerRedirect, cluster.SteerProxy, cluster.SteerOff)
+	}
+	if *steer != cluster.SteerRedirect && !clustered {
+		return fmt.Errorf("serve: -steer requires -peers or -join")
+	}
+	reg := predict.NewRegistry()
+	defaultEngine := predict.EngineNeuSight
+	// baseDS is the -quick run's generated dataset, retained so calibration
+	// retrains keep the offline distribution under the folded observations
+	// (nil for -model and -engines: calibration then trains on observations
+	// alone).
+	var baseDS *dataset.Dataset
+	if *engineList != "" {
+		// Model-free serving: only engines that need no training can run
+		// without a predictor (-model) or an in-process dataset (-quick).
+		if *quickTrain || *modelPath != "" {
+			return fmt.Errorf("serve: -engines replaces -model/-quick")
+		}
+		names := splitPeers(*engineList)
+		if len(names) == 0 {
+			return fmt.Errorf("serve: -engines lists no engine")
+		}
+		for _, name := range names {
+			spec, ok := findEngineSpec(name)
+			if !ok {
+				return fmt.Errorf("serve: unknown engine %q (see `neusight engines`)", name)
+			}
+			eng := spec.build()
+			if _, trainable := eng.(predict.Trainable); trainable {
+				return fmt.Errorf("serve: engine %q needs training — use -quick instead of -engines", name)
+			}
+			reg.MustRegister(eng)
+		}
+		defaultEngine = names[0]
+	} else {
+		var p *core.Predictor
+		var ds *dataset.Dataset
+		switch {
+		case *quickTrain:
+			fmt.Println("training a reduced in-process predictor...")
+			var tdb *tile.DB
+			ds, tdb = quickDataset()
+			p = core.NewPredictor(quickCoreConfig(), tdb)
+			p.Train(ds)
+		case *modelPath != "":
+			tdb, err := tile.LoadDB(*tilePath)
+			if err != nil {
+				return err
+			}
+			p, err = core.Load(*modelPath, tdb)
+			if err != nil {
+				return err
+			}
+		default:
+			return fmt.Errorf("serve: pass -model (with -tiles), -quick, or -engines")
+		}
+		reg.MustRegister(predict.NewCoreEngine(p))
+		for _, spec := range engineSpecs() {
+			eng := spec.build()
+			if tr, ok := eng.(predict.Trainable); ok {
+				if ds == nil {
+					continue // trainable baselines need the -quick dataset
+				}
+				fmt.Printf("training engine %s...\n", spec.name)
+				if err := trainEngineSpec(tr, spec, ds); err != nil {
+					return err
+				}
+			}
+			reg.MustRegister(eng)
+		}
+		baseDS = ds
+	}
+	svc := serve.NewMulti(reg, defaultEngine, serve.Config{
+		CacheSize: *cacheSize, Workers: *workers,
+		Shards: *shards, ShardQueue: *shardQueue,
+	})
+	planMgr, err := plan.NewManager(*planDir, planResolver(reg, defaultEngine), plan.Options{})
+	if err != nil {
+		return err
+	}
+	svc.SetPlanner(planMgr)
+	defer planMgr.Close()
+	if *planDir != "" {
+		restored := planMgr.List()
+		if len(restored) > 0 {
+			fmt.Printf("plan: %d checkpointed jobs restored from %s (cancelled ones resume via POST /v2/plan/{id})\n",
+				len(restored), *planDir)
+		}
+	}
+	if *observeFlag {
+		ocfg := observe.Config{Threshold: *driftThreshold}
+		if *observeStore != "" {
+			st, err := observe.OpenStore(*observeStore, *observeCap)
+			if err != nil {
+				return err
+			}
+			ocfg.Store = st
+		}
+		mon := observe.NewMonitor(ocfg, func(ctx context.Context, engine string, k kernels.Kernel, g gpu.Spec) (float64, error) {
+			res, err := svc.PredictKernelEngine(ctx, engine, k, g)
+			return res.Latency, err
+		})
+		// Engines that can fold observations back in AND version their state
+		// get a retrainer: a recalibration must bump the generation, or the
+		// serving caches (local and cluster-wide, via gossip) would keep
+		// answering from the pre-retrain model. Everything else is tracked
+		// alert-only.
+		for _, name := range reg.List() {
+			eng, err := reg.Get(name)
+			if err != nil {
+				continue
+			}
+			cal, ok := eng.(predict.Calibrator)
+			if !ok {
+				continue
+			}
+			if _, ok := eng.(predict.Generational); !ok {
+				continue
+			}
+			mon.RegisterRetrainer(name, func(calib []dataset.Sample) (uint64, error) {
+				if err := cal.Calibrate(baseDS, calib); err != nil {
+					return predict.Generation(eng), err
+				}
+				return predict.Generation(eng), nil
+			})
+		}
+		if ocfg.Store != nil {
+			replayed, skipped := mon.ReplayStore(context.Background())
+			fmt.Printf("observe: store %s, %d persisted observations replayed (%d skipped)\n",
+				*observeStore, replayed, skipped)
+		}
+		svc.SetObserver(mon)
+		defer func() {
+			if err := mon.Close(); err != nil {
+				fmt.Fprintf(os.Stderr, "neusight: closing observation store: %v\n", err)
+			}
+		}()
+		fmt.Printf("observation ingestion on POST /v2/observe (drift threshold %.0f%%, window %d, min samples %d)\n",
+			*driftThreshold*100, observe.DefaultWindow, observe.DefaultMinSamples)
+	}
+	// The recorder attaches before warmup so a rotated trace
+	// (-warmup old.jsonl -trace-record new.jsonl) re-records the warmed
+	// working set into the new file — those keys become cache hits for all
+	// later live traffic and would otherwise never reach the cache-fill
+	// record hook. Pointing both flags at the same file stays duplicate-free:
+	// the recorder seeds its dedup set from the file's existing entries.
+	if *tracePath != "" {
+		var rec *serve.TraceRecorder
+		var err error
+		if *traceCompact > 0 {
+			rec, err = serve.NewTraceRecorderCompact(*tracePath, *traceCompact)
+		} else {
+			rec, err = serve.NewTraceRecorder(*tracePath)
+		}
+		if err != nil {
+			return err
+		}
+		defer func() {
+			if err := rec.Close(); err != nil {
+				fmt.Fprintf(os.Stderr, "neusight: closing trace: %v\n", err)
+			}
+		}()
+		svc.SetTraceRecorder(rec)
+		fmt.Printf("recording workload trace to %s\n", *tracePath)
+		if tc := rec.Compaction(); tc != nil {
+			fmt.Printf("trace compaction: %d entries loaded, %d aged out (idle bound %d replays)\n",
+				tc.Loaded, tc.AgedOut, tc.MaxIdleReplays)
+		}
+	}
+	// Warm before listening: the first connection a client can open is
+	// already served from a cache primed with the saved workload profile.
+	if *warmupPath != "" {
+		fmt.Printf("warming caches from trace %s...\n", *warmupPath)
+		ws, err := svc.WarmFromTrace(context.Background(), *warmupPath)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("warmup: %d entries, %d warmed, %d corrupt lines skipped, %d failed, %.0f ms\n",
+			ws.Entries, ws.Warmed, ws.Skipped, ws.Failed, ws.DurationMs)
+	}
+	var handler http.Handler = serve.NewHandler(svc)
+	var node *cluster.Node
+	if clustered {
+		self := *advertise
+		if self == "" {
+			self = deriveSelf(*addr)
+		}
+		n, err := cluster.NewNode(cluster.Config{
+			Self:           self,
+			Peers:          splitPeers(*peers),
+			Steer:          *steer,
+			Registry:       reg,
+			DefaultEngine:  svc.DefaultEngine(),
+			Invalidate:     svc.InvalidateEngine,
+			Token:          *clusterToken,
+			HealthInterval: *healthInterval,
+			TraceDump:      svc.TraceJSONL,
+			WarmOwned: func(data []byte, owns func(engine, gpuName string) bool) (int, error) {
+				return svc.WarmFromTraceData(context.Background(), data, owns)
+			},
+		})
+		if err != nil {
+			return err
+		}
+		node = n
+		planMgr.SetDispatcher(node.PlanDispatcher())
+		if *join != "" {
+			// Join before the listener opens: the seed hands back the
+			// membership and generation views, and the trace warmup below
+			// primes the shards this member is about to own — its first
+			// steered request should be a cache hit, not a cold model run.
+			if err := node.Join(context.Background(), *join); err != nil {
+				return err
+			}
+			warmed, skipped, werr := node.WarmFromOwners(context.Background())
+			if werr != nil {
+				fmt.Fprintf(os.Stderr, "neusight: join warmup: %v\n", werr)
+			}
+			fmt.Printf("joined cluster via %s: members [%s], %d forecasts warmed (%d peers skipped)\n",
+				*join, strings.Join(node.Members(), " "), warmed, skipped)
+		}
+		handler = node.Handler(handler)
+		node.Start()
+		defer node.Stop()
+		if *clusterListen != "" {
+			cln, err := net.Listen("tcp", *clusterListen)
+			if err != nil {
+				return err
+			}
+			ctrl := &http.Server{Handler: node.ControlHandler(), ReadHeaderTimeout: 10 * time.Second}
+			go ctrl.Serve(cln)
+			defer ctrl.Close()
+			fmt.Printf("cluster control routes on %s\n", cln.Addr())
+		}
+		fmt.Printf("cluster: self %s, peers [%s], steering %s\n",
+			node.Self(), strings.Join(node.Peers(), " "), node.Mode())
+	}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("serving engines [%s] on %s, default %s (shards %d, cache %d entries/shard)\n",
+		strings.Join(reg.List(), " "), ln.Addr(), svc.DefaultEngine(), svc.NumShards(), *cacheSize)
+	fmt.Println("endpoints: POST /v2/predict/kernel|batch|graph (per-request \"engine\")  GET /v2/engines  GET /v2/stats")
+	fmt.Println("           POST /v1/predict/kernel|batch|graph (default engine)  GET /v1/healthz  GET /v1/stats  GET /metrics")
+	fmt.Println("           POST|GET /v2/plan (what-if capacity sweeps)  GET|POST|DELETE /v2/plan/{id} (poll, resume, cancel)")
+	if *observeFlag {
+		fmt.Println("           POST /v2/observe (measured latencies -> drift detection)")
+	}
+	if node != nil {
+		fmt.Println("           GET|POST /v2/cluster/generations (gossip)  GET /v2/cluster/ring (assignments)")
+		fmt.Println("           GET /v2/cluster/health (failure detector)  POST /v2/cluster/join  GET /v2/cluster/trace")
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	// Release the signal handler as soon as the first signal lands: the
+	// drain then proceeds, but a second SIGINT/SIGTERM gets default
+	// handling and force-quits instead of being swallowed for -drain.
+	go func() {
+		<-ctx.Done()
+		stop()
+	}()
+	srv := &http.Server{
+		Handler: handler,
+		// Bound slow clients on both directions so trickled headers,
+		// unread responses, or abandoned connections cannot pin goroutines
+		// and file descriptors indefinitely.
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       time.Minute,
+		WriteTimeout:      time.Minute,
+		IdleTimeout:       2 * time.Minute,
+	}
+	return runServer(ctx, srv, ln, *drain)
+}
+
+// splitPeers parses the -peers flag: comma-separated addresses, blanks
+// dropped.
+func splitPeers(s string) []string {
+	var peers []string
+	for _, p := range strings.Split(s, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			peers = append(peers, p)
+		}
+	}
+	return peers
+}
+
+// deriveSelf turns the -addr listen address into an address peers can
+// reach: a bare port (":8080") advertises 127.0.0.1 — right for local
+// multi-process clusters; multi-host deployments pass -advertise.
+func deriveSelf(addr string) string {
+	host, port, err := net.SplitHostPort(addr)
+	if err != nil {
+		return addr
+	}
+	if host == "" || host == "::" || host == "0.0.0.0" {
+		host = "127.0.0.1"
+	}
+	return net.JoinHostPort(host, port)
+}
+
+// runServer serves srv on ln until ctx is cancelled (SIGINT/SIGTERM in
+// production), then shuts down gracefully: the listener closes so no new
+// connections are accepted, and in-flight requests get up to drain to
+// complete before the remaining connections are torn down.
+func runServer(ctx context.Context, srv *http.Server, ln net.Listener, drain time.Duration) error {
+	errCh := make(chan error, 1)
+	go func() { errCh <- srv.Serve(ln) }()
+	select {
+	case err := <-errCh:
+		return err // listener failed before any shutdown was requested
+	case <-ctx.Done():
+	}
+	fmt.Printf("shutting down: draining in-flight requests (up to %v)...\n", drain)
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), drain)
+	defer cancel()
+	err := srv.Shutdown(shutdownCtx)
+	if serveErr := <-errCh; serveErr != nil && serveErr != http.ErrServerClosed {
+		return serveErr
+	}
+	if err != nil {
+		return fmt.Errorf("serve: drain timeout exceeded: %w", err)
+	}
+	fmt.Println("shutdown complete")
+	return nil
+}

@@ -279,16 +279,6 @@ func GELU(a *Value) *Value {
 	return unary(a, f, df)
 }
 
-// Exp returns e^a elementwise.
-func Exp(a *Value) *Value {
-	return unary(a, math.Exp, func(_, y float64) float64 { return y })
-}
-
-// Log returns the natural log elementwise.
-func Log(a *Value) *Value {
-	return unary(a, math.Log, func(x, _ float64) float64 { return 1 / x })
-}
-
 // Abs returns |a| elementwise; the derivative at 0 is taken as 0.
 func Abs(a *Value) *Value {
 	return unary(a, math.Abs, func(x, _ float64) float64 {
@@ -315,13 +305,6 @@ func ClampMin(a *Value, lo float64) *Value {
 			}
 			return 0
 		})
-}
-
-// Reciprocal returns 1/a elementwise.
-func Reciprocal(a *Value) *Value {
-	return unary(a,
-		func(x float64) float64 { return 1 / x },
-		func(_, y float64) float64 { return -y * y })
 }
 
 // SoftmaxRows applies a numerically stable softmax independently per row.

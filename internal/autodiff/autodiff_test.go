@@ -123,10 +123,7 @@ func TestGradUnaryOps(t *testing.T) {
 		{"Sigmoid", Sigmoid, nil},
 		{"Tanh", Tanh, nil},
 		{"GELU", GELU, nil},
-		{"Exp", Exp, nil},
-		{"Log", Log, func(v float64) float64 { return math.Abs(v) + 1 }},
 		{"Abs", Abs, func(v float64) float64 { return v + 2 }}, // keep positive, away from kink
-		{"Reciprocal", Reciprocal, func(v float64) float64 { return math.Abs(v) + 1 }},
 	}
 	for i, tc := range cases {
 		x := randMat(int64(20+i), 3, 3)

@@ -118,7 +118,7 @@ func TestHabitatUsesAltReferenceForV100(t *testing.T) {
 
 func TestHabitatRejectsNetwork(t *testing.T) {
 	h := NewHabitat(fastCfg(), gpusim.New())
-	if _, err := h.PredictKernel(kernels.NewAllReduce(100), gpu.MustLookup("V100")); err == nil {
+	if _, err := h.PredictKernel(kernels.Kernel{Op: kernels.OpAllReduce, B: 100, M: 1}, gpu.MustLookup("V100")); err == nil {
 		t.Fatal("expected error for network kernels")
 	}
 }

@@ -35,7 +35,7 @@ func (e *stubEngine) Generation() uint64 { return e.gen.Load() }
 
 func (e *stubEngine) PredictKernel(ctx context.Context, req predict.Request) (predict.Result, error) {
 	e.calls.Add(1)
-	return predict.Result{Latency: e.lat.Load().(float64), Engine: e.name, Source: predict.SourceBackend}, nil
+	return predict.Result{Latency: e.lat.Load().(float64), Engine: e.name, Source: predict.SourceAnalytical}, nil
 }
 
 func (e *stubEngine) PredictKernels(ctx context.Context, reqs []predict.Request) []predict.Outcome {
@@ -194,7 +194,7 @@ func TestSetPeersIgnoresSelfAndBlanks(t *testing.T) {
 // it, so two engines sharing backend state land on the same member.
 func TestOwnerUsesShardAffinity(t *testing.T) {
 	reg := predict.NewRegistry()
-	a := predict.NewFuncEngine("aff-a", predict.SourceBackend,
+	a := predict.NewFuncEngine("aff-a", predict.SourceAnalytical,
 		func(k kernels.Kernel, g gpu.Spec) (float64, error) { return 1, nil })
 	reg.MustRegister(a)
 	reg.MustRegister(newStubEngine("plain", 1))

@@ -11,6 +11,7 @@ import (
 
 	"neusight/internal/gpu"
 	"neusight/internal/kernels"
+	"neusight/internal/predict"
 	"neusight/internal/serve"
 )
 
@@ -19,6 +20,7 @@ import (
 // `neusight serve -peers ...` assembles in production.
 type proc struct {
 	addr string
+	reg  *predict.Registry
 	svc  *serve.Service
 	node *Node
 	eng  *stubEngine
@@ -32,6 +34,9 @@ type procOpts struct {
 	addr  string        // "" = any free port
 	token string        // control-plane bearer token
 	sweep time.Duration // health-sweep cadence (0 = package default)
+	// reqTimeout is the per-attempt deadline of outbound cluster requests,
+	// proxy hops included (0 = package default).
+	reqTimeout time.Duration
 }
 
 // startProc boots a process whose single engine "alpha" answers lat,
@@ -61,6 +66,7 @@ func startProcOpts(t *testing.T, o procOpts) *proc {
 		Steer:          o.mode,
 		PollInterval:   50 * time.Millisecond,
 		HealthInterval: o.sweep,
+		RequestTimeout: o.reqTimeout,
 		Registry:       reg,
 		DefaultEngine:  "alpha",
 		Invalidate:     svc.InvalidateEngine,
@@ -76,7 +82,7 @@ func startProcOpts(t *testing.T, o procOpts) *proc {
 	srv := &http.Server{Handler: node.Handler(serve.NewHandler(svc))}
 	go srv.Serve(ln)
 	t.Cleanup(func() { srv.Close() })
-	return &proc{addr: ln.Addr().String(), svc: svc, node: node, eng: eng, srv: srv}
+	return &proc{addr: ln.Addr().String(), reg: reg, svc: svc, node: node, eng: eng, srv: srv}
 }
 
 // kill closes the process's listener and connections — the in-test

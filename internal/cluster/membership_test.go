@@ -400,7 +400,7 @@ func TestThreeMemberDriftTerminates(t *testing.T) {
 				p := procs[(w+i)%3]
 				g := gpu.All()[i%len(gpu.All())]
 				resp, err := client.Post("http://"+p.addr+"/v2/predict/kernel", "application/json",
-					strings.NewReader(kernelBody(g)))
+					strings.NewReader(kernelBody("alpha", g)))
 				if err != nil {
 					t.Errorf("drifted request via %s: %v", p.addr, err)
 					return
@@ -437,8 +437,8 @@ func TestKillMemberFailover(t *testing.T) {
 	a.node.Start()
 	t.Cleanup(a.node.Stop)
 
-	gB := gpuOwnedBy(t, a.node, b.addr)
-	if lat, code := postKernel(t, noFollow(), "http://"+a.addr+"/v2/predict/kernel", gB); code != 200 || lat != 2 {
+	engine, gB := keyOwnedBy(t, a.node, b.addr, a, b, c)
+	if lat, code := postKernelEngine(t, noFollow(), "http://"+a.addr+"/v2/predict/kernel", engine, gB); code != 200 || lat != 2 {
 		t.Fatalf("pre-kill steered = (%v, %d), want 2 from B", lat, code)
 	}
 
@@ -453,7 +453,7 @@ func TestKillMemberFailover(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("B never declared dead by the sweeper")
 		}
-		_, code := postKernel(t, noFollow(), "http://"+a.addr+"/v2/predict/kernel", gB)
+		_, code := postKernelEngine(t, noFollow(), "http://"+a.addr+"/v2/predict/kernel", engine, gB)
 		if code != http.StatusOK {
 			t.Fatalf("mid-outage request = %d, want 200 via the replica, never a 502", code)
 		}
@@ -465,13 +465,14 @@ func TestKillMemberFailover(t *testing.T) {
 	}
 	// Post-eviction the key routes to the replica directly: no more
 	// per-request failed attempts.
-	if owner, _ := a.node.Owner("alpha", gB.Name); owner == b.addr {
+	if owner, _ := a.node.Owner(engine, gB.Name); owner == b.addr {
 		t.Fatal("dead member still owns its shard")
 	}
 
 	// Restart at the same address (a fresh process: new node, new
 	// instance). The sweeper's next successful probe readmits it.
 	b2 := mk(2, b.addr)
+	b2.serveAs(engine)
 	b2.node.SetPeers([]string{a.addr, c.addr})
 	deadline = time.Now().Add(10 * time.Second)
 	for a.node.memberDead(b.addr) {
@@ -485,10 +486,10 @@ func TestKillMemberFailover(t *testing.T) {
 	}
 	// The ring heals: B owns its old shard again and steered traffic
 	// reaches the restarted process.
-	if owner, _ := a.node.Owner("alpha", gB.Name); owner != b.addr {
+	if owner, _ := a.node.Owner(engine, gB.Name); owner != b.addr {
 		t.Fatalf("post-readmission owner = %s, want %s", owner, b.addr)
 	}
-	if lat, code := postKernel(t, noFollow(), "http://"+a.addr+"/v2/predict/kernel", gB); code != 200 || lat != 2 {
+	if lat, code := postKernelEngine(t, noFollow(), "http://"+a.addr+"/v2/predict/kernel", engine, gB); code != 200 || lat != 2 {
 		t.Fatalf("post-restart steered = (%v, %d), want 2 from the restarted B", lat, code)
 	}
 }

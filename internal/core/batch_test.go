@@ -89,8 +89,8 @@ func TestPredictKernelsPerItemErrors(t *testing.T) {
 	g := gpu.MustLookup("V100")
 	ks := []kernels.Kernel{
 		kernels.NewBMM(2, 64, 64, 64),
-		kernels.NewAllReduce(1 << 20),       // network: must error in place
-		kernels.NewEmbedding(32, 256, 1000), // memory-bound: fallback, no error
+		kernels.Kernel{Op: kernels.OpAllReduce, B: 1 << 20, M: 1}, // network: must error in place
+		kernels.NewEmbedding(32, 256, 1000),                       // memory-bound: fallback, no error
 	}
 	lats, errs := p.PredictKernels(ks, g)
 	if errs[0] != nil || lats[0] <= 0 {

@@ -191,7 +191,7 @@ func TestMemoryBoundFallbackForUnseenOps(t *testing.T) {
 
 func TestNetworkKernelRejected(t *testing.T) {
 	p := NewPredictor(testConfig(), nil)
-	if _, err := p.PredictKernel(kernels.NewAllReduce(1024), gpu.MustLookup("V100")); err == nil {
+	if _, err := p.PredictKernel(kernels.Kernel{Op: kernels.OpAllReduce, B: 1024, M: 1}, gpu.MustLookup("V100")); err == nil {
 		t.Fatal("network kernels must be rejected")
 	}
 }

@@ -98,8 +98,8 @@ func TestPredictGraphReportCountsPerNode(t *testing.T) {
 	g := gpu.MustLookup("V100")
 	gr := models.MustLookup("BERT-Large").InferenceGraph(2)
 	last := len(gr.Nodes) - 1
-	gr.Add(kernels.NewAllReduce(1<<20), last)
-	gr.Add(kernels.NewSendRecv(1<<16), last)
+	gr.Add(kernels.Kernel{Op: kernels.OpAllReduce, B: 1 << 20, M: 1}, last)
+	gr.Add(kernels.Kernel{Op: kernels.OpSendRecv, B: 1 << 16, M: 1}, last)
 
 	want, wantRep := walkGraph(t, p, gr, g)
 	got, rep, err := p.PredictGraph(gr, g)
@@ -139,19 +139,5 @@ func TestFoldPredictionsAbortsOnCancellation(t *testing.T) {
 		if want := (GraphReport{Kernels: 3}); rep != want {
 			t.Errorf("aborted report = %+v, want %+v", rep, want)
 		}
-	}
-}
-
-// TestEnsembleGraphEqualsMemberWalks: compiling the plan once for all
-// members changes no member's total.
-func TestEnsembleGraphEqualsMemberWalks(t *testing.T) {
-	e := trainEnsemble(t, 2)
-	g := gpu.MustLookup("L4")
-	gr := models.MustLookup("GPT2-Large").InferenceGraph(1)
-	mean, _ := e.PredictGraphWithSpread(gr, g)
-	a, _ := walkGraph(t, e.members[0], gr, g)
-	b, _ := walkGraph(t, e.members[1], gr, g)
-	if want := (a + b) / 2; mean != want {
-		t.Errorf("ensemble mean = %v, want %v", mean, want)
 	}
 }

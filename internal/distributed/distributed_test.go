@@ -215,19 +215,9 @@ func TestPipelineSchedules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Iteration latency is schedule-independent at this granularity...
+	// Iteration latency is schedule-independent at this granularity.
 	if fg.TotalMs != fo.TotalMs {
 		t.Fatalf("GPipe %v vs 1F1B %v: iteration time should match", fg.TotalMs, fo.TotalMs)
-	}
-	// ...the difference is live activation memory.
-	if got := ActivationFactor(GPipe, 8, 4); got != 8 {
-		t.Fatalf("GPipe activation factor = %d, want 8 (all micro-batches)", got)
-	}
-	if got := ActivationFactor(OneFOneB, 8, 4); got != 4 {
-		t.Fatalf("1F1B activation factor = %d, want 4 (bounded by stages)", got)
-	}
-	if got := ActivationFactor(OneFOneB, 2, 4); got != 2 {
-		t.Fatalf("1F1B with few micro-batches = %d, want 2", got)
 	}
 }
 

@@ -49,13 +49,3 @@ func pipelineSlots(sched PipelineSchedule, m, stages int, stageFwd, stageBwd flo
 		return 0, fmt.Errorf("distributed: unknown schedule %v", sched)
 	}
 }
-
-// ActivationFactor returns how many micro-batches of activations one stage
-// holds live under the schedule — the quantity that decides whether a
-// pipeline configuration fits in device memory.
-func ActivationFactor(sched PipelineSchedule, m, stages int) int {
-	if sched == OneFOneB && stages < m {
-		return stages
-	}
-	return m
-}

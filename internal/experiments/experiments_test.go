@@ -319,7 +319,7 @@ func TestMeasureGraphSkipsNetworkKernels(t *testing.T) {
 	lab := quickLab(t)
 	ks := []kernels.Kernel{
 		kernels.NewLinear(128, 128, 128),
-		kernels.NewAllReduce(1 << 20),
+		kernels.Kernel{Op: kernels.OpAllReduce, B: 1 << 20, M: 1},
 	}
 	withNet := lab.MeasureGraph(ks, gpu.MustLookup("V100"))
 	withoutNet := lab.MeasureGraph(ks[:1], gpu.MustLookup("V100"))

@@ -129,9 +129,6 @@ func TestSet() []Spec {
 // AMDTrainSet returns the AMD training devices for the Figure 9 study.
 func AMDTrainSet() []Spec { return specsFor("MI100", "MI210") }
 
-// AMDTestSet returns the held-out AMD device for the Figure 9 study.
-func AMDTestSet() []Spec { return specsFor("MI250") }
-
 func specsFor(names ...string) []Spec {
 	specs := make([]Spec, len(names))
 	for i, n := range names {

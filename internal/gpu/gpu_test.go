@@ -65,7 +65,7 @@ func TestTrainTestDisjoint(t *testing.T) {
 }
 
 func TestAMDSets(t *testing.T) {
-	for _, s := range append(AMDTrainSet(), AMDTestSet()...) {
+	for _, s := range append(AMDTrainSet(), MustLookup("MI250")) {
 		if s.Vendor != AMD {
 			t.Fatalf("%s in AMD sets but vendor %s", s.Name, s.Vendor)
 		}

@@ -201,7 +201,7 @@ func TestNetworkKernelPanics(t *testing.T) {
 			t.Fatal("expected panic for network kernels")
 		}
 	}()
-	New().KernelLatency(kernels.NewAllReduce(1024), gpu.MustLookup("V100"))
+	New().KernelLatency(kernels.Kernel{Op: kernels.OpAllReduce, B: 1024, M: 1}, gpu.MustLookup("V100"))
 }
 
 // TestNoiseSmall: the pseudo-measurement jitter stays within a few percent.

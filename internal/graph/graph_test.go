@@ -131,7 +131,7 @@ func TestBackwardElementwiseAndNorms(t *testing.T) {
 
 func TestBackwardSkipsNetworkOps(t *testing.T) {
 	fwd := New("net")
-	fwd.Add(kernels.NewAllReduce(1 << 20))
+	fwd.Add(kernels.Kernel{Op: kernels.OpAllReduce, B: 1 << 20, M: 1})
 	train := Backward(fwd)
 	if len(train.Nodes) != 1 {
 		t.Fatalf("network ops must not get backward kernels, got %d nodes", len(train.Nodes))

@@ -16,7 +16,7 @@ func layered(layers int) *Graph {
 		a := g.Add(kernels.NewLayerNorm(128, 256), prev)
 		b := g.Add(kernels.NewLinear(128, 256, 1024), a)
 		c := g.Add(kernels.NewElementwise(kernels.OpEWGELU, 128, 1024), b)
-		prev = g.Add(kernels.NewAllReduce(128*1024), c)
+		prev = g.Add(kernels.Kernel{Op: kernels.OpAllReduce, B: 128 * 1024, M: 1}, c)
 	}
 	return g
 }

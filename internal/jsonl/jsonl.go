@@ -7,6 +7,7 @@ package jsonl
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -126,13 +127,51 @@ type Log struct {
 // Open opens (creating if absent) the file at path for appending. A
 // temporary file left by a Replace that crashed before its rename is
 // discarded: the rename never happened, so path is the authoritative copy.
+// A tail the last writer did not finish with a newline is cut off, so the
+// first append starts a line of its own and is not glued to the torn one
+// and lost with it at the next replay.
 func Open(path string) (*Log, error) {
 	os.Remove(path + tmpSuffix)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("jsonl: open: %w", err)
 	}
+	if err := dropTornTail(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("jsonl: open %s: %w", path, err)
+	}
 	return &Log{f: f, bw: bufio.NewWriter(f)}, nil
+}
+
+// dropTornTail truncates f to the end of its last newline-terminated line
+// and syncs the cut. An unterminated tail is what a crash mid-append
+// leaves; even one that parses cannot be trusted to be the whole record.
+func dropTornTail(f *os.File) error {
+	st, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	size := st.Size()
+	end := size // no newline at or after end
+	buf := make([]byte, 4096)
+	for end > 0 {
+		n := min(int64(len(buf)), end)
+		if _, err := f.ReadAt(buf[:n], end-n); err != nil {
+			return err
+		}
+		if i := bytes.LastIndexByte(buf[:n], '\n'); i >= 0 {
+			end = end - n + int64(i) + 1
+			break
+		}
+		end -= n
+	}
+	if end == size {
+		return nil
+	}
+	if err := f.Truncate(end); err != nil {
+		return err
+	}
+	return syncFile(f)
 }
 
 // Append buffers v as one line.

@@ -153,45 +153,70 @@ func TestScanSurvivesDamage(t *testing.T) {
 	}
 }
 
-// operation is what a user does after replaying a damaged file.
+// operation is what a user does after replaying a damaged file. run
+// returns the bytes the file must hold afterwards and the records a replay
+// of it must deliver; heals says the operation leaves no damage behind.
 type operation struct {
-	name string
-	run  func(t *testing.T, path string, survivors []rec) (wantFile string)
+	name  string
+	heals bool
+	run   func(t *testing.T, path, damaged string, survivors []rec) (wantFile string, wantRecs []rec)
 }
 
 // heal rewrites the file down to the records that survived the replay.
-func heal(t *testing.T, path string, survivors []rec) (wantFile string) {
+func heal(t *testing.T, path, _ string, survivors []rec) (wantFile string, wantRecs []rec) {
 	if err := Replace(path, survivors); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range survivors {
 		wantFile += lineOf(r)
 	}
-	return wantFile
+	return wantFile, survivors
+}
+
+// appendNine opens the file, appends record 9 and checks the flushed line
+// is on disk before Close: a reader that never sees Close sees the line.
+func appendNine(t *testing.T, path, wantFile string) {
+	l, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(rec{9}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if data, _ := os.ReadFile(path); string(data) != wantFile {
+		t.Errorf("file after Flush = %q, want %q", data, wantFile)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 var operations = []operation{
-	{name: "heal", run: heal},
-	{name: "heal and append", run: func(t *testing.T, path string, survivors []rec) string {
-		want := heal(t, path, survivors) + lineOf(rec{9})
-		l, err := Open(path)
-		if err != nil {
-			t.Fatal(err)
+	{name: "heal", heals: true, run: heal},
+	{name: "heal and append", heals: true, run: func(t *testing.T, path, damaged string, survivors []rec) (string, []rec) {
+		wantFile, wantRecs := heal(t, path, damaged, survivors)
+		wantFile += lineOf(rec{9})
+		appendNine(t, path, wantFile)
+		return wantFile, append(wantRecs, rec{9})
+	}},
+	// What a recorder that never compacts does after a crash: no healing
+	// Replace, so Open itself must cut an unterminated tail — the append
+	// would otherwise be glued to it and both lost at the next replay.
+	// Damage before the last newline stays in the file and stays skipped.
+	{name: "open and append", run: func(t *testing.T, path, damaged string, _ []rec) (string, []rec) {
+		kept := damaged[:strings.LastIndexByte(damaged, '\n')+1]
+		var wantRecs []rec
+		for _, r := range valid {
+			if strings.Contains(kept, lineOf(r)) {
+				wantRecs = append(wantRecs, r)
+			}
 		}
-		if err := l.Append(rec{9}); err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		// Flushed is on disk: a reader that never sees Close sees the line.
-		if data, _ := os.ReadFile(path); string(data) != want {
-			t.Errorf("file after Flush = %q, want %q", data, want)
-		}
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return want
+		wantFile := kept + lineOf(rec{9})
+		appendNine(t, path, wantFile)
+		return wantFile, append(wantRecs, rec{9})
 	}},
 }
 
@@ -212,7 +237,7 @@ func TestDamagedFileHeals(t *testing.T) {
 				Scan(file, keepPositive(&survivors))
 				file.Close()
 
-				want := op.run(t, path, survivors)
+				want, wantRecs := op.run(t, path, f.damage(), survivors)
 				data, err := os.ReadFile(path)
 				if err != nil {
 					t.Fatal(err)
@@ -221,7 +246,11 @@ func TestDamagedFileHeals(t *testing.T) {
 					t.Errorf("file after %s = %q, want %q", op.name, data, want)
 				}
 				var again []rec
-				if skipped := Scan(bytes.NewReader(data), keepPositive(&again)); skipped != 0 {
+				skipped := Scan(bytes.NewReader(data), keepPositive(&again))
+				if !reflect.DeepEqual(again, wantRecs) {
+					t.Errorf("replay after %s delivers %v, want %v", op.name, again, wantRecs)
+				}
+				if op.heals && skipped != 0 {
 					t.Errorf("healed file still skips %d lines", skipped)
 				}
 				assertNoTmp(t, path)
@@ -334,6 +363,49 @@ func TestOpenDiscardsStaleTmp(t *testing.T) {
 	assertNoTmp(t, path)
 	if data, _ := os.ReadFile(path); string(data) != main {
 		t.Errorf("main file changed to %q", data)
+	}
+}
+
+// TestOpenSyncsTheCut: cutting a torn tail is a write, made durable through
+// the same seam as Replace before any append can follow it; a file that
+// ends in a newline is not written at all, and a failed sync fails Open.
+func TestOpenSyncsTheCut(t *testing.T) {
+	const whole = `{"n":1}` + "\n"
+	for _, c := range []struct {
+		name, content string
+		syncErr       error
+		wantSyncs     int
+	}{
+		{name: "clean tail", content: whole},
+		{name: "torn tail", content: whole + `{"n`, wantSyncs: 1},
+		{name: "torn tail, sync fails", content: whole + `{"n`, syncErr: errors.New("sync: I/O error"), wantSyncs: 1},
+	} {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "log.jsonl")
+			if err := os.WriteFile(path, []byte(c.content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			syncs := 0
+			syncFile = func(*os.File) error {
+				syncs++
+				if data, _ := os.ReadFile(path); string(data) != whole {
+					t.Errorf("at sync the file holds %q, want the tail already cut", data)
+				}
+				return c.syncErr
+			}
+			defer func() { syncFile = (*os.File).Sync }()
+			l, err := Open(path)
+			if (err != nil) != (c.syncErr != nil) {
+				t.Fatalf("Open error = %v with sync error %v", err, c.syncErr)
+			}
+			if err == nil {
+				l.Close()
+			}
+			if syncs != c.wantSyncs {
+				t.Errorf("Open synced %d times, want %d", syncs, c.wantSyncs)
+			}
+		})
 	}
 }
 

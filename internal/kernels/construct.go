@@ -42,18 +42,6 @@ func NewEmbedding(tokens, hidden, vocab int) Kernel {
 	return Kernel{Op: OpEmbedding, B: tokens, M: hidden, K: vocab}
 }
 
-// NewAllReduce builds a ring all-reduce over a tensor of elems elements.
-func NewAllReduce(elems int) Kernel {
-	mustPositive("AllReduce", elems)
-	return Kernel{Op: OpAllReduce, B: elems, M: 1}
-}
-
-// NewSendRecv builds a point-to-point transfer of elems elements.
-func NewSendRecv(elems int) Kernel {
-	mustPositive("SendRecv", elems)
-	return Kernel{Op: OpSendRecv, B: elems, M: 1}
-}
-
 // WithDType returns a copy of k at the given precision.
 func (k Kernel) WithDType(d DType) Kernel {
 	k.DType = d

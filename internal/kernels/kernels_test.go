@@ -198,7 +198,7 @@ func TestLabelFormats(t *testing.T) {
 }
 
 func TestNetworkKernels(t *testing.T) {
-	ar := NewAllReduce(1 << 20)
+	ar := Kernel{Op: OpAllReduce, B: 1 << 20, M: 1}
 	if ar.MemBytes() != 4*(1<<20) {
 		t.Fatalf("allreduce bytes = %v", ar.MemBytes())
 	}

@@ -94,43 +94,6 @@ func (h *Histogram) Observe(d time.Duration) {
 // Count returns how many observations the histogram holds.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
-// Merge folds o's observations into h. Because every histogram shares the
-// same fixed bucket layout, merging is exact: bucket counts add, and every
-// quantile of the merged histogram is identical to what recording the
-// union of the underlying samples into one histogram would report (pinned
-// by TestHistogramMergeMatchesUnion). This is what lets the cluster driver
-// aggregate per-member latency distributions into one cluster-wide
-// percentile without shipping raw samples around. Merging a histogram into
-// itself is not supported; a nil or empty o is a no-op.
-func (h *Histogram) Merge(o *Histogram) {
-	if o == nil || o == h {
-		return
-	}
-	n := o.count.Load()
-	if n == 0 {
-		return
-	}
-	for i := range o.counts {
-		if c := o.counts[i].Load(); c > 0 {
-			h.counts[i].Add(c)
-		}
-	}
-	h.count.Add(n)
-	h.sumUs.Add(o.sumUs.Load())
-	for max := o.maxUs.Load(); ; {
-		old := h.maxUs.Load()
-		if max <= old || h.maxUs.CompareAndSwap(old, max) {
-			break
-		}
-	}
-	for min := o.minUs.Load(); ; {
-		old := h.minUs.Load()
-		if min >= old || h.minUs.CompareAndSwap(old, min) {
-			break
-		}
-	}
-}
-
 // Quantile returns the q-quantile (q in [0,1]) in milliseconds: the upper
 // bound of the bucket holding the ceil(q*count)-th smallest observation.
 // An empty histogram reports 0 for every quantile.

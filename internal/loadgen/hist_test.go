@@ -2,7 +2,6 @@ package loadgen
 
 import (
 	"math"
-	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -165,77 +164,5 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 	}
 	if q := h.Quantile(1); q < 15 { // max value is 16000µs = 16ms
 		t.Errorf("p100 = %gms, want >= 15ms", q)
-	}
-}
-
-// TestHistogramMergeMatchesUnion is the merge-exactness property the
-// cluster driver's aggregation stands on: because every histogram shares
-// one fixed bucket layout, merging K per-member histograms must yield
-// bit-identical quantiles, mean, and extremes to recording the union of
-// the underlying samples into a single histogram. If a refactor ever
-// makes buckets configurable or merge approximate, this is the test that
-// catches it.
-func TestHistogramMergeMatchesUnion(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 20; trial++ {
-		k := 2 + rng.Intn(6) // member count
-		merged := NewHistogram()
-		union := NewHistogram()
-		for m := 0; m < k; m++ {
-			part := NewHistogram()
-			n := rng.Intn(2000) // empty members allowed
-			for i := 0; i < n; i++ {
-				// Span the layout: linear region, mid octaves, far tail.
-				var v int64
-				switch rng.Intn(3) {
-				case 0:
-					v = rng.Int63n(histSub)
-				case 1:
-					v = rng.Int63n(100_000)
-				default:
-					v = rng.Int63n(1 << 40)
-				}
-				part.Observe(us(v))
-				union.Observe(us(v))
-			}
-			merged.Merge(part)
-		}
-		if merged.Count() != union.Count() {
-			t.Fatalf("trial %d: merged count %d != union count %d", trial, merged.Count(), union.Count())
-		}
-		for i := 0; i < histBuckets; i++ {
-			if m, u := merged.counts[i].Load(), union.counts[i].Load(); m != u {
-				t.Fatalf("trial %d: bucket %d merged %d != union %d", trial, i, m, u)
-			}
-		}
-		for _, q := range []float64{0.50, 0.99, 0.999} {
-			if m, u := merged.Quantile(q), union.Quantile(q); m != u {
-				t.Errorf("trial %d: q%g merged %g != union %g", trial, q, m, u)
-			}
-		}
-		if m, u := merged.MeanMs(), union.MeanMs(); m != u {
-			t.Errorf("trial %d: mean merged %g != union %g", trial, m, u)
-		}
-		if m, u := merged.MaxMs(), union.MaxMs(); m != u {
-			t.Errorf("trial %d: max merged %g != union %g", trial, m, u)
-		}
-		if m, u := merged.MinMs(), union.MinMs(); m != u {
-			t.Errorf("trial %d: min merged %g != union %g", trial, m, u)
-		}
-	}
-}
-
-// TestHistogramMergeEdgeCases pins the no-op and self-merge guards.
-func TestHistogramMergeEdgeCases(t *testing.T) {
-	h := NewHistogram()
-	h.Observe(us(100))
-	h.Merge(nil)            // nil is a no-op
-	h.Merge(NewHistogram()) // empty is a no-op
-	h.Merge(h)              // self-merge is a no-op, not a double count
-	if h.Count() != 1 {
-		t.Fatalf("count after no-op merges = %d, want 1", h.Count())
-	}
-	if h.MinMs() != 0.1 || h.MaxMs() != 0.1 {
-		t.Fatalf("min/max after no-op merges = %g/%g, want 0.1/0.1", h.MinMs(), h.MaxMs())
 	}
 }

@@ -1,11 +1,8 @@
-// Package loadgen is the load-generation harness of the repo: an
-// open-loop driver that offers prediction traffic to a serve.Service
-// (over its HTTP API) at a controlled rate, measures what comes back, and
-// walks the offered rate up until the service breaches an SLO — answering
-// the capacity question ("how many users can this node take?") that
-// closed-loop microbenchmarks structurally cannot, because a closed loop
-// slows its own offering exactly when the server saturates and so only
-// ever measures the plateau, never the knee.
+// Package loadgen is the repo's load generator: an open-loop driver that
+// offers prediction traffic to one serve.Service (over its HTTP API) at a
+// controlled rate and measures what comes back. Open loop matters: a
+// closed loop slows its own offering exactly when the server saturates and
+// so only ever measures the plateau, never the queueing before it.
 //
 // The pieces compose left to right:
 //
@@ -19,11 +16,11 @@
 //	                            Histogram (hist.go), count outcomes, and
 //	                            difference the server's /v2/stats around
 //	                            the step
-//	Sweep (sweep.go)          — stepped rate escalation with SLO evaluation
-//	                            and knee reporting
 //
-// `neusight loadgen` is the CLI front end — an operator tool for sizing a
-// deployment, not the repository's benchmark (that is bench/).
+// `neusight loadgen` is the CLI front end — an operator tool for one
+// fixed-rate or trace-replay run against one target (a rate ladder is a
+// shell loop over -rate). The repository's benchmark is bench/, which
+// draws its paced pool and arrival process from this package.
 package loadgen
 
 import (
@@ -146,6 +143,19 @@ func deltaStats(before, after serve.StatsV2) *ServerDelta {
 	}
 }
 
+// Report is the machine-readable JSON document `neusight loadgen` emits:
+// the run's identity and configuration plus the measured step.
+type Report struct {
+	Kind     string      `json:"kind"` // "neusight-loadgen"
+	Target   string      `json:"target"`
+	Scenario string      `json:"scenario"`
+	Arrival  ArrivalSpec `json:"arrival"`
+	Run      *StepResult `json:"run,omitempty"`
+}
+
+// ReportKind is the Report.Kind discriminator.
+const ReportKind = "neusight-loadgen"
+
 // StepResult is the measured outcome of one fixed-rate step.
 type StepResult struct {
 	// OfferedRate is the configured arrival rate (requests/second);
@@ -188,21 +198,11 @@ type StepResult struct {
 	// Server is the /v2/stats delta across the step (nil when skipped or
 	// unavailable).
 	Server *ServerDelta `json:"server,omitempty"`
-
-	// hist is the step's full latency histogram, kept so the cluster
-	// driver can merge per-member distributions exactly (fixed buckets
-	// merge losslessly) instead of averaging pre-computed percentiles.
-	hist *Histogram
 }
 
-// Histogram returns the step's latency histogram over successful requests
-// (nil for results not produced by Run).
-func (r *StepResult) Histogram() *Histogram { return r.hist }
-
 // maxStatsTimeout bounds each /v2/stats fetch around a step. The stats
-// endpoint answers in microseconds when healthy; a member that vanished or
-// hung mid-step (the exact situation a cluster sweep with fault injection
-// creates) must cost the step a bounded wait, not hang it forever.
+// endpoint answers in microseconds when healthy; a target that vanished or
+// hung mid-step must cost the step a bounded wait, not hang it forever.
 const maxStatsTimeout = 5 * time.Second
 
 // statsDeadline derives the stats-fetch timeout from the step's request
@@ -245,7 +245,7 @@ func Run(ctx context.Context, tgt *Target, cfg RunConfig) (StepResult, error) {
 	haveBefore := false
 	if !cfg.SkipServerStats {
 		// Bounded: a target that accepts the connection and never answers
-		// (crashing member, stale cluster view) must not hang the step.
+		// must not hang the step.
 		sctx, scancel := context.WithTimeout(ctx, statsDeadline(timeout))
 		if st, err := tgt.Stats(sctx); err == nil {
 			before, haveBefore = st, true
@@ -340,7 +340,6 @@ func Run(ctx context.Context, tgt *Target, cfg RunConfig) (StepResult, error) {
 		MeanMs:      hist.MeanMs(),
 		MaxMs:       hist.MaxMs(),
 		DurationSec: elapsed.Seconds(),
-		hist:        hist,
 	}
 	if secs := elapsed.Seconds(); secs > 0 {
 		res.AchievedRate = float64(res.Succeeded) / secs

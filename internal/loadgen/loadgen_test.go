@@ -3,6 +3,11 @@ package loadgen
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -155,6 +160,51 @@ func TestSaturatedShardedAgreement(t *testing.T) {
 	}
 }
 
+// TestRunStatsFetchBounded: a target whose /v2/stats endpoint hangs (but
+// whose predict endpoints answer) must not hang Run — the step completes
+// with Server == nil.
+func TestRunStatsFetchBounded(t *testing.T) {
+	reg := predict.NewRegistry()
+	reg.MustRegister(predict.NewRooflineEngine())
+	svc := serve.NewMulti(reg, predict.EngineRoofline, serve.Config{CacheSize: 256})
+	inner := serve.NewHandler(svc)
+	hang := make(chan struct{})
+	t.Cleanup(func() { close(hang) })
+	mux := http.NewServeMux()
+	mux.HandleFunc("/v2/stats", func(w http.ResponseWriter, r *http.Request) { <-hang })
+	mux.Handle("/", inner)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &http.Server{Handler: mux}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+
+	tgt := NewTarget("http://"+ln.Addr().String(), 64)
+	t.Cleanup(tgt.Client.CloseIdleConnections)
+	start := time.Now()
+	res, err := Run(context.Background(), tgt, RunConfig{
+		Rate:     300,
+		Duration: 300 * time.Millisecond,
+		Arrival:  ArrivalSpec{Seed: 7},
+		Scenario: kernelOnlyMix(t, []string{"H100"}),
+		Timeout:  300 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed > 15*time.Second {
+		t.Fatalf("run took %v against a hanging stats endpoint", elapsed)
+	}
+	if res.Server != nil {
+		t.Error("got a server delta from a stats endpoint that never answered")
+	}
+	if res.Succeeded == 0 {
+		t.Error("predict requests should have succeeded despite the hung stats endpoint")
+	}
+}
+
 func TestRunValidation(t *testing.T) {
 	tgt := NewTarget("http://127.0.0.1:0", 1)
 	sc := kernelOnlyMix(t, []string{"H100"})
@@ -218,6 +268,35 @@ func TestNewMixDeterministicAndShaped(t *testing.T) {
 	}
 }
 
+// TestNewMixPoolPinned pins the request pool the frozen benchmark's
+// serve_paced workload draws (bench/universe.go pacedPool: 0.5/0.3/0.2 over
+// BERT-Large and GPT2-Large on H100 and V100): the hash of every entry's
+// Kind, Path, Body and GPU. A change to NewMix that moves it changes what
+// the benchmark measures, so it is a benchmark change, not a new hash here.
+func TestNewMixPoolPinned(t *testing.T) {
+	for seed, want := range map[int64]string{
+		7:  "6e74d54c092643def92ce6663086afd7fdd453503fb879d781a80dc0bff3afb2",
+		11: "58172095c9f581678133462941a31b5d9cb9dde32d30288bddac3253fd758877",
+	} {
+		sc, err := NewMix(MixConfig{
+			KernelWeight: 0.5, BatchWeight: 0.3, GraphWeight: 0.2,
+			Models: []string{"BERT-Large", "GPT2-Large"}, GPUs: []string{"H100", "V100"},
+			Seed: seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		for i := 0; i < sc.Len(); i++ {
+			r := sc.Request(uint64(i))
+			fmt.Fprintf(h, "%d\x00%s\x00%s\x00%s\n", r.Kind, r.Path, r.Body, r.GPU)
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+			t.Errorf("seed %d: pool of %d hashes to %s, want %s", seed, sc.Len(), got, want)
+		}
+	}
+}
+
 func TestNewTraceReplay(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "trace.jsonl")
@@ -275,4 +354,45 @@ func joinLines(lines []string) string {
 		out += l + "\n"
 	}
 	return out
+}
+
+// TestReportRoundTrip pins the report schema: the JSON document survives a
+// marshal/unmarshal cycle with its discriminator and run intact, which is
+// what report consumers (the scripts/check.sh smoke run) parse.
+func TestReportRoundTrip(t *testing.T) {
+	in := Report{
+		Kind:     ReportKind,
+		Target:   "http://127.0.0.1:9999",
+		Scenario: "mix(kernel=1.0)",
+		Arrival:  ArrivalSpec{Process: ArrivalBursty, On: 20 * time.Millisecond, Off: 80 * time.Millisecond, Seed: 42},
+		Run: &StepResult{
+			OfferedRate: 200, AchievedRate: 150, Sent: 400, Succeeded: 300, Rejected: 100,
+			ErrorRate: 0.25, P50Ms: 1.023, P99Ms: 90, P999Ms: 90,
+			Server: &ServerDelta{Requests: 300, Rejected: 100},
+		},
+	}
+	raw, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out Report
+	if err := json.Unmarshal(raw, &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.Kind != ReportKind {
+		t.Errorf("kind %q, want %q", out.Kind, ReportKind)
+	}
+	if out.Run == nil || out.Run.Server == nil {
+		t.Fatal("run/server delta lost in round trip")
+	}
+	if *out.Run.Server != *in.Run.Server {
+		t.Errorf("server delta changed: %+v -> %+v", *in.Run.Server, *out.Run.Server)
+	}
+	out.Run.Server, in.Run.Server = nil, nil
+	if *out.Run != *in.Run {
+		t.Errorf("run changed: %+v -> %+v", *in.Run, *out.Run)
+	}
+	if out.Arrival != in.Arrival {
+		t.Errorf("arrival spec changed: %+v -> %+v", in.Arrival, out.Arrival)
+	}
 }

@@ -1,25 +1,18 @@
 // Package loss provides the training losses used by the predictors: MSE for
-// generic regression, MAPE (the Habitat baseline's loss), and SMAPE (the
-// NeuSight loss, following Tofallis 2015 as cited in paper Section 6.1).
+// the direct-regression baselines and SMAPE (the NeuSight loss, following
+// Tofallis 2015 as cited in paper Section 6.1).
 // All functions compose autodiff ops so gradients flow to the predictions.
 package loss
 
 import ad "neusight/internal/autodiff"
 
-// eps keeps the relative losses finite when targets approach zero.
+// eps keeps SMAPE finite when prediction and target both approach zero.
 const eps = 1e-9
 
 // MSE returns mean((pred - target)²) as a 1x1 Value.
 func MSE(pred, target *ad.Value) *ad.Value {
 	d := ad.Sub(pred, target)
 	return ad.MeanAll(ad.Mul(d, d))
-}
-
-// MAPE returns mean(|pred - target| / |target|) as a 1x1 Value.
-func MAPE(pred, target *ad.Value) *ad.Value {
-	d := ad.Abs(ad.Sub(pred, target))
-	den := ad.AddScalar(ad.Abs(target), eps)
-	return ad.MeanAll(ad.Div(d, den))
 }
 
 // SMAPE returns the symmetric mean absolute percentage error,

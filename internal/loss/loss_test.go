@@ -26,14 +26,6 @@ func TestMSE(t *testing.T) {
 	}
 }
 
-func TestMAPE(t *testing.T) {
-	p, y := vals([]float64{110, 90}, []float64{100, 100})
-	l := MAPE(p, y)
-	if got := l.Data.Data[0]; math.Abs(got-0.1) > 1e-6 {
-		t.Fatalf("MAPE = %v, want 0.1", got)
-	}
-}
-
 func TestSMAPEPerfectPrediction(t *testing.T) {
 	p, y := vals([]float64{5, 7, 9}, []float64{5, 7, 9})
 	if got := SMAPE(p, y).Data.Data[0]; got > 1e-9 {
@@ -63,7 +55,7 @@ func TestSMAPEBounded(t *testing.T) {
 
 func TestLossesBackpropagate(t *testing.T) {
 	for name, fn := range map[string]func(p, y *ad.Value) *ad.Value{
-		"MSE": MSE, "MAPE": MAPE, "SMAPE": SMAPE,
+		"MSE": MSE, "SMAPE": SMAPE,
 	} {
 		p, y := vals([]float64{2, 4}, []float64{3, 3})
 		l := fn(p, y)

@@ -1,7 +1,6 @@
 // Package metrics provides the evaluation statistics the paper reports:
 // absolute percentage error per prediction and its mean over a set (the
-// "percentage error" used throughout Section 6), plus SMAPE for training
-// diagnostics.
+// "percentage error" used throughout Section 6).
 package metrics
 
 import "math"
@@ -16,15 +15,6 @@ func APE(pred, measured float64) float64 {
 		return math.Inf(1)
 	}
 	return math.Abs(pred-measured) / math.Abs(measured) * 100
-}
-
-// SMAPE returns the symmetric absolute percentage error in percent.
-func SMAPE(pred, measured float64) float64 {
-	den := (math.Abs(pred) + math.Abs(measured)) / 2
-	if den == 0 {
-		return 0
-	}
-	return math.Abs(pred-measured) / den * 100
 }
 
 // Mean returns the arithmetic mean (0 for empty input).
@@ -51,16 +41,4 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// MAPE returns the mean APE over paired slices, in percent.
-func MAPE(preds, measured []float64) float64 {
-	if len(preds) != len(measured) {
-		panic("metrics: length mismatch")
-	}
-	errs := make([]float64, len(preds))
-	for i := range preds {
-		errs[i] = APE(preds[i], measured[i])
-	}
-	return Mean(errs)
 }

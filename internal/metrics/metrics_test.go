@@ -3,7 +3,6 @@ package metrics
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestAPE(t *testing.T) {
@@ -21,21 +20,6 @@ func TestAPE(t *testing.T) {
 	}
 }
 
-func TestSMAPESymmetric(t *testing.T) {
-	f := func(a, b float64) bool {
-		if math.IsNaN(a) || math.IsNaN(b) || math.Abs(a) > 1e150 || math.Abs(b) > 1e150 {
-			return true // intermediate sums overflow beyond float64 range
-		}
-		return math.Abs(SMAPE(a, b)-SMAPE(b, a)) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := SMAPE(0, 0); got != 0 {
-		t.Fatalf("SMAPE(0,0) = %v", got)
-	}
-}
-
 func TestMeanMax(t *testing.T) {
 	if got := Mean([]float64{1, 2, 3}); got != 2 {
 		t.Fatalf("Mean = %v", got)
@@ -49,20 +33,4 @@ func TestMeanMax(t *testing.T) {
 	if got := Max(nil); got != 0 {
 		t.Fatalf("Max(nil) = %v", got)
 	}
-}
-
-func TestMAPE(t *testing.T) {
-	got := MAPE([]float64{110, 90}, []float64{100, 100})
-	if math.Abs(got-10) > 1e-12 {
-		t.Fatalf("MAPE = %v, want 10", got)
-	}
-}
-
-func TestMAPELengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MAPE([]float64{1}, []float64{1, 2})
 }

@@ -41,13 +41,6 @@ func ResNet50InferenceGraph(batch int) *graph.Graph {
 	return g
 }
 
-// ResNet50TrainingGraph builds the forward+backward graph of ResNet-50.
-func ResNet50TrainingGraph(batch int) *graph.Graph {
-	fwd := graph.New(fmt.Sprintf("ResNet50/b%d", batch))
-	buildResNet50(fwd, batch)
-	return graph.Backward(fwd)
-}
-
 func buildResNet50(g *graph.Graph, batch int) {
 	if batch <= 0 {
 		panic("models: batch must be positive")

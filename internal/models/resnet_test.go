@@ -5,6 +5,7 @@ import (
 
 	"neusight/internal/gpu"
 	"neusight/internal/gpusim"
+	"neusight/internal/graph"
 	"neusight/internal/kernels"
 )
 
@@ -39,8 +40,9 @@ func TestResNet50FLOPs(t *testing.T) {
 }
 
 func TestResNet50TrainingRatio(t *testing.T) {
-	inf := ResNet50InferenceGraph(4).TotalFLOPs()
-	train := ResNet50TrainingGraph(4).TotalFLOPs()
+	fwd := ResNet50InferenceGraph(4)
+	inf := fwd.TotalFLOPs()
+	train := graph.Backward(fwd).TotalFLOPs()
 	if r := train / inf; r < 2.5 || r > 3.5 {
 		t.Fatalf("train/infer FLOP ratio = %v, want ~3", r)
 	}

@@ -123,12 +123,3 @@ func (m *MLP) Params() []*ad.Value {
 	}
 	return ps
 }
-
-// NumParams returns the total trainable scalar count.
-func NumParams(m Module) int {
-	n := 0
-	for _, p := range m.Params() {
-		n += len(p.Data.Data)
-	}
-	return n
-}

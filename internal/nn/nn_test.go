@@ -35,8 +35,12 @@ func TestMLPShapesAndParamCount(t *testing.T) {
 	}
 	// 5*16+16 + 2*(16*16+16) + 16*2+2
 	want := 5*16 + 16 + 2*(16*16+16) + 16*2 + 2
-	if got := NumParams(m); got != want {
-		t.Fatalf("NumParams = %d, want %d", got, want)
+	got := 0
+	for _, p := range m.Params() {
+		got += len(p.Data.Data)
+	}
+	if got != want {
+		t.Fatalf("MLP has %d trainable scalars, want %d", got, want)
 	}
 }
 

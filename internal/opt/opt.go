@@ -1,6 +1,7 @@
 // Package opt implements the gradient-based optimizers used to train the
-// utilization predictors: plain SGD and AdamW with decoupled weight decay
-// (the paper trains with "AdamW ... with L2 regularization", Section 6.1).
+// utilization predictors: AdamW with decoupled weight decay (the paper
+// trains with "AdamW ... with L2 regularization", Section 6.1), and plain
+// SGD as the hand-checkable reference the tests drive.
 package opt
 
 import (
@@ -8,18 +9,6 @@ import (
 
 	ad "neusight/internal/autodiff"
 )
-
-// Optimizer updates a fixed set of parameters from their accumulated
-// gradients and clears the gradients afterwards.
-type Optimizer interface {
-	// Step applies one update using the gradients currently stored in the
-	// parameters, then zeroes them.
-	Step()
-	// SetLR changes the learning rate for subsequent steps.
-	SetLR(lr float64)
-	// LR reports the current learning rate.
-	LR() float64
-}
 
 // SGD is stochastic gradient descent with optional momentum.
 type SGD struct {
@@ -41,7 +30,8 @@ func NewSGD(params []*ad.Value, lr, momentum float64) *SGD {
 	return s
 }
 
-// Step implements Optimizer.
+// Step applies one update from the gradients currently stored in the
+// parameters, then zeroes them.
 func (s *SGD) Step() {
 	for i, p := range s.params {
 		g := p.Grad.Data
@@ -61,10 +51,10 @@ func (s *SGD) Step() {
 	}
 }
 
-// SetLR implements Optimizer.
+// SetLR changes the learning rate for subsequent steps.
 func (s *SGD) SetLR(lr float64) { s.lr = lr }
 
-// LR implements Optimizer.
+// LR reports the current learning rate.
 func (s *SGD) LR() float64 { return s.lr }
 
 // AdamW is Adam with decoupled weight decay (Loshchilov & Hutter).
@@ -112,7 +102,8 @@ func NewAdamW(params []*ad.Value, cfg AdamWConfig) *AdamW {
 	return a
 }
 
-// Step implements Optimizer.
+// Step applies one update from the gradients currently stored in the
+// parameters, then zeroes them.
 func (a *AdamW) Step() {
 	a.t++
 	bc1 := 1 - math.Pow(a.beta1, float64(a.t))
@@ -132,10 +123,10 @@ func (a *AdamW) Step() {
 	}
 }
 
-// SetLR implements Optimizer.
+// SetLR changes the learning rate for subsequent steps.
 func (a *AdamW) SetLR(lr float64) { a.lr = lr }
 
-// LR implements Optimizer.
+// LR reports the current learning rate.
 func (a *AdamW) LR() float64 { return a.lr }
 
 // CosineDecay returns the learning rate at step t of total steps, decaying

@@ -83,15 +83,15 @@ func TestAdamWWeightDecayDecoupled(t *testing.T) {
 
 func TestSetLR(t *testing.T) {
 	w, _ := quad(0)
-	var o Optimizer = NewAdamW([]*ad.Value{w}, AdamWConfig{LR: 0.1})
-	o.SetLR(0.05)
-	if o.LR() != 0.05 {
-		t.Fatalf("LR = %v", o.LR())
+	a := NewAdamW([]*ad.Value{w}, AdamWConfig{LR: 0.1})
+	a.SetLR(0.05)
+	if a.LR() != 0.05 {
+		t.Fatalf("LR = %v", a.LR())
 	}
-	o = NewSGD([]*ad.Value{w}, 0.1, 0.9)
-	o.SetLR(0.2)
-	if o.LR() != 0.2 {
-		t.Fatalf("LR = %v", o.LR())
+	s := NewSGD([]*ad.Value{w}, 0.1, 0.9)
+	s.SetLR(0.2)
+	if s.LR() != 0.2 {
+		t.Fatalf("LR = %v", s.LR())
 	}
 }
 

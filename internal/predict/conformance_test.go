@@ -159,7 +159,7 @@ func TestEngineConformance(t *testing.T) {
 			}
 
 			// Network kernels are rejected uniformly.
-			netReq := Request{Kernel: kernels.NewAllReduce(1 << 20), GPU: reqs[0].GPU}
+			netReq := Request{Kernel: kernels.Kernel{Op: kernels.OpAllReduce, B: 1 << 20, M: 1}, GPU: reqs[0].GPU}
 			if _, err := eng.PredictKernel(ctx, netReq); err == nil {
 				t.Fatalf("%s: network kernel must be rejected", name)
 			}
@@ -220,9 +220,6 @@ func TestCoreEngineCapabilities(t *testing.T) {
 	}
 	if _, ok := eng.(Trainable); !ok {
 		t.Error("core engine must be Trainable")
-	}
-	if _, ok := eng.(Persistable); !ok {
-		t.Error("core engine must be Persistable")
 	}
 	if _, ok := eng.(GraphPredictor); !ok {
 		t.Error("core engine must be a GraphPredictor")

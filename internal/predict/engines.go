@@ -106,9 +106,6 @@ func (e *CoreEngine) Train(ds *dataset.Dataset) error {
 	return nil
 }
 
-// Save implements Persistable.
-func (e *CoreEngine) Save(path string) error { return e.P.Save(path) }
-
 // Calibrate implements Calibrator: observed latencies are folded into the
 // training set and the affected categories retrained through the core
 // predictor's shadow-train + hot-swap path, bumping the generation.

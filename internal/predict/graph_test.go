@@ -41,7 +41,7 @@ func TestPredictGraphKernelsEqualsKernelWalk(t *testing.T) {
 	reg := conformanceRegistry(t)
 	g := gpu.MustLookup("A100-40GB")
 	gr := graph.Fuse(models.MustLookup("GPT2-Large").TrainingGraph(2))
-	ks := append(gr.Kernels(), kernels.NewAllReduce(1<<20), kernels.NewPool2D(2, 8, 16, 16, 2, 2))
+	ks := append(gr.Kernels(), kernels.Kernel{Op: kernels.OpAllReduce, B: 1 << 20, M: 1}, kernels.NewPool2D(2, 8, 16, 16, 2, 2))
 	for _, name := range reg.List() {
 		e, err := reg.Get(name)
 		if err != nil {

@@ -73,9 +73,6 @@ const (
 	SourceAnalytical = "analytical"
 	// SourceSimulator marks micro-architectural simulation.
 	SourceSimulator = "simulator"
-	// SourceBackend marks forecasts from an ad-hoc engine (a FuncEngine
-	// variant, a stub) that declares no provenance of its own.
-	SourceBackend = "backend"
 )
 
 // Engine is a kernel-latency forecaster. Implementations must be safe for
@@ -98,12 +95,6 @@ type Engine interface {
 // dataset before it can predict.
 type Trainable interface {
 	Train(ds *dataset.Dataset) error
-}
-
-// Persistable is implemented by engines whose trained state can be saved
-// to disk.
-type Persistable interface {
-	Save(path string) error
 }
 
 // Calibrator is implemented by engines that can fold measured latencies

@@ -13,8 +13,8 @@ func testGraph() *graph.Graph {
 	g := graph.New("t")
 	a := g.Add(kernels.NewLinear(512, 512, 512))
 	b := g.Add(kernels.NewElementwise(kernels.OpEWGELU, 512, 512), a)
-	g.Add(kernels.NewLinear(512, 512, 512), b) // same label as node a
-	g.Add(kernels.NewAllReduce(1024), b)       // must be excluded
+	g.Add(kernels.NewLinear(512, 512, 512), b)                       // same label as node a
+	g.Add(kernels.Kernel{Op: kernels.OpAllReduce, B: 1024, M: 1}, b) // must be excluded
 	return g
 }
 

@@ -30,7 +30,7 @@ func (s *batchStub) NativeBatch() bool { return true }
 
 func (s *batchStub) PredictKernel(ctx context.Context, req predict.Request) (predict.Result, error) {
 	lat, err := s.stubPredictor.PredictKernel(req.Kernel, req.GPU)
-	return predict.Result{Latency: lat, Engine: s.Name(), Source: predict.SourceBackend}, err
+	return predict.Result{Latency: lat, Engine: s.Name(), Source: predict.SourceAnalytical}, err
 }
 
 func (s *batchStub) PredictKernels(ctx context.Context, reqs []predict.Request) []predict.Outcome {
@@ -64,7 +64,7 @@ func TestPredictBatchDedupsAndCaches(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ks := []kernels.Kernel{k1, k2, k2, kernels.NewAllReduce(4096), k2, k3}
+	ks := []kernels.Kernel{k1, k2, k2, kernels.Kernel{Op: kernels.OpAllReduce, B: 4096, M: 1}, k2, k3}
 	lats, errs := predictBatch(svc, ks, g)
 
 	if errs[0] != nil || lats[0] != 2.5 {

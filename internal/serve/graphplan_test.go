@@ -175,8 +175,8 @@ func TestGraphReportUnchangedByPlan(t *testing.T) {
 
 	// In process, with network nodes appended.
 	last := len(gr.Nodes) - 1
-	gr.Add(kernels.NewAllReduce(1<<20), last)
-	gr.Add(kernels.NewSendRecv(1<<16), last)
+	gr.Add(kernels.Kernel{Op: kernels.OpAllReduce, B: 1 << 20, M: 1}, last)
+	gr.Add(kernels.Kernel{Op: kernels.OpSendRecv, B: 1 << 16, M: 1}, last)
 	want, wantRep = walkGraph(gr, g, predictKernel)
 	lat, rep, err := svc.PredictGraphEngine(context.Background(), "", gr, g)
 	if lat != want || rep != wantRep || rep.Network != 2 {

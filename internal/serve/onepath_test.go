@@ -38,7 +38,7 @@ func TestKernelRequestIsBatchOfOne(t *testing.T) {
 		{name: "per-kernel engine", k: bmm},
 		{name: "erroring engine", fail: true, k: bmm, wantErr: [2]bool{true, true}},
 		{name: "panicking engine", native: true, panics: true, k: bmm, wantErr: [2]bool{true, false}},
-		{name: "network kernel", k: kernels.NewAllReduce(4096), wantErr: [2]bool{true, true}},
+		{name: "network kernel", k: kernels.Kernel{Op: kernels.OpAllReduce, B: 4096, M: 1}, wantErr: [2]bool{true, true}},
 		{name: "cancelled context", ctx: cancelled, k: bmm, wantErr: [2]bool{true, true}},
 	}
 	g := gpu.MustLookup("V100")

@@ -87,7 +87,7 @@ func (s *stubPredictor) PredictKernel(k kernels.Kernel, g gpu.Spec) (float64, er
 
 // engine puts the stub behind the Engine contract, named "stub".
 func (s *stubPredictor) engine() predict.Engine {
-	return predict.NewFuncEngine(s.Name(), predict.SourceBackend, s.PredictKernel)
+	return predict.NewFuncEngine(s.Name(), predict.SourceAnalytical, s.PredictKernel)
 }
 
 // serviceOf serves eng as the single, default engine.
@@ -212,7 +212,7 @@ func TestErrorsAreNotCached(t *testing.T) {
 func TestNetworkKernelRejected(t *testing.T) {
 	stub := &stubPredictor{latency: 1}
 	svc := serviceOf(stub.engine(), Config{})
-	if _, err := predictKernel(svc, kernels.NewAllReduce(1024), gpu.MustLookup("V100")); err == nil {
+	if _, err := predictKernel(svc, kernels.Kernel{Op: kernels.OpAllReduce, B: 1024, M: 1}, gpu.MustLookup("V100")); err == nil {
 		t.Fatal("expected network kernels to be rejected")
 	}
 	if got := stub.calls.Load(); got != 0 {
@@ -338,7 +338,7 @@ func TestPredictGraphSumsAndSkipsNetwork(t *testing.T) {
 	gr := graph.New("test")
 	a := gr.Add(kernels.NewBMM(2, 64, 64, 64))
 	b := gr.Add(kernels.NewSoftmax(128, 64), a)
-	gr.Add(kernels.NewAllReduce(4096), b) // must contribute 0
+	gr.Add(kernels.Kernel{Op: kernels.OpAllReduce, B: 4096, M: 1}, b) // must contribute 0
 	gr.Add(kernels.NewBMM(2, 64, 64, 64), b)
 
 	total := predictGraph(svc, gr, g)

@@ -111,7 +111,7 @@ func (e *genEngine) Name() string { return "gen-stub" }
 
 func (e *genEngine) PredictKernel(ctx context.Context, req predict.Request) (predict.Result, error) {
 	e.calls.Add(1)
-	return predict.Result{Latency: e.lat, Engine: "gen-stub", Source: predict.SourceBackend}, nil
+	return predict.Result{Latency: e.lat, Engine: "gen-stub", Source: predict.SourceAnalytical}, nil
 }
 
 func (e *genEngine) PredictKernels(ctx context.Context, reqs []predict.Request) []predict.Outcome {

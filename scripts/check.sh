@@ -113,44 +113,28 @@ go test -run '^$' -bench 'EngineDispatch' -benchtime=1x ./internal/predict >/dev
 go test -run '^$' -bench 'ObserveIngest|StoreAppend' -benchtime=1x ./internal/observe >/dev/null
 go test -run '^$' -bench 'Serve|ShardedThroughput' -benchtime=1x . >/dev/null
 
-# Loadgen smoke sweep: two short steps against a self-served roofline
-# target, generous SLO — exercises the whole harness path (CLI flags,
-# in-process target, sweep loop, JSON report) in about a second without
-# measuring anything.
-echo "==> loadgen smoke sweep"
+# Loadgen smoke run: one short fixed-rate step against a self-served
+# roofline target — exercises the whole path (CLI flags, in-process
+# target, open-loop driver, JSON report) in about a second without
+# measuring anything, and holds the driver's accounting to the server's:
+# every success the client counted is a request /v2/stats counted.
+echo "==> loadgen smoke run"
 smoke_out=$(mktemp)
-cluster_smoke_out=$(mktemp)
-trap 'rm -f "$smoke_out" "$cluster_smoke_out"' EXIT
-go run ./cmd/neusight loadgen -self roofline -sweep 100:100:200 \
-  -step-duration 300ms -slo-errors 0.5 -seed 7 -out "$smoke_out" 2>/dev/null
+trap 'rm -f "$smoke_out"' EXIT
+go run ./cmd/neusight loadgen -self roofline -rate 200 -duration 500ms \
+  -seed 7 -out "$smoke_out" 2>/dev/null
 python3 - "$smoke_out" <<'EOF'
 import json, sys
 report = json.load(open(sys.argv[1]))
 if report.get("kind") != "neusight-loadgen":
-    raise SystemExit(f"check.sh: smoke sweep report kind {report.get('kind')!r}")
-steps = (report.get("sweep") or {}).get("steps") or []
-if not steps or not any(s.get("succeeded", 0) > 0 for s in steps):
-    raise SystemExit("check.sh: smoke sweep served no successful requests")
-EOF
-
-# Cluster-sweep smoke: two short steps fanned across an in-process
-# 2-member cluster — exercises ring discovery, the load split, per-member
-# aggregation, and the merged report in about a second.
-echo "==> loadgen cluster-sweep smoke (2-member in-process cluster)"
-go run ./cmd/neusight loadgen -self roofline -self-cluster 2 -sweep 100:100:200 \
-  -step-duration 250ms -cooldown 100ms -slo-errors 0.5 -seed 7 \
-  -out "$cluster_smoke_out" 2>/dev/null
-python3 - "$cluster_smoke_out" <<'EOF'
-import json, sys
-report = json.load(open(sys.argv[1]))
-sweep = report.get("cluster_sweep") or {}
-steps = sweep.get("steps") or []
-if not steps or not any(s.get("succeeded", 0) > 0 for s in steps):
-    raise SystemExit("check.sh: cluster smoke sweep served no successful requests")
-if not sweep.get("knee"):
-    raise SystemExit("check.sh: cluster smoke sweep found no knee under a 0.5 error SLO")
-if not any((s.get("members") or []) for s in steps):
-    raise SystemExit("check.sh: cluster smoke sweep has no per-member breakdown")
+    raise SystemExit(f"check.sh: smoke run report kind {report.get('kind')!r}")
+run = report.get("run") or {}
+if not run.get("succeeded", 0) > 0:
+    raise SystemExit("check.sh: smoke run served no successful requests")
+served = (run.get("server") or {}).get("requests")
+if served != run["succeeded"]:
+    raise SystemExit(f"check.sh: smoke run: server counted {served} requests, "
+                     f"client {run['succeeded']} successes")
 EOF
 
 echo "OK"
