@@ -160,6 +160,51 @@ func BenchmarkLabBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkForecastOffline is the benchmark's forecast_offline workload as
+// a go test benchmark, the paper's own use with no serving: one operation
+// builds the graph of a Fig. 7 cell (the paper's per-model batch sizes × the
+// 8 evaluation GPUs × {inference, training}, without the cells that do not
+// fit the device) and forecasts it whole on a warm predictor.
+func BenchmarkForecastOffline(b *testing.B) {
+	l := lab(b)
+	batches := map[string][]int{
+		"BERT-Large": {8, 16}, "GPT2-Large": {4, 8}, "GPT3-XL": {2, 4},
+		"OPT-1.3B": {2, 4}, "GPT3-2.7B": {2, 4}, "SwitchTrans": {4, 8},
+	}
+	var cells []func() error
+	for _, m := range models.Table5() {
+		for _, batch := range batches[m.Name] {
+			for _, name := range []string{"P4", "P100", "V100", "T4", "A100-40GB", "A100-80GB", "L4", "H100"} {
+				m, batch, g := m, batch, gpu.MustLookup(name)
+				if m.FitsInMemory(batch, g, false) {
+					cells = append(cells, func() error {
+						_, _, err := l.NeuSight.PredictGraph(m.InferenceGraph(batch), g)
+						return err
+					})
+				}
+				if m.FitsInMemory(batch, g, true) {
+					cells = append(cells, func() error {
+						_, _, err := l.NeuSight.PredictGraph(m.TrainingGraph(batch), g)
+						return err
+					})
+				}
+			}
+		}
+	}
+	for _, forecast := range cells { // warm the tile cache
+		if err := forecast(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := cells[i%len(cells)](); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // neusightService serves the lab's trained predictor in the default layout.
 func neusightService(l *experiments.Lab) *serve.Service {
 	reg := predict.NewRegistry()

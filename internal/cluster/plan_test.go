@@ -15,19 +15,23 @@ import (
 	"neusight/internal/serve"
 )
 
-// slowRoofline delays every batch so the kill-mid-job test has a wide
-// window between submission and completion.
-type slowRoofline struct {
+// gatedRoofline holds every batch at a gate and reports the first one to
+// arrive, so the kill-mid-job test can kill a member that provably holds
+// dispatched batches it has not answered. A delay in place of the gate
+// left the kill racing the victim finishing its batches (about 1 run in 30
+// under -race: "victim's batches were not re-dispatched").
+type gatedRoofline struct {
 	predict.Engine
-	delay time.Duration
+	p *planProc
 }
 
-func (s slowRoofline) PredictKernels(ctx context.Context, reqs []predict.Request) []predict.Outcome {
+func (g gatedRoofline) PredictKernels(ctx context.Context, reqs []predict.Request) []predict.Outcome {
+	g.p.arriveOnce.Do(func() { close(g.p.arrived) })
 	select {
-	case <-time.After(s.delay):
+	case <-g.p.gate:
 	case <-ctx.Done():
 	}
-	return s.Engine.PredictKernels(ctx, reqs)
+	return g.Engine.PredictKernels(ctx, reqs)
 }
 
 // planProc is one in-test cluster member with a planner wired to the
@@ -38,7 +42,14 @@ type planProc struct {
 	pm   *plan.Manager
 	srv  *http.Server
 	once sync.Once
+
+	// Set on a gated member only (see gatedRoofline): gate is closed by
+	// release to let batches through, arrived when the first one arrives.
+	gate, arrived           chan struct{}
+	arriveOnce, releaseOnce sync.Once
 }
+
+func (p *planProc) release() { p.releaseOnce.Do(func() { close(p.gate) }) }
 
 // kill tears the member down abruptly; idempotent because the fault
 // injection and the test cleanup may both reach the same member.
@@ -49,12 +60,15 @@ func (p *planProc) kill() {
 	})
 }
 
-func startPlanProc(t *testing.T, delay time.Duration) *planProc {
+func startPlanProc(t *testing.T, gated bool) *planProc {
 	t.Helper()
+	p := &planProc{}
 	reg := predict.NewRegistry()
 	var eng predict.Engine = predict.NewRooflineEngine()
-	if delay > 0 {
-		eng = slowRoofline{Engine: eng, delay: delay}
+	if gated {
+		p.gate, p.arrived = make(chan struct{}), make(chan struct{})
+		t.Cleanup(p.release)
+		eng = gatedRoofline{Engine: eng, p: p}
 	}
 	reg.MustRegister(eng)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -89,16 +103,16 @@ func startPlanProc(t *testing.T, delay time.Duration) *planProc {
 	svc.SetPlanner(pm)
 	srv := &http.Server{Handler: node.Handler(serve.NewHandler(svc))}
 	go srv.Serve(ln)
-	p := &planProc{addr: ln.Addr().String(), node: node, pm: pm, srv: srv}
+	p.addr, p.node, p.pm, p.srv = ln.Addr().String(), node, pm, srv
 	t.Cleanup(p.kill)
 	return p
 }
 
-func startPlanCluster(t *testing.T, n int, delay time.Duration) []*planProc {
+func startPlanCluster(t *testing.T, n int, gated bool) []*planProc {
 	t.Helper()
 	procs := make([]*planProc, n)
 	for i := range procs {
-		procs[i] = startPlanProc(t, delay)
+		procs[i] = startPlanProc(t, gated)
 	}
 	for i, p := range procs {
 		peers := make([]string, 0, n-1)
@@ -182,7 +196,7 @@ func waitPlanTerminal(t *testing.T, addr, id string) plan.Status {
 // evaluated exactly once, a nonzero share of them on peers, and the
 // peers' served-cell counters accounting for exactly the remote share.
 func TestPlanFansOutAcrossCluster(t *testing.T) {
-	procs := startPlanCluster(t, 3, 0)
+	procs := startPlanCluster(t, 3, false)
 	a := procs[0]
 	st := submitPlan(t, a.addr, fanoutSpec())
 	final := waitPlanTerminal(t, a.addr, st.ID)
@@ -219,51 +233,56 @@ func TestPlanFansOutAcrossCluster(t *testing.T) {
 // complete with every cell evaluated exactly once — no lost cells, no
 // duplicates.
 func TestPlanSurvivesKilledMember(t *testing.T) {
-	procs := startPlanCluster(t, 3, 30*time.Millisecond)
-	a := procs[0]
 	spec := fanoutSpec()
-
-	// Pick the peer owning the most cells as the victim, so the kill is
-	// guaranteed to strand dispatched batches.
 	norm := spec
 	if err := norm.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	d := a.node.PlanDispatcher()
-	owned := map[string]int{}
-	for _, cfg := range plan.Expand(norm) {
-		if addr := d.Assign(predict.EngineRoofline, cfg); addr != "" {
-			owned[addr]++
-		}
-	}
+	// Pick the peer owning the most cells as the victim, so the kill is
+	// guaranteed to strand dispatched batches. The ring hashes the members'
+	// random ports, and about one cluster in a hundred gives the receiving
+	// member every cell: start another.
+	var procs []*planProc
 	victim := ""
-	for addr, n := range owned {
-		if victim == "" || n > owned[victim] {
-			victim = addr
+	for attempt := 0; victim == "" && attempt < 5; attempt++ {
+		procs = startPlanCluster(t, 3, true)
+		d := procs[0].node.PlanDispatcher()
+		owned := map[string]int{}
+		for _, cfg := range plan.Expand(norm) {
+			if addr := d.Assign(predict.EngineRoofline, cfg); addr != "" {
+				owned[addr]++
+			}
+		}
+		for addr, n := range owned {
+			if victim == "" || n > owned[victim] {
+				victim = addr
+			}
 		}
 	}
 	if victim == "" {
-		t.Fatal("ring assigned no cells to peers")
+		t.Fatal("ring assigned no cells to peers in 5 clusters")
 	}
+	a := procs[0]
 
-	st := submitPlan(t, a.addr, spec)
-	// Let the dispatch loop get going, then kill the victim abruptly.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		cur := pollPlan(t, a.addr, st.ID)
-		if cur.Evaluated >= 1 {
-			break
-		}
-		if cur.State != plan.StateRunning || time.Now().After(deadline) {
-			t.Fatalf("no progress before kill: %+v", cur)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	// The survivors evaluate freely; the victim holds every batch it is
+	// sent until after it has been killed, abruptly, with at least one in
+	// hand.
+	var doomed *planProc
 	for _, p := range procs {
 		if p.addr == victim {
-			p.kill()
+			doomed = p
+		} else {
+			p.release()
 		}
 	}
+	st := submitPlan(t, a.addr, spec)
+	select {
+	case <-doomed.arrived:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("no batch reached the victim: %+v", pollPlan(t, a.addr, st.ID))
+	}
+	doomed.kill()
+	doomed.release()
 
 	final := waitPlanTerminal(t, a.addr, st.ID)
 	if final.State != plan.StateDone || final.Evaluated != final.Total {

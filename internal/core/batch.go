@@ -6,6 +6,7 @@ import (
 	"neusight/internal/gpu"
 	"neusight/internal/kernels"
 	"neusight/internal/mat"
+	"neusight/internal/tile"
 )
 
 // PredictKernels forecasts the latency of every kernel in ks on device g in
@@ -34,22 +35,38 @@ func (p *Predictor) PredictKernelsDetail(ks []kernels.Kernel, g gpu.Spec) (lats,
 	utils = make([]float64, len(ks))
 	errs = make([]error, len(ks))
 
-	// Group batch positions by category. The map is tiny (≤7 categories);
-	// the slices hold positions into ks so results land positionally.
-	byCat := map[kernels.Category][]int{}
-	for i, k := range ks {
-		cat := k.Category()
-		if cat == kernels.CatNetwork {
-			errs[i] = fmt.Errorf("core: network kernel %s must be predicted by the network model", k.Label())
-			continue
-		}
-		byCat[cat] = append(byCat[cat], i)
+	// Group batch positions by category, a counting sort: order holds the
+	// positions into ks, category by category, and category cat is rows
+	// start[cat]:start[cat+1] of it and of every per-row buffer below.
+	var start [kernels.CatNetwork + 2]int
+	for i := range ks {
+		start[ks[i].Category()+1]++
+	}
+	for cat := 1; cat < len(start); cat++ {
+		start[cat] += start[cat-1]
+	}
+	order := make([]int, len(ks))
+	next := start
+	for i := range ks {
+		cat := ks[i].Category()
+		order[next[cat]] = i
+		next[cat]++
+	}
+	for _, i := range order[start[kernels.CatNetwork]:] {
+		errs[i] = fmt.Errorf("core: network kernel %s must be predicted by the network model", ks[i].Label())
 	}
 
-	for cat, idxs := range byCat {
+	rows := make([]batchRow, start[kernels.CatNetwork])
+	X := make([]float64, len(rows)*NumFeatures)
+	H := make([]float64, len(rows)*2)
+	for cat := kernels.Category(0); cat < kernels.CatNetwork; cat++ {
+		lo, hi := start[cat], start[cat+1]
+		if lo == hi {
+			continue
+		}
 		cm, st, ok := p.compiledModel(cat)
 		if !ok {
-			for _, i := range idxs {
+			for _, i := range order[lo:hi] {
 				if cat == kernels.CatMemoryBound {
 					lats[i] = MemBoundLatency(ks[i], g)
 				} else {
@@ -59,37 +76,54 @@ func (p *Predictor) PredictKernelsDetail(ks []kernels.Kernel, g gpu.Spec) (lats,
 			continue
 		}
 
-		// Featurize the whole group into one batch matrix. Tile resolution
-		// goes through the same singleflight cache as single predictions,
-		// so repeated shapes within the batch pay for one database scan —
-		// and distinct cold shapes resolve in parallel, because on a cold
-		// cache the O(records) nearest-match scans dominate the batch, not
-		// the forward pass they feed.
-		n := len(idxs)
-		X := mat.New(n, NumFeatures)
-		cs := make([]float64, n)
-		ws := make([]float64, n)
-		featurize := func(lo, hi int) {
-			for row := lo; row < hi; row++ {
-				i := idxs[row]
-				t := p.tileFor(ks[i], g)
-				c, waves := latencyConstant(ks[i], g, t)
-				cs[row], ws[row] = c, float64(waves)
-				copy(X.Row(row), Features(ks[i], g, t, waves))
+		// Featurize the whole group into one batch matrix. Once serving is
+		// warm every tile is a cache hit, resolved here; on a cold cache
+		// the O(records) nearest-match scans dominate the batch, not the
+		// forward pass they feed, so those — and only those — fan out.
+		var cold []int
+		for r := lo; r < hi; r++ {
+			var warm bool
+			if rows[r].t, warm = p.warmTile(&ks[order[r]], g); !warm {
+				cold = append(cold, r)
 			}
 		}
-		mat.ParallelFor(n, featurize)
-		// One normalization pass over the batch.
-		for row := 0; row < n; row++ {
-			st.applyInPlace(X.Row(row))
+		if len(cold) > 0 {
+			p.resolveTiles(ks, g, order, rows, cold)
+		}
+		x := mat.Matrix{Rows: hi - lo, Cols: NumFeatures, Data: X[lo*NumFeatures : hi*NumFeatures]}
+		for r := lo; r < hi; r++ {
+			k := &ks[order[r]]
+			c, waves := latencyConstant(*k, g, rows[r].t)
+			rows[r].c, rows[r].waves = c, float64(waves)
+			f := x.Row(r - lo)
+			featuresInto(f, k, g, rows[r].t, waves)
+			st.applyInPlace(f)
 		}
 		// One compiled forward pass for the whole group.
-		heads := cm.Forward(X)
-		for row, i := range idxs {
-			util := utilScalar(heads.At(row, 0), heads.At(row, 1), ws[row])
-			lats[i] = cs[row] / util
-			utils[i] = util
+		heads := mat.Matrix{Rows: hi - lo, Cols: 2, Data: H[lo*2 : hi*2]}
+		cm.ForwardInto(&heads, &x)
+		for r := lo; r < hi; r++ {
+			i := order[r]
+			utils[i] = utilScalar(H[2*r], H[2*r+1], rows[r].waves)
+			lats[i] = rows[r].c / utils[i]
 		}
 	}
 	return lats, utils, errs
+}
+
+// batchRow is what PredictKernelsDetail holds per kernel between resolving
+// its tile and reading its heads.
+type batchRow struct {
+	t        tile.Tile
+	c, waves float64
+}
+
+// resolveTiles resolves the tiles of the cold rows concurrently, through
+// the singleflight cache, so repeated shapes in a batch pay for one scan.
+func (p *Predictor) resolveTiles(ks []kernels.Kernel, g gpu.Spec, order []int, rows []batchRow, cold []int) {
+	mat.ParallelFor(len(cold), func(lo, hi int) {
+		for _, r := range cold[lo:hi] {
+			rows[r].t = p.tileFor(ks[order[r]], g)
+		}
+	})
 }

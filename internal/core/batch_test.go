@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"errors"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -195,5 +198,71 @@ func TestPredictKernelsConcurrent(t *testing.T) {
 	close(errCh)
 	for err := range errCh {
 		t.Error(err)
+	}
+}
+
+// TestColdBatchScansConcurrently: with an empty tile cache the O(records)
+// nearest-match scans are the cost of a batch, so PredictKernelsDetail must
+// still fan them out — seen here as two goroutines inside LookupOrSelect at
+// once — however warm batches resolve their tiles.
+func TestColdBatchScansConcurrently(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	g := gpu.MustLookup("H100")
+	tdb := tile.NewDB()
+	for i := 0; i < 20000; i++ { // enough records for a scan to be caught in flight
+		k := kernels.NewBMM(1+i%7, 32+i%512, 64, 32+i%300)
+		tdb.Add(k, g, tile.Select(k, g))
+	}
+	trained := sharedRacePredictor(t)
+	p := NewPredictor(trained.Cfg, tdb)
+	p.mlps, p.stats = trained.mlps, trained.stats
+	ks := make([]kernels.Kernel, 64)
+	for i := range ks {
+		ks[i] = kernels.NewBMM(2, 40+8*i, 64, 48)
+	}
+
+	done := make(chan []error)
+	go func() {
+		_, _, errs := p.PredictKernelsDetail(ks, g)
+		done <- errs
+	}()
+	inScan := []byte("tile.(*DB).LookupOrSelect(")
+	stacks := make([]byte, 1<<20)
+	most := 0
+	for {
+		select {
+		case errs := <-done:
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("kernel %d: %v", i, err)
+				}
+			}
+			if most < 2 {
+				t.Fatalf("at most %d tile scan in flight at a time over 64 cold shapes, want >= 2", most)
+			}
+			return
+		default:
+			most = max(most, bytes.Count(stacks[:runtime.Stack(stacks, true)], inScan))
+		}
+	}
+}
+
+// TestLabelSharingKernelsShareATile: the tile caches key on kernels.Key,
+// which tells apart kernels that print the same Label; a tile depends on
+// neither difference, so both still resolve to the same one.
+func TestLabelSharingKernelsShareATile(t *testing.T) {
+	p := sharedRacePredictor(t)
+	g := gpu.MustLookup("V100")
+	fused := kernels.Fuse(kernels.NewLinear(96, 64, 64), kernels.NewElementwise(kernels.OpEWReLU, 96, 64))
+	heavier := fused
+	heavier.FusedBytes += 4096
+	if fused.Label() != heavier.Label() || fused.Key() == heavier.Key() {
+		t.Fatal("fixture kernels must share a label and differ in key")
+	}
+	if a, b := p.tileFor(fused, g), p.tileFor(heavier, g); !reflect.DeepEqual(a, b) {
+		t.Errorf("tiles %v and %v for kernels that differ only in FusedBytes", a, b)
+	}
+	if a, b := p.TileDB.LookupOrSelect(fused, g), p.TileDB.LookupOrSelect(heavier, g); !reflect.DeepEqual(a, b) {
+		t.Errorf("database tiles %v and %v for kernels that differ only in FusedBytes", a, b)
 	}
 }

@@ -44,6 +44,13 @@ const utilFloor = 0.01
 // resource utilization ratios, log-compressed for conditioning (the raw
 // ratios span many orders of magnitude).
 func Features(k kernels.Kernel, g gpu.Spec, t tile.Tile, waves int) []float64 {
+	f := make([]float64, NumFeatures)
+	featuresInto(f, &k, g, t, waves)
+	return f
+}
+
+// featuresInto writes Features into f, a row of NumFeatures.
+func featuresInto(f []float64, k *kernels.Kernel, g gpu.Spec, t tile.Tile, waves int) {
 	numTiles := tile.NumTiles(k.OutputDims(), t)
 	flopsTile := k.FLOPs() / float64(numTiles)
 	memTile := k.MemBytes() / float64(numTiles)
@@ -59,17 +66,15 @@ func Features(k kernels.Kernel, g gpu.Spec, t tile.Tile, waves int) []float64 {
 	perSMMem := g.MemoryGB * 1e9 / sms
 
 	w := float64(waves)
-	f := []float64{
-		flopsTile / perSMPeak,               // compute seconds per tile
-		memTile / perSMBW,                   // memory seconds per tile
-		w * memTile / perSML2,               // L2 pressure across waves
-		w * memTile / perSMMem,              // HBM footprint across waves
-		(flopsTile / memTile) / (peak / bw), // intensity vs machine balance
-	}
+	f = f[:NumFeatures]
+	f[0] = flopsTile / perSMPeak               // compute seconds per tile
+	f[1] = memTile / perSMBW                   // memory seconds per tile
+	f[2] = w * memTile / perSML2               // L2 pressure across waves
+	f[3] = w * memTile / perSMMem              // HBM footprint across waves
+	f[4] = (flopsTile / memTile) / (peak / bw) // intensity vs machine balance
 	for i, v := range f {
 		f[i] = math.Log(math.Max(v, 1e-12))
 	}
-	return f
 }
 
 // RooflineBW evaluates Eq. 1: the maximum achievable throughput of k on g

@@ -141,3 +141,21 @@ func TestFoldPredictionsAbortsOnCancellation(t *testing.T) {
 		}
 	}
 }
+
+// TestPredictPlanAllocations pins a forecast on a warm predictor at its
+// result and batch buffers plus two matrix headers per category: nothing
+// per kernel, no tile-key strings, no goroutines. 18 measured; the ceiling
+// leaves room for a forward pass that finds its scratch pool emptied — by
+// a collection, or under -race, where sync.Pool drops a share on purpose
+// (23 seen).
+func TestPredictPlanAllocations(t *testing.T) {
+	p := sharedRacePredictor(t)
+	g := gpu.MustLookup("H100")
+	pl := graph.Compile(models.MustLookup("GPT3-XL").TrainingGraph(2))
+	if _, _, err := p.PredictPlan(pl, g); err != nil { // warms the tile cache
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(20, func() { p.PredictPlan(pl, g) }); got > 26 {
+		t.Errorf("PredictPlan on a warm predictor: %v allocations, ceiling 26", got)
+	}
+}

@@ -71,7 +71,7 @@ type Predictor struct {
 	modelGen atomic.Uint64
 
 	mu        sync.Mutex
-	tileCache map[string]*tileEntry
+	tileCache map[tile.CacheKey]*tileEntry
 }
 
 // tileEntry is a singleflight slot in the tile cache: the first goroutine to
@@ -96,7 +96,7 @@ func NewPredictor(cfg Config, tdb *tile.DB) *Predictor {
 		mlps:      map[kernels.Category]*nn.MLP{},
 		stats:     map[kernels.Category]*featureStats{},
 		compiled:  map[kernels.Category]*nn.CompiledMLP{},
-		tileCache: map[string]*tileEntry{},
+		tileCache: map[tile.CacheKey]*tileEntry{},
 	}
 }
 
@@ -113,7 +113,7 @@ const tileCacheLimit = 8192
 // older database generation are re-resolved, so profiling that continues
 // after the first prediction still reaches the serving path.
 func (p *Predictor) tileFor(k kernels.Kernel, g gpu.Spec) tile.Tile {
-	key := tile.QueryKey(k, g)
+	key := tile.CacheKey{Kernel: k.Key(), GPU: g.Name}
 	gen := p.TileDB.Generation()
 	p.mu.Lock()
 	e, found := p.tileCache[key]
@@ -142,6 +142,19 @@ func (p *Predictor) tileFor(k kernels.Kernel, g gpu.Spec) tile.Tile {
 		return p.TileDB.LookupOrSelect(k, g)
 	}
 	return e.t
+}
+
+// warmTile returns the cached tile for k on g when it is resolved and
+// current, without resolving it otherwise: tileFor's hit path alone.
+func (p *Predictor) warmTile(k *kernels.Kernel, g gpu.Spec) (tile.Tile, bool) {
+	key := tile.CacheKey{Kernel: k.Key(), GPU: g.Name}
+	p.mu.Lock()
+	e := p.tileCache[key]
+	p.mu.Unlock()
+	if e == nil || !isClosed(e.done) || !e.ok || e.gen != p.TileDB.Generation() {
+		return tile.Tile{}, false
+	}
+	return e.t, true
 }
 
 // isClosed reports whether done has been closed (i.e. the entry's resolver

@@ -19,20 +19,20 @@ import "neusight/internal/kernels"
 func Fuse(g *Graph) *Graph {
 	cons := g.Consumers()
 	out := New(g.Name + "/fused")
-	newID := make([]int, len(g.Nodes))
-	fusedInto := make([]int, len(g.Nodes)) // -1: not fused away
+	out.Reserve(g.size()) // an upper bound: fusion only removes nodes and edges
+	fusedInto := make([]int, len(g.Nodes))
 	for i := range fusedInto {
-		fusedInto[i] = -1
+		fusedInto[i] = -1 // not fused away
 	}
-
-	for i := 0; i < len(g.Nodes); i++ {
-		if fusedInto[i] >= 0 {
+	newID := make([]int, len(g.Nodes)) // of the nodes that survive
+	var chain []kernels.Kernel
+	var deps []int
+	for _, head := range g.Nodes {
+		if fusedInto[head.ID] >= 0 {
 			continue
 		}
-		head := g.Nodes[i]
-		var chain []kernels.Kernel
-		members := map[int]bool{head.ID: true}
-		extraDeps := []int{}
+		chain = chain[:0]
+		deps = append(deps[:0], head.Deps...)
 		cur := head
 		for {
 			c := cons[cur.ID]
@@ -44,13 +44,12 @@ func Fuse(g *Graph) *Graph {
 				break
 			}
 			chain = append(chain, next.Kernel)
-			members[next.ID] = true
 			fusedInto[next.ID] = head.ID
 			// Epilogue operands beyond the fused intermediate (e.g. the
 			// residual tensor of a fused add) stay inputs of the fused node.
 			for _, d := range next.Deps {
-				if !members[d] {
-					extraDeps = append(extraDeps, d)
+				if d != head.ID && fusedInto[d] != head.ID {
+					deps = append(deps, d)
 				}
 			}
 			cur = next
@@ -59,14 +58,7 @@ func Fuse(g *Graph) *Graph {
 		if len(chain) > 0 {
 			k = kernels.Fuse(head.Kernel, chain...)
 		}
-		deps := remapDeps(append(append([]int{}, head.Deps...), extraDeps...), newID, fusedInto)
-		newID[head.ID] = out.Add(k, deps...)
-		// Nodes fused into head resolve to head's new ID for consumers.
-		for j := i + 1; j < len(g.Nodes); j++ {
-			if fusedInto[j] == head.ID {
-				newID[j] = newID[head.ID]
-			}
-		}
+		newID[head.ID] = out.Add(k, remapDeps(deps, newID, fusedInto)...)
 	}
 	return out
 }
@@ -87,19 +79,22 @@ func fusable(a, b kernels.Kernel) bool {
 	}
 }
 
+// remapDeps rewrites deps in place to the new IDs of the nodes that
+// survive fusion, dropping repeats.
 func remapDeps(deps []int, newID, fusedInto []int) []int {
-	seen := map[int]bool{}
-	var out []int
+	out := deps[:0]
+next:
 	for _, d := range deps {
 		// Follow fusion chains to the surviving head.
 		for fusedInto[d] >= 0 {
 			d = fusedInto[d]
 		}
-		nd := newID[d]
-		if !seen[nd] {
-			seen[nd] = true
-			out = append(out, nd)
+		for _, seen := range out {
+			if seen == newID[d] {
+				continue next
+			}
 		}
+		out = append(out, newID[d])
 	}
 	return out
 }

@@ -23,10 +23,32 @@ type Node struct {
 type Graph struct {
 	Name  string
 	Nodes []*Node
+
+	// A model graph is hundreds of nodes built in one go, so Add gives no
+	// node a heap object of its own: nodes live in chunked slabs (a full
+	// slab stays where it is and a new one is started, so the pointers in
+	// Nodes stay valid) and every node's Deps in one arena, filled likewise.
+	slab []Node
+	deps []int
 }
 
 // New returns an empty graph.
 func New(name string) *Graph { return &Graph{Name: name} }
+
+// Reserve sizes the node and dependency storage for nodes more nodes with
+// deps dependencies between them, so that a builder that knows its size
+// allocates once. It is a hint: Add grows the storage when it runs out.
+func (g *Graph) Reserve(nodes, deps int) {
+	if free := cap(g.Nodes) - len(g.Nodes); free < nodes {
+		g.Nodes = append(make([]*Node, 0, len(g.Nodes)+nodes), g.Nodes...)
+	}
+	if cap(g.slab)-len(g.slab) < nodes {
+		g.slab = make([]Node, 0, nodes)
+	}
+	if cap(g.deps)-len(g.deps) < deps {
+		g.deps = make([]int, 0, deps)
+	}
+}
 
 // Add appends a kernel depending on the given earlier nodes and returns its
 // ID. Dependencies must reference already-added nodes, keeping insertion
@@ -38,8 +60,32 @@ func (g *Graph) Add(k kernels.Kernel, deps ...int) int {
 			panic(fmt.Sprintf("graph: node %d depends on invalid node %d", id, d))
 		}
 	}
-	g.Nodes = append(g.Nodes, &Node{ID: id, Kernel: k, Deps: append([]int(nil), deps...)})
+	if len(g.slab) == cap(g.slab) {
+		g.slab = make([]Node, 0, max(32, id))
+	}
+	g.slab = g.slab[:len(g.slab)+1] // zeroed by make; filled in place
+	n := &g.slab[len(g.slab)-1]
+	n.ID, n.Kernel = id, k
+	if len(deps) > 0 {
+		if cap(g.deps)-len(g.deps) < len(deps) {
+			g.deps = make([]int, 0, max(64, 2*cap(g.deps), len(deps)))
+		}
+		lo := len(g.deps)
+		g.deps = append(g.deps, deps...)
+		// Capped at its own length: a caller's append to Deps reallocates
+		// instead of writing over the next node's.
+		n.Deps = g.deps[lo:len(g.deps):len(g.deps)]
+	}
+	g.Nodes = append(g.Nodes, n)
 	return id
+}
+
+// size returns the node count and the dependency count over all nodes.
+func (g *Graph) size() (nodes, deps int) {
+	for _, n := range g.Nodes {
+		deps += len(n.Deps)
+	}
+	return len(g.Nodes), deps
 }
 
 // Kernels returns the kernels in topological (insertion) order.
@@ -128,6 +174,7 @@ func (g *Graph) Validate() error {
 // WithDType returns a copy of the graph with every kernel at precision d.
 func (g *Graph) WithDType(d kernels.DType) *Graph {
 	out := New(g.Name + "/" + d.String())
+	out.Reserve(g.size())
 	for _, n := range g.Nodes {
 		out.Add(n.Kernel.WithDType(d), n.Deps...)
 	}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -291,5 +292,47 @@ func TestWithDType(t *testing.T) {
 	}
 	if h.TotalFLOPs() != g.TotalFLOPs() {
 		t.Fatal("precision must not change FLOPs")
+	}
+}
+
+// TestDepsAreIsolated: every node's Deps is a slice of one shared arena,
+// so it must be capped at its own length — an append to one node's Deps
+// reallocates and leaves every other node's intact — on graphs built by
+// Add alone (across slab and arena growth) and by every transform.
+func TestDepsAreIsolated(t *testing.T) {
+	g := New("wide")
+	for i := 0; i < 300; i++ {
+		deps := []int{}
+		for d := i - 3; d < i; d++ {
+			if d >= 0 {
+				deps = append(deps, d)
+			}
+		}
+		g.Add(kernels.NewLinear(8, 8, 1+i%5), deps...)
+		if i%3 == 0 {
+			g.Add(kernels.NewElementwise(kernels.OpEWGELU, 8, 1+i%5), len(g.Nodes)-1)
+		}
+	}
+	reserved := New("reserved")
+	reserved.Reserve(g.size())
+	for _, n := range g.Nodes {
+		reserved.Add(n.Kernel, n.Deps...)
+	}
+	for _, gr := range []*Graph{g, reserved, Backward(g), Fuse(g), g.WithDType(kernels.FP16), Fuse(Backward(g))} {
+		if err := gr.Validate(); err != nil {
+			t.Fatalf("%s: %v", gr.Name, err)
+		}
+		want := make([][]int, len(gr.Nodes))
+		for i, n := range gr.Nodes {
+			want[i] = append([]int(nil), n.Deps...)
+		}
+		for _, n := range gr.Nodes {
+			_ = append(n.Deps, -1)
+		}
+		for i, n := range gr.Nodes {
+			if len(n.Deps) != len(want[i]) || (len(want[i]) > 0 && !reflect.DeepEqual(n.Deps, want[i])) {
+				t.Fatalf("%s: node %d deps = %v after appends to the others, want %v", gr.Name, i, n.Deps, want[i])
+			}
+		}
 	}
 }

@@ -32,17 +32,41 @@ func (p *Plan) Predictable() int { return len(p.Index) - p.Network }
 
 // Compile builds g's plan in one pass over its nodes.
 func Compile(g *Graph) *Plan {
-	return compile(len(g.Nodes), func(i int) kernels.Kernel { return g.Nodes[i].Kernel })
+	return compile(len(g.Nodes), func(i int) *kernels.Kernel { return &g.Nodes[i].Kernel })
 }
 
 // CompileKernels builds the plan of a kernel list in execution order.
 func CompileKernels(ks []kernels.Kernel) *Plan {
-	return compile(len(ks), func(i int) kernels.Kernel { return ks[i] })
+	return compile(len(ks), func(i int) *kernels.Kernel { return &ks[i] })
 }
 
-func compile(nodes int, kernel func(i int) kernels.Kernel) *Plan {
-	p := &Plan{Index: make([]int32, nodes)}
-	seen := make(map[kernels.Key]int32, 32)
+// shapeSlot is a shape's slot in compile's direct-mapped table of 256: the
+// top byte of a cheap integer hash of (op, dtype, B, M, K, N).
+func shapeSlot(k *kernels.Kernel) uint64 {
+	const mix = 0x9E3779B97F4A7C15
+	h := uint64(k.Op)<<1 | uint64(k.DType)
+	h = (((h*mix+uint64(k.B))*mix+uint64(k.M))*mix+uint64(k.K))*mix + uint64(k.N)
+	return h * mix >> 56
+}
+
+// sameShape reports whether two kernels that are their shape and nothing
+// else are the same kernel.
+func sameShape(a, b *kernels.Kernel) bool {
+	return a.Op == b.Op && a.B == b.B && a.M == b.M && a.K == b.K && a.N == b.N && a.DType == b.DType
+}
+
+// compile finds the distinct kernels by kernels.Key. Hashing that key for
+// every node was most of a compile, and nearly every node of a model graph
+// is a plain shape seen a layer ago, so those resolve through a
+// direct-mapped table on shapeSlot and only the rest — fused and conv
+// kernels, whose identity is more than their shape, and shapes whose slot
+// another shape holds — go to the map. A distinct kernel is in the table or
+// in the map, never both: a slot, once taken, is never given up, so a shape
+// that finds its slot empty cannot have been sent to the map before.
+func compile(nodes int, kernel func(i int) *kernels.Kernel) *Plan {
+	p := &Plan{Index: make([]int32, nodes), Kernels: make([]kernels.Kernel, 0, 16), Counts: make([]int, 0, 16)}
+	var table [256]int32 // entry in p.Kernels + 1; 0 is empty
+	var seen map[kernels.Key]int32
 	for i := range p.Index {
 		k := kernel(i)
 		p.FLOPs += k.FLOPs()
@@ -51,12 +75,28 @@ func compile(nodes int, kernel func(i int) kernels.Kernel) *Plan {
 			p.Index[i] = -1
 			continue
 		}
-		key := k.Key()
-		j, ok := seen[key]
-		if !ok {
-			j = int32(len(p.Kernels))
-			seen[key] = j
-			p.Kernels = append(p.Kernels, k)
+		j := int32(len(p.Kernels)) // k's entry if this is its first appearance
+		slot := &table[shapeSlot(k)]
+		// plain: every kernels.Key field beyond the shape is zero.
+		plain := !k.Fused && k.FusedFLOPs == 0 && k.FusedBytes == 0 && len(k.FusedOps) == 0 && k.ConvInputElems == 0
+		switch {
+		case plain && *slot == 0:
+			*slot = j + 1
+		case plain && sameShape(k, &p.Kernels[*slot-1]):
+			j = *slot - 1
+		default:
+			if seen == nil {
+				seen = map[kernels.Key]int32{}
+			}
+			key := k.Key()
+			if found, ok := seen[key]; ok {
+				j = found
+			} else {
+				seen[key] = j
+			}
+		}
+		if int(j) == len(p.Kernels) {
+			p.Kernels = append(p.Kernels, *k)
 			p.Counts = append(p.Counts, 0)
 		}
 		p.Counts[j]++

@@ -89,10 +89,12 @@ func (k Kernel) elementsForFusion() float64 {
 	}
 }
 
+// mustPositive formats its panic from a copy of dims: handing dims itself to
+// fmt would make every caller's variadic slice escape, one allocation a kernel.
 func mustPositive(op string, dims ...int) {
 	for _, d := range dims {
 		if d <= 0 {
-			panic(fmt.Sprintf("kernels: %s requires positive dimensions, got %v", op, dims))
+			panic(fmt.Sprintf("kernels: %s requires positive dimensions, got %v", op, append([]int(nil), dims...)))
 		}
 	}
 }

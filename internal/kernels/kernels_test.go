@@ -60,8 +60,9 @@ func TestNewElementwiseRejectsNonEW(t *testing.T) {
 
 func TestNonPositiveDimsPanic(t *testing.T) {
 	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for zero dimension")
+		const want = "kernels: BMM requires positive dimensions, got [0 1 1 1]"
+		if got := recover(); got != want {
+			t.Fatalf("panic = %v, want %q", got, want)
 		}
 	}()
 	NewBMM(0, 1, 1, 1)
@@ -205,4 +206,22 @@ func TestNetworkKernels(t *testing.T) {
 	if ar.Category() != CatNetwork {
 		t.Fatal("allreduce must be a network kernel")
 	}
+}
+
+// TestConstructorsDoNotAllocate pins the constructors at zero heap
+// allocations: every graph build calls one per node.
+func TestConstructorsDoNotAllocate(t *testing.T) {
+	var sink Kernel
+	allocs := testing.AllocsPerRun(100, func() {
+		sink = NewBMM(2, 3, 4, 5)
+		sink = NewLinear(2, 3, 4)
+		sink = NewElementwise(OpEWAdd, 2, 3)
+		sink = NewSoftmax(2, 3)
+		sink = NewLayerNorm(2, 3)
+		sink = NewEmbedding(2, 3, 4)
+	})
+	if allocs != 0 {
+		t.Errorf("kernel constructors allocate %v times per run, want 0", allocs)
+	}
+	_ = sink
 }

@@ -133,6 +133,14 @@ func (c Config) buildForwardSharded(g *graph.Graph, batch, tp int) int {
 	ffnShard := ceilDiv(4*h, tp)
 	attnRows := batch * heads // BMM batch dimension
 
+	// Per layer: 8 attention nodes and the closing residual, with 11
+	// dependencies, plus the FFN's (see below and buildMoEFFN).
+	ffnNodes, ffnDeps := 3, 3
+	if c.Experts > 0 {
+		ffnNodes, ffnDeps = 3+3*c.Experts, 2+4*c.Experts
+	}
+	g.Reserve(3+c.Layers*(9+ffnNodes), 2+c.Layers*(11+ffnDeps))
+
 	last := g.Add(kernels.NewEmbedding(tokens, h, c.Vocab))
 	for layer := 0; layer < c.Layers; layer++ {
 		// Attention block.
@@ -191,7 +199,8 @@ func (c Config) buildMoEFFN(g *graph.Graph, in, tokens int) int {
 	router := g.Add(kernels.NewLinear(tokens, h, c.Experts), in)
 	gate := g.Add(kernels.NewSoftmax(tokens, c.Experts), router)
 	perExpert := (tokens + c.Experts - 1) / c.Experts
-	expertOuts := make([]int, 0, c.Experts)
+	var few [8]int // keeps the usual expert counts off the heap
+	expertOuts := few[:0]
 	for e := 0; e < c.Experts; e++ {
 		up := g.Add(kernels.NewLinear(perExpert, h, 4*h), gate)
 		act := g.Add(kernels.NewElementwise(kernels.OpEWGELU, perExpert, 4*h), up)

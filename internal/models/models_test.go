@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"neusight/internal/graph"
 	"neusight/internal/kernels"
 )
 
@@ -215,4 +216,54 @@ func TestZeroBatchPanics(t *testing.T) {
 		}
 	}()
 	MustLookup("GPT2-Large").InferenceGraph(0)
+}
+
+// TestGraphBuildAllocations pins what building and compiling a model graph
+// allocates: a name, a Graph, and one node slab, pointer slice and
+// dependency arena per Reserve — not a heap object per node (the forward
+// graph of GPT3-XL b2 alone was 1317 allocations before the slabs). A count
+// above the ceiling means a Reserve no longer matches what its builder
+// adds. Measured: 6, 10, 4 and 8; the builds get two more because under
+// -race the detector's own bookkeeping now and then counts as one.
+func TestGraphBuildAllocations(t *testing.T) {
+	for _, m := range Table5() {
+		infer, train := m.InferenceGraph(2), m.TrainingGraph(2)
+		for _, c := range []struct {
+			what    string
+			ceiling float64
+			run     func()
+		}{
+			{"InferenceGraph", 8, func() { m.InferenceGraph(2) }},
+			{"TrainingGraph", 12, func() { m.TrainingGraph(2) }},
+			{"Compile(inference)", 4, func() { graph.Compile(infer) }},
+			{"Compile(training)", 8, func() { graph.Compile(train) }},
+		} {
+			if got := testing.AllocsPerRun(10, c.run); got > c.ceiling {
+				t.Errorf("%s %s: %v allocations, ceiling %v", m.Name, c.what, got, c.ceiling)
+			}
+		}
+	}
+}
+
+// TestShardedGraphsValidate: the graphs the distributed layer derives —
+// tensor-parallel shards, their training graphs, and the multi-node study's
+// FP16 copy — are valid DAGs on the slab storage, at the size the unsharded
+// graph has.
+func TestShardedGraphsValidate(t *testing.T) {
+	for _, m := range append(Table5(), GPT3MultiNode()) {
+		for _, width := range []int{2, 8} {
+			infer, train := m.TPInferenceGraph(1, width), m.TPTrainingGraph(1, width)
+			for _, g := range []*graph.Graph{infer, train, train.WithDType(kernels.FP16), graph.Fuse(train)} {
+				if err := g.Validate(); err != nil {
+					t.Errorf("%s tp%d: %v", m.Name, width, err)
+				}
+			}
+			if got, want := len(infer.Nodes), len(m.InferenceGraph(1).Nodes); got != want {
+				t.Errorf("%s tp%d: %d nodes, unsharded %d", m.Name, width, got, want)
+			}
+			if got, want := len(train.WithDType(kernels.FP16).Nodes), len(m.TrainingGraph(1).Nodes); got != want {
+				t.Errorf("%s tp%d training/fp16: %d nodes, unsharded %d", m.Name, width, got, want)
+			}
+		}
+	}
 }

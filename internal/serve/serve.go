@@ -170,9 +170,8 @@ type engineState struct {
 // owns reports whether a cache key belongs to this engine state.
 func (es *engineState) owns(key string) bool { return strings.HasPrefix(key, es.prefix) }
 
-// key fingerprints a prediction request with the same fingerprint the
-// predictor's tile cache and the tile DB memo use, prefixed with the
-// engine state's prefix (shard caches are shared across engines, so the
+// key fingerprints a prediction request with tile.QueryKey's string,
+// prefixed with the engine state's prefix (shard caches are shared across engines, so the
 // engine — and its registration epoch — is part of request identity) and
 // its state generation when it tracks one — so a retrain makes every
 // prior entry unreachable (it then ages out of the LRU) instead of being

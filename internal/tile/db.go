@@ -35,7 +35,7 @@ type DB struct {
 	records []Record
 
 	memoMu sync.Mutex
-	memo   map[string]Tile
+	memo   map[CacheKey]Tile
 	// memoGen is bumped by Add; a scan only memoizes if the generation is
 	// unchanged. Atomic rather than memoMu-guarded: Generation() sits on
 	// the serving layer's cache-key path, where an exclusive lock shared
@@ -48,14 +48,21 @@ type DB struct {
 // refills almost immediately with the live working set).
 const memoLimit = 8192
 
-// QueryKey fingerprints a (kernel, GPU) prediction query. Every cache along
-// the serving path — the DB memo here, the predictor's tile cache, and the
-// serve layer's prediction LRU — must key on this same fingerprint, or the
-// layers silently disagree about what "identical request" means.
-// Kernel.Label encodes operator, dimensions, precision, and fusion
-// metadata; GPU specs are registry entries uniquely identified by name.
+// QueryKey fingerprints a (kernel, GPU) prediction query as a string: the
+// key of the serve layer's prediction LRU. Kernel.Label encodes operator,
+// dimensions, precision, and the fused-op list; GPU specs are registry
+// entries uniquely identified by name. The two tile caches below the serve
+// layer — the DB memo here and the predictor's tile cache — key on CacheKey
+// instead, which is finer (a Label omits FusedFLOPs, FusedBytes and
+// ConvInputElems) and costs no string to build.
 func QueryKey(k kernels.Kernel, g gpu.Spec) string {
 	return k.Label() + "@" + g.Name
+}
+
+// CacheKey is the comparable identity of a (kernel, GPU) tile query.
+type CacheKey struct {
+	Kernel kernels.Key
+	GPU    string
 }
 
 // NewDB returns an empty database.
@@ -135,7 +142,7 @@ func (db *DB) Lookup(k kernels.Kernel, g gpu.Spec) (Tile, bool) {
 // Results are memoized per (kernel, GPU) and invalidated whenever Add
 // changes the record set, making repeated serving-path queries O(1).
 func (db *DB) LookupOrSelect(k kernels.Kernel, g gpu.Spec) Tile {
-	key := QueryKey(k, g)
+	key := CacheKey{k.Key(), g.Name}
 	gen := db.memoGen.Load()
 	db.memoMu.Lock()
 	if t, ok := db.memo[key]; ok {
@@ -153,10 +160,8 @@ func (db *DB) LookupOrSelect(k kernels.Kernel, g gpu.Spec) Tile {
 	// Only memoize if no Add landed during the scan: a fresher record could
 	// have changed the nearest match, and a stale cache would pin it.
 	if db.memoGen.Load() == gen {
-		if db.memo == nil {
-			db.memo = make(map[string]Tile)
-		} else if len(db.memo) >= memoLimit {
-			db.memo = make(map[string]Tile)
+		if db.memo == nil || len(db.memo) >= memoLimit {
+			db.memo = make(map[CacheKey]Tile)
 		}
 		db.memo[key] = t
 	}

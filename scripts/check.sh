@@ -61,6 +61,12 @@ else
   echo "==> go test -race ./..."
   go test -race ./...
 
+  # Every workload through the benchmark's own judge, about 25 s: a parity
+  # miss, a broken precondition or a tripped client.cpu_share guard fails
+  # the gate here, before the benchmark pipeline does.
+  echo "==> frozen benchmark smoke (cd bench && go test -run '^TestSmoke$' ./...)"
+  (cd bench && go test -count=1 -run '^TestSmoke$' ./...)
+
   # Kill-a-member e2e: a real three-process cluster loses a member to
   # SIGKILL mid-traffic and must fail over, evict, and readmit — the
   # self-healing contract exercised against real processes, not httptest.
@@ -106,12 +112,13 @@ fi
 # APIs, broken fixtures) fail CI without CI paying for real measurement.
 # `-bench .` on internal/core includes BenchmarkPredictGraph, and 'Serve'
 # on the root package the kernel and graph cases of
-# BenchmarkServeThroughput.
+# BenchmarkServeThroughput; ForecastOffline is the paper's own use (build a
+# Fig. 7 cell's graph, forecast it) with its allocations per forecast.
 echo "==> benchmark smoke (-benchtime=1x)"
 go test -run '^$' -bench . -benchtime=1x ./internal/mat ./internal/core >/dev/null
 go test -run '^$' -bench 'EngineDispatch' -benchtime=1x ./internal/predict >/dev/null
 go test -run '^$' -bench 'ObserveIngest|StoreAppend' -benchtime=1x ./internal/observe >/dev/null
-go test -run '^$' -bench 'Serve|ShardedThroughput' -benchtime=1x . >/dev/null
+go test -run '^$' -bench 'Serve|ShardedThroughput|ForecastOffline' -benchtime=1x . >/dev/null
 
 # Loadgen smoke run: one short fixed-rate step against a self-served
 # roofline target — exercises the whole path (CLI flags, in-process
