@@ -53,7 +53,6 @@ import (
 	crand "crypto/rand"
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"net/http"
 	"sort"
@@ -63,6 +62,7 @@ import (
 	"time"
 
 	"neusight/internal/predict"
+	"neusight/internal/ring"
 )
 
 // Steering modes for Config.Steer.
@@ -162,10 +162,12 @@ type Node struct {
 	warmOwned      func([]byte, func(string, string) bool) (int, error)
 
 	// mu guards the membership — the per-member failure-detector records —
-	// and the ring built over its non-dead members.
-	mu      sync.RWMutex
-	members map[string]*memberState
-	ring    []memberPoint
+	// and the ring built over its non-dead members: ring owner i is
+	// ringMembers[i], placed at label "member-<addr>".
+	mu          sync.RWMutex
+	members     map[string]*memberState
+	ring        *ring.Ring
+	ringMembers []string
 
 	// instance identifies this process incarnation (random, nonzero) so
 	// peers can tell a counter bump from a restart (see OriginView).
@@ -373,47 +375,6 @@ func (n *Node) Members() []string {
 	return members
 }
 
-// memberReplicas is how many virtual points each member contributes to the
-// membership ring — the same smoothing trade-off as the in-process shard
-// ring (internal/serve/shard.go).
-const memberReplicas = 64
-
-// memberPoint is one virtual node on the membership ring.
-type memberPoint struct {
-	hash uint64
-	addr string
-}
-
-// buildRing hashes every member onto the ring, memberReplicas points each.
-func buildRing(members []string) []memberPoint {
-	ring := make([]memberPoint, 0, len(members)*memberReplicas)
-	for _, m := range members {
-		for v := 0; v < memberReplicas; v++ {
-			ring = append(ring, memberPoint{hash: hash64(fmt.Sprintf("member-%s-%d", m, v)), addr: m})
-		}
-	}
-	sort.Slice(ring, func(i, j int) bool { return ring[i].hash < ring[j].hash })
-	return ring
-}
-
-// hash64 is the ring hash: FNV-1a finished with a 64-bit avalanche mix.
-// Member addresses differ in only a character or two ("host:8081" vs
-// "host:8082"), and raw FNV over such near-identical strings clusters —
-// one member's 64 virtual points can blanket whole arcs of the ring,
-// starving the others. The MurmurHash3 finalizer decorrelates them; every
-// member must use the identical function or steering mis-routes.
-func hash64(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	x := h.Sum64()
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	x *= 0xc4ceb9fe1a85ec53
-	x ^= x >> 33
-	return x
-}
-
 // affinityOf resolves the shard-affinity key an engine hashes by: its
 // declared affinity when registered, falling back to the name (the
 // serving layer will reject unknown engines anyway). Empty names resolve
@@ -437,23 +398,13 @@ func (n *Node) affinityOf(engine string) string {
 func (n *Node) Owners(engine, gpuName string) (primary, replica string) {
 	affinity := n.affinityOf(engine)
 	n.mu.RLock()
-	ring := n.ring
+	r, members := n.ring, n.ringMembers
 	n.mu.RUnlock()
-	if len(ring) == 0 {
-		return n.self, ""
+	p, rep := r.Owners(affinity + "|" + gpuName)
+	if rep < 0 {
+		return members[p], ""
 	}
-	h := hash64(affinity + "|" + gpuName)
-	i := sort.Search(len(ring), func(i int) bool { return ring[i].hash >= h })
-	if i == len(ring) {
-		i = 0 // wrap: the ring is circular
-	}
-	primary = ring[i].addr
-	for j := 1; j < len(ring); j++ {
-		if addr := ring[(i+j)%len(ring)].addr; addr != primary {
-			return primary, addr
-		}
-	}
-	return primary, ""
+	return members[p], members[rep]
 }
 
 // Owner resolves which member owns the (engine, GPU) key as primary.

@@ -202,7 +202,7 @@ func TestOwnerUsesShardAffinity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// FuncEngine has no ShardHint: affinity falls back to the name, so
+	// A func engine has no ShardHint: affinity falls back to the name, so
 	// Owner("aff-a") must equal hashing the literal affinity string.
 	for _, g := range []string{"H100", "V100", "A100"} {
 		got, _ := n.Owner("aff-a", g)

@@ -1,11 +1,8 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -271,7 +268,7 @@ func (n *Node) Push(ctx context.Context, msg GenMessage) {
 		wg.Add(1)
 		go func(peer string) {
 			defer wg.Done()
-			ok := n.pushPeer(ctx, peer, body)
+			ok := n.call(ctx, n.reqTimeout, http.MethodPost, peer, RouteGenerations, body, nil, maxControlBody) == nil
 			if ok {
 				n.pushes.Add(1)
 			} else {
@@ -281,26 +278,6 @@ func (n *Node) Push(ctx context.Context, msg GenMessage) {
 		}(peer)
 	}
 	wg.Wait()
-}
-
-// pushPeer POSTs one gossip payload with a per-attempt deadline.
-func (n *Node) pushPeer(ctx context.Context, peer string, body []byte) bool {
-	ctx, cancel := context.WithTimeout(ctx, n.reqTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		"http://"+peer+RouteGenerations, bytes.NewReader(body))
-	if err != nil {
-		return false
-	}
-	req.Header.Set("Content-Type", "application/json")
-	n.setAuth(req)
-	resp, err := n.client.Do(req)
-	if err != nil {
-		return false
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
 }
 
 // PollPeers GETs every live peer's /v2/cluster/generations concurrently
@@ -313,7 +290,8 @@ func (n *Node) PollPeers(ctx context.Context) {
 		wg.Add(1)
 		go func(peer string) {
 			defer wg.Done()
-			msg, err := n.pollPeer(ctx, peer)
+			var msg GenMessage
+			err := n.call(ctx, n.reqTimeout, http.MethodGet, peer, RouteGenerations, nil, &msg, maxControlBody)
 			n.markContact(peer, err == nil)
 			if err != nil {
 				n.pollFailures.Add(1)
@@ -324,31 +302,6 @@ func (n *Node) PollPeers(ctx context.Context) {
 		}(peer)
 	}
 	wg.Wait()
-}
-
-// pollPeer fetches one peer's generation view with a per-attempt deadline.
-func (n *Node) pollPeer(ctx context.Context, peer string) (GenMessage, error) {
-	var msg GenMessage
-	ctx, cancel := context.WithTimeout(ctx, n.reqTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+peer+RouteGenerations, nil)
-	if err != nil {
-		return msg, err
-	}
-	n.setAuth(req)
-	resp, err := n.client.Do(req)
-	if err != nil {
-		return msg, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return msg, fmt.Errorf("cluster: peer %s returned %d", peer, resp.StatusCode)
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxControlBody)).Decode(&msg); err != nil {
-		return msg, err
-	}
-	return msg, nil
 }
 
 // GossipStats is a snapshot of the gossip counters, exposed on

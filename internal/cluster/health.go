@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -37,7 +36,7 @@ func (n *Node) ProbeNow() {
 		wg.Add(1)
 		go func(peer string) {
 			defer wg.Done()
-			ok := n.probe(peer)
+			ok := n.call(context.Background(), n.reqTimeout, http.MethodGet, peer, healthzPath, nil, nil, maxControlBody) == nil
 			n.probes.Add(1)
 			if !ok {
 				n.probeFailures.Add(1)
@@ -46,24 +45,6 @@ func (n *Node) ProbeNow() {
 		}(peer)
 	}
 	wg.Wait()
-}
-
-// probe checks one member's liveness: a 200 from its healthz within the
-// per-attempt timeout.
-func (n *Node) probe(peer string) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), n.reqTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+peer+healthzPath, nil)
-	if err != nil {
-		return false
-	}
-	resp, err := n.client.Do(req)
-	if err != nil {
-		return false
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
 }
 
 // HealthStats is a snapshot of the failure-detection and control-plane

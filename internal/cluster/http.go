@@ -1,12 +1,16 @@
 package cluster
 
 import (
+	"bytes"
+	"context"
 	"crypto/subtle"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"sort"
 	"strings"
+	"time"
 
 	"neusight/internal/gpu"
 	"neusight/internal/promtext"
@@ -67,12 +71,59 @@ func (n *Node) authorized(r *http.Request) bool {
 	return subtle.ConstantTimeCompare([]byte(h[len(prefix):]), []byte(n.token)) == 1
 }
 
-// setAuth attaches the configured control-plane bearer token to an
-// outbound request; a no-op without one.
-func (n *Node) setAuth(req *http.Request) {
-	if n.token != "" {
+// statusError is a peer's non-200 answer to an outbound call.
+type statusError struct {
+	peer, path string
+	code       int
+	body       string
+}
+
+// Error implements error.
+func (e *statusError) Error() string {
+	return fmt.Sprintf("cluster: peer %s answered %s with %d: %s", e.peer, e.path, e.code, e.body)
+}
+
+// call does one outbound round trip, every one but the proxy hop (relayTo):
+// method on peer's path under its own timeout, body (nil for none) sent as
+// JSON, with the bearer token on control routes. A non-200 answer is a
+// *statusError. A 200 answer is read up to limit bytes: decoded into out,
+// kept raw when out is a *[]byte, or discarded when out is nil.
+func (n *Node) call(ctx context.Context, timeout time.Duration, method, peer, path string, body []byte, out any, limit int64) error {
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, "http://"+peer+path, rd)
+	if err != nil {
+		return err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	if n.token != "" && strings.HasPrefix(path, clusterRoutePrefix) {
 		req.Header.Set("Authorization", "Bearer "+n.token)
 	}
+	resp, err := n.client.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
+		return &statusError{peer, path, resp.StatusCode, string(bytes.TrimSpace(msg))}
+	}
+	r := io.LimitReader(resp.Body, limit)
+	switch out := out.(type) {
+	case nil:
+		io.Copy(io.Discard, r) // the status is the answer
+	case *[]byte:
+		*out, err = io.ReadAll(r)
+	default:
+		err = json.NewDecoder(r).Decode(out)
+	}
+	return err
 }
 
 // GenerationsResponse is the JSON reply of GET /v2/cluster/generations:

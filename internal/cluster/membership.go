@@ -1,14 +1,14 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"time"
+
+	"neusight/internal/ring"
 )
 
 // Member lifecycle states. A member starts alive, accumulates one strike
@@ -162,7 +162,11 @@ func (n *Node) rebuildRingLocked() {
 		}
 	}
 	sort.Strings(members)
-	n.ring = buildRing(members)
+	labels := make([]string, len(members))
+	for i, m := range members {
+		labels[i] = "member-" + m
+	}
+	n.ring, n.ringMembers = ring.New(labels), members
 }
 
 // MemberInfo is one member's slice of the gossiped membership view: its
@@ -219,27 +223,9 @@ func (n *Node) Join(ctx context.Context, seed string) error {
 	if err != nil {
 		return err
 	}
-	ctx, cancel := context.WithTimeout(ctx, n.reqTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		"http://"+seed+RouteJoin, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	n.setAuth(req)
-	resp, err := n.client.Do(req)
-	if err != nil {
-		return fmt.Errorf("cluster: joining via %s: %w", seed, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return fmt.Errorf("cluster: seed %s rejected join with %d", seed, resp.StatusCode)
-	}
 	var jr JoinResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxControlBody)).Decode(&jr); err != nil {
-		return fmt.Errorf("cluster: decoding join response from %s: %w", seed, err)
+	if err := n.call(ctx, n.reqTimeout, http.MethodPost, seed, RouteJoin, body, &jr, maxControlBody); err != nil {
+		return fmt.Errorf("cluster: joining via %s: %w", seed, err)
 	}
 	n.absorbMembers(jr.Members)
 	n.AddMember(seed, jr.Members[seed].Instance)
@@ -286,21 +272,7 @@ func (n *Node) WarmFromOwners(ctx context.Context) (warmed, peersSkipped int, er
 
 // fetchTrace GETs one member's recorded workload trace (JSONL).
 func (n *Node) fetchTrace(ctx context.Context, peer string) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(ctx, n.reqTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+peer+RouteTrace, nil)
-	if err != nil {
-		return nil, err
-	}
-	n.setAuth(req)
-	resp, err := n.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return nil, fmt.Errorf("cluster: peer %s returned %d for trace", peer, resp.StatusCode)
-	}
-	return io.ReadAll(io.LimitReader(resp.Body, maxTraceBody))
+	var data []byte
+	err := n.call(ctx, n.reqTimeout, http.MethodGet, peer, RouteTrace, nil, &data, maxTraceBody)
+	return data, err
 }

@@ -1,9 +1,9 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -116,34 +116,19 @@ func (d planDispatcher) EvalRemote(ctx context.Context, addr, engine string, spe
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := context.WithTimeout(ctx, planEvalTimeout)
-	defer cancel()
-	u := url.URL{Scheme: "http", Host: addr, Path: RoutePlanEval}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u.String(), bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	n.setAuth(req)
-	resp, err := n.client.Do(req)
-	if err != nil {
-		n.countProxyError(err)
-		n.markContact(addr, false)
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		// The member answered, so it is alive — do not strike it — but the
-		// batch failed there; the caller re-dispatches locally.
-		n.markContact(addr, true)
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		return nil, fmt.Errorf("cluster: plan eval on %s: status %d: %s", addr, resp.StatusCode, bytes.TrimSpace(msg))
-	}
 	var per planEvalResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&per); err != nil {
-		n.markContact(addr, false)
-		return nil, fmt.Errorf("cluster: plan eval on %s: %w", addr, err)
+	err = n.call(ctx, planEvalTimeout, http.MethodPost, addr, RoutePlanEval, body, &per, 64<<20)
+	if err == nil {
+		n.markContact(addr, true)
+		return per.Results, nil
 	}
-	n.markContact(addr, true)
-	return per.Results, nil
+	var transport *url.Error
+	if errors.As(err, &transport) {
+		n.countProxyError(err)
+	}
+	// A non-200 answer means the member is alive — do not strike it — but
+	// the batch failed there; the caller re-dispatches locally.
+	var status *statusError
+	n.markContact(addr, errors.As(err, &status))
+	return nil, fmt.Errorf("cluster: plan eval on %s: %w", addr, err)
 }

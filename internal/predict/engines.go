@@ -128,260 +128,105 @@ func (e *CoreEngine) PredictGraph(ctx context.Context, gr *graph.Graph, g gpu.Sp
 	return e.P.PredictGraph(gr, g)
 }
 
-// HabitatEngine adapts the Habitat baseline.
-type HabitatEngine struct {
-	H *baselines.Habitat
-}
-
-// NewHabitatEngine wraps h.
-func NewHabitatEngine(h *baselines.Habitat) *HabitatEngine {
-	if h == nil {
-		panic("predict: nil habitat baseline")
-	}
-	return &HabitatEngine{H: h}
+// kernelEngine adapts every backend without a batch path: predict answers
+// one kernel (utilization 0 when the backend models none); the adapter adds
+// the shared request checks, the Result envelope and the sequential batch.
+type kernelEngine struct {
+	name, source string
+	predict      func(k kernels.Kernel, g gpu.Spec) (lat, util float64, err error)
 }
 
 // Name implements Engine.
-func (e *HabitatEngine) Name() string { return EngineHabitat }
+func (e *kernelEngine) Name() string { return e.name }
 
 // PredictKernel implements Engine.
-func (e *HabitatEngine) PredictKernel(ctx context.Context, req Request) (Result, error) {
+func (e *kernelEngine) PredictKernel(ctx context.Context, req Request) (Result, error) {
 	if err := checkRequest(ctx, req); err != nil {
 		return Result{}, err
 	}
-	lat, err := e.H.PredictKernel(req.Kernel, req.GPU)
+	lat, util, err := e.predict(req.Kernel, req.GPU)
 	if err != nil {
 		return Result{}, err
 	}
-	return Result{Latency: lat, Engine: EngineHabitat, Source: SourceRegression}, nil
+	return Result{Latency: lat, Utilization: util, Engine: e.name, Source: e.source}, nil
 }
 
 // PredictKernels implements Engine sequentially.
-func (e *HabitatEngine) PredictKernels(ctx context.Context, reqs []Request) []Outcome {
+func (e *kernelEngine) PredictKernels(ctx context.Context, reqs []Request) []Outcome {
 	return sequentialKernels(ctx, e, reqs)
+}
+
+// trainableEngine is a kernelEngine whose backend fits to a dataset first.
+type trainableEngine struct {
+	kernelEngine
+	train func(ds *dataset.Dataset)
 }
 
 // Train implements Trainable.
-func (e *HabitatEngine) Train(ds *dataset.Dataset) error {
-	e.H.Train(ds)
-	return nil
-}
+func (e *trainableEngine) Train(ds *dataset.Dataset) error { e.train(ds); return nil }
 
-// LiEngine adapts the Li et al. regression baseline.
-type LiEngine struct {
-	L *baselines.LiRegression
-}
-
-// NewLiEngine wraps l.
-func NewLiEngine(l *baselines.LiRegression) *LiEngine {
-	if l == nil {
-		panic("predict: nil li regression baseline")
+// latencyOnly adapts a backend without a utilization model.
+func latencyOnly(fn func(kernels.Kernel, gpu.Spec) (float64, error)) func(kernels.Kernel, gpu.Spec) (float64, float64, error) {
+	return func(k kernels.Kernel, g gpu.Spec) (float64, float64, error) {
+		lat, err := fn(k, g)
+		return lat, 0, err
 	}
-	return &LiEngine{L: l}
 }
 
-// Name implements Engine.
-func (e *LiEngine) Name() string { return EngineLiRegression }
-
-// PredictKernel implements Engine.
-func (e *LiEngine) PredictKernel(ctx context.Context, req Request) (Result, error) {
-	if err := checkRequest(ctx, req); err != nil {
-		return Result{}, err
+// mustBackend panics when a constructor is handed a nil backend.
+func mustBackend(missing bool, what string) {
+	if missing {
+		panic("predict: nil " + what)
 	}
-	lat, err := e.L.PredictKernel(req.Kernel, req.GPU)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Latency: lat, Engine: EngineLiRegression, Source: SourceRegression}, nil
 }
 
-// PredictKernels implements Engine sequentially.
-func (e *LiEngine) PredictKernels(ctx context.Context, reqs []Request) []Outcome {
-	return sequentialKernels(ctx, e, reqs)
+// NewHabitatEngine adapts the Habitat baseline.
+func NewHabitatEngine(h *baselines.Habitat) Engine {
+	mustBackend(h == nil, "habitat baseline")
+	return &trainableEngine{kernelEngine{EngineHabitat, SourceRegression, latencyOnly(h.PredictKernel)}, h.Train}
 }
 
-// Train implements Trainable.
-func (e *LiEngine) Train(ds *dataset.Dataset) error {
-	e.L.Train(ds)
-	return nil
+// NewLiEngine adapts the Li et al. regression baseline.
+func NewLiEngine(l *baselines.LiRegression) Engine {
+	mustBackend(l == nil, "li regression baseline")
+	return &trainableEngine{kernelEngine{EngineLiRegression, SourceRegression, latencyOnly(l.PredictKernel)}, l.Train}
 }
 
-// RooflineEngine adapts the analytical roofline bound. It needs no
-// training and reports utilization 1 — the bound's defining assumption.
-type RooflineEngine struct {
-	R baselines.Roofline
+// NewRooflineEngine returns the analytical roofline bound (no training, utilization 1).
+func NewRooflineEngine() Engine {
+	return &kernelEngine{EngineRoofline, SourceAnalytical, func(k kernels.Kernel, g gpu.Spec) (float64, float64, error) {
+		lat, err := baselines.Roofline{}.PredictKernel(k, g)
+		return lat, 1, err
+	}}
 }
 
-// NewRooflineEngine returns the roofline engine.
-func NewRooflineEngine() *RooflineEngine { return &RooflineEngine{} }
-
-// Name implements Engine.
-func (e *RooflineEngine) Name() string { return EngineRoofline }
-
-// PredictKernel implements Engine.
-func (e *RooflineEngine) PredictKernel(ctx context.Context, req Request) (Result, error) {
-	if err := checkRequest(ctx, req); err != nil {
-		return Result{}, err
-	}
-	lat, err := e.R.PredictKernel(req.Kernel, req.GPU)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Latency: lat, Utilization: 1, Engine: EngineRoofline, Source: SourceAnalytical}, nil
+// NewDirectMLPEngine adapts the direct log-latency MLP regressor.
+func NewDirectMLPEngine(m *baselines.DirectMLP) Engine {
+	mustBackend(m == nil, "direct MLP")
+	train := func(ds *dataset.Dataset) { m.Train(ds.Samples) }
+	return &trainableEngine{kernelEngine{EngineDirectMLP, SourceRegression, latencyOnly(m.Predict)}, train}
 }
 
-// PredictKernels implements Engine sequentially.
-func (e *RooflineEngine) PredictKernels(ctx context.Context, reqs []Request) []Outcome {
-	return sequentialKernels(ctx, e, reqs)
+// NewDirectTransformerEngine adapts the Table 1 transformer regressor.
+func NewDirectTransformerEngine(t *baselines.DirectTransformer) Engine {
+	mustBackend(t == nil, "direct transformer")
+	train := func(ds *dataset.Dataset) { t.Train(ds.Samples) }
+	return &trainableEngine{kernelEngine{EngineDirectTransformer, SourceRegression, latencyOnly(t.Predict)}, train}
 }
 
-// DirectMLPEngine adapts the direct log-latency MLP regressor.
-type DirectMLPEngine struct {
-	M *baselines.DirectMLP
+// NewSimEngine adapts the gpusim measurement substrate, ground truth made
+// routable; checkRequest keeps network kernels, on which it panics, away.
+func NewSimEngine(s *gpusim.Simulator) Engine {
+	mustBackend(s == nil, "simulator")
+	return &kernelEngine{EngineGPUSim, SourceSimulator, func(k kernels.Kernel, g gpu.Spec) (float64, float64, error) {
+		lat := s.KernelLatency(k, g)
+		return lat, gpusim.UtilizationFromLatency(k, g, lat), nil
+	}}
 }
 
-// NewDirectMLPEngine wraps m.
-func NewDirectMLPEngine(m *baselines.DirectMLP) *DirectMLPEngine {
-	if m == nil {
-		panic("predict: nil direct MLP")
-	}
-	return &DirectMLPEngine{M: m}
-}
-
-// Name implements Engine.
-func (e *DirectMLPEngine) Name() string { return EngineDirectMLP }
-
-// PredictKernel implements Engine.
-func (e *DirectMLPEngine) PredictKernel(ctx context.Context, req Request) (Result, error) {
-	if err := checkRequest(ctx, req); err != nil {
-		return Result{}, err
-	}
-	lat, err := e.M.Predict(req.Kernel, req.GPU)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Latency: lat, Engine: EngineDirectMLP, Source: SourceRegression}, nil
-}
-
-// PredictKernels implements Engine sequentially.
-func (e *DirectMLPEngine) PredictKernels(ctx context.Context, reqs []Request) []Outcome {
-	return sequentialKernels(ctx, e, reqs)
-}
-
-// Train implements Trainable.
-func (e *DirectMLPEngine) Train(ds *dataset.Dataset) error {
-	e.M.Train(ds.Samples)
-	return nil
-}
-
-// DirectTransformerEngine adapts the transformer regressor of the Table 1
-// study.
-type DirectTransformerEngine struct {
-	T *baselines.DirectTransformer
-}
-
-// NewDirectTransformerEngine wraps t.
-func NewDirectTransformerEngine(t *baselines.DirectTransformer) *DirectTransformerEngine {
-	if t == nil {
-		panic("predict: nil direct transformer")
-	}
-	return &DirectTransformerEngine{T: t}
-}
-
-// Name implements Engine.
-func (e *DirectTransformerEngine) Name() string { return EngineDirectTransformer }
-
-// PredictKernel implements Engine.
-func (e *DirectTransformerEngine) PredictKernel(ctx context.Context, req Request) (Result, error) {
-	if err := checkRequest(ctx, req); err != nil {
-		return Result{}, err
-	}
-	lat, err := e.T.Predict(req.Kernel, req.GPU)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Latency: lat, Engine: EngineDirectTransformer, Source: SourceRegression}, nil
-}
-
-// PredictKernels implements Engine sequentially.
-func (e *DirectTransformerEngine) PredictKernels(ctx context.Context, reqs []Request) []Outcome {
-	return sequentialKernels(ctx, e, reqs)
-}
-
-// Train implements Trainable.
-func (e *DirectTransformerEngine) Train(ds *dataset.Dataset) error {
-	e.T.Train(ds.Samples)
-	return nil
-}
-
-// SimEngine adapts the gpusim measurement substrate. In this repo it is
-// ground truth made routable: the cheap-vs-learned split the registry
-// enables would, on real hardware, route to a profiler for in-hand devices
-// and to learned engines for unreleased ones.
-type SimEngine struct {
-	S *gpusim.Simulator
-}
-
-// NewSimEngine wraps s.
-func NewSimEngine(s *gpusim.Simulator) *SimEngine {
-	if s == nil {
-		panic("predict: nil simulator")
-	}
-	return &SimEngine{S: s}
-}
-
-// Name implements Engine.
-func (e *SimEngine) Name() string { return EngineGPUSim }
-
-// PredictKernel implements Engine. The network-kernel guard in checkRequest
-// matters here: the simulator panics on network kernels by design.
-func (e *SimEngine) PredictKernel(ctx context.Context, req Request) (Result, error) {
-	if err := checkRequest(ctx, req); err != nil {
-		return Result{}, err
-	}
-	lat := e.S.KernelLatency(req.Kernel, req.GPU)
-	util := gpusim.UtilizationFromLatency(req.Kernel, req.GPU, lat)
-	return Result{Latency: lat, Utilization: util, Engine: EngineGPUSim, Source: SourceSimulator}, nil
-}
-
-// PredictKernels implements Engine sequentially.
-func (e *SimEngine) PredictKernels(ctx context.Context, reqs []Request) []Outcome {
-	return sequentialKernels(ctx, e, reqs)
-}
-
-// FuncEngine wraps a bare prediction function as an engine — the cheapest
-// way to put an ad-hoc variant (an ablation knockout, a test stub) behind
-// the Engine contract.
-type FuncEngine struct {
-	name   string
-	source string
-	fn     func(kernels.Kernel, gpu.Spec) (float64, error)
-}
-
-// NewFuncEngine returns an engine named name that answers with fn.
-func NewFuncEngine(name, source string, fn func(kernels.Kernel, gpu.Spec) (float64, error)) *FuncEngine {
-	if fn == nil {
-		panic("predict: nil engine func")
-	}
-	return &FuncEngine{name: name, source: source, fn: fn}
-}
-
-// Name implements Engine.
-func (e *FuncEngine) Name() string { return e.name }
-
-// PredictKernel implements Engine.
-func (e *FuncEngine) PredictKernel(ctx context.Context, req Request) (Result, error) {
-	if err := checkRequest(ctx, req); err != nil {
-		return Result{}, err
-	}
-	lat, err := e.fn(req.Kernel, req.GPU)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Latency: lat, Engine: e.name, Source: e.source}, nil
-}
-
-// PredictKernels implements Engine sequentially.
-func (e *FuncEngine) PredictKernels(ctx context.Context, reqs []Request) []Outcome {
-	return sequentialKernels(ctx, e, reqs)
+// NewFuncEngine wraps a bare prediction function as an engine named name:
+// the cheapest way to put an ablation knockout or a test stub behind Engine.
+func NewFuncEngine(name, source string, fn func(kernels.Kernel, gpu.Spec) (float64, error)) Engine {
+	mustBackend(fn == nil, "engine func")
+	return &kernelEngine{name, source, latencyOnly(fn)}
 }

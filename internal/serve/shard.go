@@ -2,13 +2,12 @@ package serve
 
 import (
 	"errors"
-	"fmt"
-	"hash/fnv"
-	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
 	"neusight/internal/predict"
+	"neusight/internal/ring"
 )
 
 // ErrSaturated is wrapped by prediction calls rejected by per-shard
@@ -76,26 +75,14 @@ func (p *partition) admit() bool {
 // release returns an in-flight slot reserved by admit.
 func (p *partition) release() { p.inFlight.Add(-1) }
 
-// ringReplicas is how many virtual points each shard contributes to the
-// consistent-hash ring. More replicas smooth the key distribution across
-// shards at the cost of a larger (still tiny) ring.
-const ringReplicas = 64
-
-// ringPoint is one virtual node on the consistent-hash ring.
-type ringPoint struct {
-	hash uint64
-	p    *partition
-}
-
 // shardRouter assigns (affinity, GPU) keys to a fixed set of shards by
-// consistent hashing: every key hashes onto a ring of virtual shard
-// points, and the first point at or clockwise of the key's hash owns it.
-// Assignments are memoized per key; the memo doubles as the "which keys
-// live where" table behind per-shard stats, and is rebuilt on rebalance so
-// keys of unregistered engines drop out.
+// consistent hashing (internal/ring, labels "shard-<i>"). Assignments are
+// memoized per key; the memo doubles as the "which keys live where" table
+// behind per-shard stats, and is rebuilt on rebalance so keys of
+// unregistered engines drop out.
 type shardRouter struct {
 	shards []*partition
-	points []ringPoint // sorted by hash
+	ring   *ring.Ring
 
 	// assign memoizes ring lookups as an immutable copy-on-write snapshot,
 	// two-level (affinity, then GPU): the hot path is two map reads off an
@@ -113,28 +100,16 @@ type shardRouter struct {
 // workers-slot pool, and a maxInFlight saturation bound (0 disables
 // backpressure).
 func newShardRouter(n, cacheSize, workers, maxInFlight int) *shardRouter {
-	r := &shardRouter{
-		shards: make([]*partition, n),
-		points: make([]ringPoint, 0, n*ringReplicas),
-	}
+	r := &shardRouter{shards: make([]*partition, n)}
 	empty := map[string]map[string]*partition{}
 	r.assign.Store(&empty)
-	for i := 0; i < n; i++ {
+	labels := make([]string, n)
+	for i := range r.shards {
 		r.shards[i] = newPartition(i, cacheSize, workers, maxInFlight)
-		for v := 0; v < ringReplicas; v++ {
-			r.points = append(r.points, ringPoint{hash: hash64(fmt.Sprintf("shard-%d-%d", i, v)), p: r.shards[i]})
-		}
+		labels[i] = "shard-" + strconv.Itoa(i)
 	}
-	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
+	r.ring = ring.New(labels)
 	return r
-}
-
-// hash64 is the ring hash (FNV-1a: fast, dependency-free, well mixed for
-// short routing keys).
-func hash64(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
 }
 
 // shardFor resolves the shard owning the (affinity, GPU) key, memoizing
@@ -144,12 +119,7 @@ func (r *shardRouter) shardFor(affinity, gpuName string) *partition {
 	if p := (*r.assign.Load())[affinity][gpuName]; p != nil {
 		return p
 	}
-	h := hash64(affinity + "|" + gpuName)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	if i == len(r.points) {
-		i = 0 // wrap: the ring is circular
-	}
-	p := r.points[i].p
+	p := r.shards[r.ring.Owner(affinity+"|"+gpuName)]
 
 	// Publish a new snapshot with the assignment added — unless an
 	// invalidate ran since this lookup started, in which case the key may

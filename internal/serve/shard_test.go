@@ -59,6 +59,17 @@ func TestShardRoutingIsDeterministicAndSpreads(t *testing.T) {
 	}
 }
 
+// TestOneShardOwnsEveryKey pins the default layout: with one shard, every
+// key routes to it.
+func TestOneShardOwnsEveryKey(t *testing.T) {
+	r := newShardRouter(1, 64, 2, 0)
+	for i := 0; i < 1000; i++ {
+		if p := r.shardFor(fmt.Sprintf("engine-%d", i), "H100"); p != r.shards[0] {
+			t.Fatalf("key engine-%d routed to shard %d of a one-shard router", i, p.shard)
+		}
+	}
+}
+
 func TestShardedServingMatchesUnsharded(t *testing.T) {
 	svc := shardedService(t, 4)
 	ctx := context.Background()
