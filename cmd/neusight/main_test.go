@@ -254,7 +254,7 @@ func TestServeEndToEnd(t *testing.T) {
 	ts := httptest.NewServer(serve.NewHandler(svc))
 	defer ts.Close()
 
-	resp, err := http.Get(ts.URL + "/v1/healthz")
+	resp, err := http.Get(ts.URL + "/v2/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestServeEndToEnd(t *testing.T) {
 	var gr serve.GraphResponse
 	for i := 0; i < 2; i++ {
 		body, _ := json.Marshal(serve.GraphRequest{Workload: "BERT-Large", GPU: "V100", Batch: 2})
-		resp, err = http.Post(ts.URL+"/v1/predict/graph", "application/json", bytes.NewReader(body))
+		resp, err = http.Post(ts.URL+"/v2/predict/graph", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,7 +282,7 @@ func TestServeEndToEnd(t *testing.T) {
 		}
 	}
 
-	resp, err = http.Get(ts.URL + "/v1/stats")
+	resp, err = http.Get(ts.URL + "/v2/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestRunServerGracefulShutdown(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- runServer(ctx, srv, ln, 5*time.Second) }()
 
-	url := "http://" + ln.Addr().String() + "/v1/healthz"
+	url := "http://" + ln.Addr().String() + "/v2/healthz"
 	var resp *http.Response
 	for i := 0; i < 100; i++ { // wait for the server to accept
 		resp, err = http.Get(url)

@@ -341,7 +341,7 @@ func serveCmd(args []string) error {
 	fmt.Printf("serving engines [%s] on %s, default %s (shards %d, cache %d entries/shard)\n",
 		strings.Join(reg.List(), " "), ln.Addr(), svc.DefaultEngine(), svc.NumShards(), *cacheSize)
 	fmt.Println("endpoints: POST /v2/predict/kernel|batch|graph (per-request \"engine\")  GET /v2/engines  GET /v2/stats")
-	fmt.Println("           POST /v1/predict/kernel|batch|graph (default engine)  GET /v1/healthz  GET /v1/stats  GET /metrics")
+	fmt.Println("           GET /v2/healthz  GET /metrics")
 	fmt.Println("           POST|GET /v2/plan (what-if capacity sweeps)  GET|POST|DELETE /v2/plan/{id} (poll, resume, cancel)")
 	if *observeFlag {
 		fmt.Println("           POST /v2/observe (measured latencies -> drift detection)")

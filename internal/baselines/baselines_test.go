@@ -19,6 +19,44 @@ func genData(t *testing.T, seed int64, gpus []gpu.Spec) *dataset.Dataset {
 	}, gpusim.New(), nil)
 }
 
+// TestLiRegressionFitIsDeterministic fits one dataset 20 times and holds
+// every forecast on the held-out GPUs — where the cross-GPU fit
+// extrapolates — to the first fit's bits.
+func TestLiRegressionFitIsDeterministic(t *testing.T) {
+	ds := genData(t, 5, gpu.TrainSet())
+	ks := []kernels.Kernel{
+		kernels.NewBMM(8, 512, 512, 512),
+		kernels.NewLinear(256, 1024, 4096),
+		kernels.NewElementwise(kernels.OpEWAdd, 512, 4096),
+		kernels.NewSoftmax(4096, 1024),
+		kernels.NewLayerNorm(4096, 1024),
+	}
+	var first []uint64
+	for fit := 0; fit < 20; fit++ {
+		li := NewLiRegression()
+		li.Train(ds)
+		var bits []uint64
+		for _, g := range gpu.TestSet() {
+			for _, k := range ks {
+				lat, err := li.PredictKernel(k, g)
+				if err != nil {
+					t.Fatalf("%s on %s: %v", k.Label(), g.Name, err)
+				}
+				bits = append(bits, math.Float64bits(lat))
+			}
+		}
+		if fit == 0 {
+			first = bits
+			continue
+		}
+		for i := range bits {
+			if bits[i] != first[i] {
+				t.Fatalf("fit %d: forecast %d is %x, fit 0 gave %x", fit, i, bits[i], first[i])
+			}
+		}
+	}
+}
+
 func fastCfg() DirectConfig {
 	return DirectConfig{Hidden: 32, Layers: 2, Epochs: 25, BatchSize: 128, LR: 5e-3, Seed: 3}
 }

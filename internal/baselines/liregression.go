@@ -2,6 +2,7 @@ package baselines
 
 import (
 	"fmt"
+	"sort"
 
 	"neusight/internal/dataset"
 	"neusight/internal/gpu"
@@ -77,10 +78,16 @@ func (l *LiRegression) Train(ds *dataset.Dataset) {
 		}
 		l.perGPU[k.cat][k.gpu] = line{slope: slope, intercept: intercept}
 	}
-	// Cross-GPU: achieved FLOP/ms and intercept vs memory bandwidth.
+	// Cross-GPU: achieved FLOP/ms and intercept vs bandwidth, in name order.
 	for cat, byGPU := range l.perGPU {
+		names := make([]string, 0, len(byGPU))
+		for name := range byGPU {
+			names = append(names, name)
+		}
+		sort.Strings(names)
 		var bws, achieved, intercepts []float64
-		for name, ln := range byGPU {
+		for _, name := range names {
+			ln := byGPU[name]
 			bws = append(bws, specs[name].MemoryBWGBs)
 			achieved = append(achieved, 1/ln.slope)
 			intercepts = append(intercepts, ln.intercept)

@@ -9,7 +9,7 @@ import (
 
 // DefaultHealthInterval is the health sweeper's cadence: how often every
 // member (dead ones included — that is how they are readmitted) is probed
-// on its /v1/healthz. Together with the gossip loop's contacts it drives
+// on its /v2/healthz. Together with the gossip loop's contacts it drives
 // the suspect/dead state machine; see DefaultSuspectAfter/DefaultDeadAfter
 // for the resulting detection latency.
 const DefaultHealthInterval = time.Second
@@ -24,7 +24,7 @@ const DefaultRequestTimeout = 2 * time.Second
 // endpoint, deliberately outside /v2/cluster/* so probes work without the
 // control-plane token and against the data plane the member actually
 // serves traffic on.
-const healthzPath = "/v1/healthz"
+const healthzPath = "/v2/healthz"
 
 // ProbeNow runs one synchronous health sweep: every member (whatever its
 // state) is probed concurrently, and each outcome feeds the failure

@@ -31,8 +31,8 @@ const steerParam = "steered"
 const maxSteerBody = 1 << 20
 
 // steerHint is the slice of a prediction request body steering needs:
-// every /v1 and /v2 predict body carries the target GPU and (v2) an
-// optional engine at the top level.
+// every predict body carries the target GPU and an optional engine at the
+// top level.
 type steerHint struct {
 	Engine string `json:"engine"`
 	GPU    string `json:"gpu"`
@@ -42,7 +42,7 @@ type steerHint struct {
 // traffic steering applies to. Stats, metrics, and control routes are
 // always served locally.
 func isPredictPath(path string) bool {
-	return strings.HasPrefix(path, "/v1/predict/") || strings.HasPrefix(path, "/v2/predict/")
+	return strings.HasPrefix(path, "/v2/predict/")
 }
 
 // alreadySteered reports whether r arrived via a steer (proxy header or

@@ -77,13 +77,13 @@ func (p *Predictor) PredictKernelsDetail(ks []kernels.Kernel, g gpu.Spec) (lats,
 		}
 
 		// Featurize the whole group into one batch matrix. Once serving is
-		// warm every tile is a cache hit, resolved here; on a cold cache
-		// the O(records) nearest-match scans dominate the batch, not the
+		// warm every tile is a memo hit, resolved here; on a cold memo the
+		// O(records) nearest-match scans dominate the batch, not the
 		// forward pass they feed, so those — and only those — fan out.
 		var cold []int
 		for r := lo; r < hi; r++ {
 			var warm bool
-			if rows[r].t, warm = p.warmTile(&ks[order[r]], g); !warm {
+			if rows[r].t, warm = p.TileDB.Memoized(&ks[order[r]], g); !warm {
 				cold = append(cold, r)
 			}
 		}
@@ -119,11 +119,12 @@ type batchRow struct {
 }
 
 // resolveTiles resolves the tiles of the cold rows concurrently, through
-// the singleflight cache, so repeated shapes in a batch pay for one scan.
+// the single-flight tile memo, so repeated shapes in a batch pay for one
+// scan.
 func (p *Predictor) resolveTiles(ks []kernels.Kernel, g gpu.Spec, order []int, rows []batchRow, cold []int) {
 	mat.ParallelFor(len(cold), func(lo, hi int) {
 		for _, r := range cold[lo:hi] {
-			rows[r].t = p.tileFor(ks[order[r]], g)
+			rows[r].t = p.TileDB.LookupOrSelect(ks[order[r]], g)
 		}
 	})
 }

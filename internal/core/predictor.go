@@ -47,9 +47,9 @@ func DefaultConfig() Config {
 //
 // A trained Predictor is safe for concurrent PredictKernel / PredictKernels
 // / PredictGraph / Utilization calls: the MLP and normalization maps are
-// guarded against a concurrent Train, and tile resolution deduplicates
-// in-flight database scans so identical kernels arriving together pay for
-// one lookup.
+// guarded against a concurrent Train, and tiles resolve through the tile
+// database's single-flight memo, so identical kernels arriving together pay
+// for one nearest-match scan.
 //
 // Training and prediction use different representations of the same
 // weights. Train fits autodiff MLPs (gradients flow through the latency
@@ -69,21 +69,6 @@ type Predictor struct {
 	// modelGen counts learned-state changes: TrainCategory and Load bump it
 	// so Generation moves whenever weights are replaced.
 	modelGen atomic.Uint64
-
-	mu        sync.Mutex
-	tileCache map[tile.CacheKey]*tileEntry
-}
-
-// tileEntry is a singleflight slot in the tile cache: the first goroutine to
-// claim a key computes the tile and closes done; later arrivals wait on done
-// instead of re-scanning the database. gen records the tile database
-// generation the entry was resolved against, so entries go stale when Add
-// changes the record set; ok is false if the resolving goroutine panicked.
-type tileEntry struct {
-	done chan struct{}
-	t    tile.Tile
-	gen  uint64
-	ok   bool
 }
 
 // NewPredictor returns an untrained predictor that resolves tiles via tdb.
@@ -93,79 +78,9 @@ func NewPredictor(cfg Config, tdb *tile.DB) *Predictor {
 	}
 	return &Predictor{
 		Cfg: cfg, TileDB: tdb,
-		mlps:      map[kernels.Category]*nn.MLP{},
-		stats:     map[kernels.Category]*featureStats{},
-		compiled:  map[kernels.Category]*nn.CompiledMLP{},
-		tileCache: map[tile.CacheKey]*tileEntry{},
-	}
-}
-
-// tileCacheLimit bounds the tile cache below. When full, completed entries
-// are evicted wholesale — serving traffic repeats heavily, so the cache
-// refills with the live working set; in-flight entries are kept because
-// waiters are parked on their done channels.
-const tileCacheLimit = 8192
-
-// tileFor resolves the tile for k on g through a small cache: DNN graphs
-// repeat identical kernels across layers, and the nearest-match database
-// scan is the expensive step of a prediction. Concurrent calls for the same
-// key coalesce onto a single database scan, and entries resolved against an
-// older database generation are re-resolved, so profiling that continues
-// after the first prediction still reaches the serving path.
-func (p *Predictor) tileFor(k kernels.Kernel, g gpu.Spec) tile.Tile {
-	key := tile.CacheKey{Kernel: k.Key(), GPU: g.Name}
-	gen := p.TileDB.Generation()
-	p.mu.Lock()
-	e, found := p.tileCache[key]
-	if !found || (isClosed(e.done) && (e.gen != gen || !e.ok)) {
-		if !found && len(p.tileCache) >= tileCacheLimit {
-			for k2, e2 := range p.tileCache {
-				if isClosed(e2.done) {
-					delete(p.tileCache, k2)
-				}
-			}
-		}
-		e = &tileEntry{done: make(chan struct{}), gen: gen}
-		p.tileCache[key] = e
-		p.mu.Unlock()
-		// Close done even if LookupOrSelect panics: a wedged entry would
-		// block every later caller of this key forever. Waiters see
-		// ok=false and resolve directly.
-		defer close(e.done)
-		e.t = p.TileDB.LookupOrSelect(k, g)
-		e.ok = true
-		return e.t
-	}
-	p.mu.Unlock()
-	<-e.done
-	if !e.ok {
-		return p.TileDB.LookupOrSelect(k, g)
-	}
-	return e.t
-}
-
-// warmTile returns the cached tile for k on g when it is resolved and
-// current, without resolving it otherwise: tileFor's hit path alone.
-func (p *Predictor) warmTile(k *kernels.Kernel, g gpu.Spec) (tile.Tile, bool) {
-	key := tile.CacheKey{Kernel: k.Key(), GPU: g.Name}
-	p.mu.Lock()
-	e := p.tileCache[key]
-	p.mu.Unlock()
-	if e == nil || !isClosed(e.done) || !e.ok || e.gen != p.TileDB.Generation() {
-		return tile.Tile{}, false
-	}
-	return e.t, true
-}
-
-// isClosed reports whether done has been closed (i.e. the entry's resolver
-// finished). An in-flight entry is never replaced, even if stale: waiters
-// are already parked on it.
-func isClosed(done chan struct{}) bool {
-	select {
-	case <-done:
-		return true
-	default:
-		return false
+		mlps:     map[kernels.Category]*nn.MLP{},
+		stats:    map[kernels.Category]*featureStats{},
+		compiled: map[kernels.Category]*nn.CompiledMLP{},
 	}
 }
 
@@ -349,7 +264,7 @@ func (p *Predictor) PredictKernelDetail(k kernels.Kernel, g gpu.Spec) (lat, util
 // the autodiff expression the parity tests enforce; PredictKernel and
 // Utilization must not diverge from each other.
 func (p *Predictor) compiledEval(cm *nn.CompiledMLP, st *featureStats, k kernels.Kernel, g gpu.Spec) (c, util float64) {
-	t := p.tileFor(k, g)
+	t := p.TileDB.LookupOrSelect(k, g)
 	c, waves := latencyConstant(k, g, t)
 	f := Features(k, g, t, waves)
 	st.applyInPlace(f)
@@ -374,7 +289,7 @@ func (p *Predictor) predictKernelAutodiff(k kernels.Kernel, g gpu.Spec) (float64
 		}
 		return 0, fmt.Errorf("%w %v", ErrUntrained, cat)
 	}
-	t := p.tileFor(k, g)
+	t := p.TileDB.LookupOrSelect(k, g)
 	c, waves := latencyConstant(k, g, t)
 	f := st.apply(Features(k, g, t, waves))
 

@@ -115,54 +115,34 @@ func TestPredictGraphConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestTileForRefreshesOnDBGeneration checks the predictor's tile cache
-// notices database Adds: an entry memoized against an older generation is
-// re-resolved, so profiling that continues after the first prediction is
-// not pinned out by the cache.
-func TestTileForRefreshesOnDBGeneration(t *testing.T) {
-	tdb := tile.NewDB()
+// TestPredictorSeesTileDBAdds: a record added after the first forecast
+// reaches the next one, because Add invalidates the tile memo the predictor
+// resolves through — profiling that continues while serving is not pinned
+// out by a memoized nearest match.
+func TestPredictorSeesTileDBAdds(t *testing.T) {
+	trained := sharedRacePredictor(t)
 	g := gpu.MustLookup("V100")
-	far := kernels.NewBMM(64, 2048, 2048, 2048)
-	tdb.Add(far, g, tile.Tile{Dims: []int{256, 256}})
-
-	p := NewPredictor(testConfig(), tdb)
-	query := kernels.NewBMM(1, 32, 32, 32)
-	if got := p.tileFor(query, g); got.Dims[0] != 256 {
-		t.Fatalf("initial tile = %v, want the far record's 256x256", got.Dims)
+	far, query := kernels.NewBMM(64, 2048, 2048, 2048), kernels.NewBMM(1, 32, 32, 32)
+	predictor := func(tdb *tile.DB) *Predictor {
+		p := NewPredictor(trained.Cfg, tdb)
+		p.mlps, p.stats = trained.mlps, trained.stats
+		return p
 	}
-	// An exact record lands after the cache is warm; the predictor must
-	// pick it up rather than serving the stale nearest match.
-	tdb.Add(query, g, tile.Tile{Dims: []int{16, 16}})
-	if got := p.tileFor(query, g); got.Dims[0] != 16 {
-		t.Errorf("post-Add tile = %v, want the exact record's 16x16", got.Dims)
+	tdb := tile.NewDB()
+	tdb.Add(far, g, tile.Tile{Dims: []int{1, 256, 256}})
+	p := predictor(tdb)
+	before, err := p.PredictKernel(query, g)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
+	tdb.Add(query, g, tile.Tile{Dims: []int{1, 16, 16}})
+	after, _ := p.PredictKernel(query, g)
 
-// TestTileForCoalesces checks the singleflight tile cache returns identical
-// tiles from every goroutine for a cold key.
-func TestTileForCoalesces(t *testing.T) {
-	p := sharedRacePredictor(t)
-	g := gpu.MustLookup("H100")
-	k := kernels.NewBMM(8, 768, 768, 768)
-
-	tiles := make([][]int, 32)
-	var wg sync.WaitGroup
-	for w := 0; w < 32; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			tiles[w] = p.tileFor(k, g).Dims
-		}(w)
-	}
-	wg.Wait()
-	for w := 1; w < 32; w++ {
-		if len(tiles[w]) != len(tiles[0]) {
-			t.Fatalf("goroutine %d saw tile %v, goroutine 0 saw %v", w, tiles[w], tiles[0])
-		}
-		for j := range tiles[w] {
-			if tiles[w][j] != tiles[0][j] {
-				t.Fatalf("goroutine %d saw tile %v, goroutine 0 saw %v", w, tiles[w], tiles[0])
-			}
-		}
+	fresh := tile.NewDB()
+	fresh.Add(far, g, tile.Tile{Dims: []int{1, 256, 256}})
+	fresh.Add(query, g, tile.Tile{Dims: []int{1, 16, 16}})
+	want, _ := predictor(fresh).PredictKernel(query, g)
+	if after != want || after == before {
+		t.Errorf("forecast after the Add = %v, want %v as from a database built with the record (before the Add: %v)", after, want, before)
 	}
 }

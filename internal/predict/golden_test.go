@@ -25,9 +25,8 @@ type goldenCase struct {
 
 // goldenCases is the fixed 12-kernel list every engine answers: each
 // trained category in fp32 and fp16, a fused kernel, a convolution, a
-// network kernel the contract rejects, and a cancelled context. Every GPU
-// is a training GPU: the Li et al. cross-GPU fit sums in map order, so its
-// answers for other GPUs move in the last bit from run to run.
+// network kernel the contract rejects, and a cancelled context, on
+// training GPUs; renderEveryGPU takes three kernels to every GPU.
 func goldenCases() []goldenCase {
 	bmm := kernels.NewBMM(4, 256, 256, 256)
 	return []goldenCase{
@@ -113,14 +112,18 @@ func renderNilPanic(buf *bytes.Buffer, name string, build func()) {
 func engineGolden(t *testing.T) []byte {
 	reg := conformanceRegistry(t)
 	var buf bytes.Buffer
+	engines := []Engine{}
 	for _, name := range []string{EngineHabitat, EngineLiRegression, EngineRoofline, EngineDirectMLP, EngineDirectTransformer, EngineGPUSim} {
 		e, err := reg.Get(name)
 		if err != nil {
 			t.Fatal(err)
 		}
+		engines = append(engines, e)
+	}
+	engines = append(engines, goldenFuncEngine())
+	for _, e := range engines {
 		renderEngine(&buf, e)
 	}
-	renderEngine(&buf, goldenFuncEngine())
 
 	renderNilPanic(&buf, "habitat", func() { NewHabitatEngine(nil) })
 	renderNilPanic(&buf, "liregression", func() { NewLiEngine(nil) })
@@ -141,7 +144,28 @@ func engineGolden(t *testing.T) []byte {
 		res, err := e.PredictKernel(context.Background(), req)
 		fmt.Fprintf(&buf, "untrained %s %s\n", e.Name(), renderOutcome(res, err))
 	}
+
+	// Last, so the lines above keep their places: every engine on every
+	// registered GPU, held-out ones included, where the Li et al. fit
+	// extrapolates.
+	for _, e := range engines {
+		renderEveryGPU(&buf, e)
+	}
 	return buf.Bytes()
+}
+
+// renderEveryGPU writes e's answers for three kernels on every GPU.
+func renderEveryGPU(buf *bytes.Buffer, e Engine) {
+	for _, g := range gpu.All() {
+		for _, k := range []kernels.Kernel{
+			kernels.NewBMM(4, 256, 256, 256),
+			kernels.NewLinear(256, 1024, 4096).WithDType(kernels.FP16),
+			kernels.NewLayerNorm(64, 1024),
+		} {
+			res, err := e.PredictKernel(context.Background(), Request{Kernel: k, GPU: g})
+			fmt.Fprintf(buf, "every-gpu %s %s@%s %s\n", e.Name(), k.Label(), g.Name, renderOutcome(res, err))
+		}
+	}
 }
 
 // TestEngineGolden pins every adapter's answers, errors and capability set

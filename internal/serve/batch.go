@@ -139,9 +139,9 @@ func (s *Service) predictMany(ctx context.Context, es *engineState, ks []kernels
 	// goroutine is already evaluating. Both kinds of miss deduplicate by
 	// key, so a batch full of one kernel costs one evaluation (or one wait)
 	// and counts one miss — not one per occurrence.
-	groups := map[string]*batchGroup{}  // keys this batch leads
-	waiting := map[string]*batchGroup{} // keys in flight elsewhere
-	var missKeys []string               // insertion order, so backend input is deterministic
+	groups := map[cacheKey]*batchGroup{}  // keys this batch leads
+	waiting := map[cacheKey]*batchGroup{} // keys in flight elsewhere
+	var missKeys []cacheKey               // insertion order, so backend input is deterministic
 	for i, k := range ks {
 		if k.Category() == kernels.CatNetwork {
 			fail(i, fmt.Errorf("serve: network kernel %s is priced by the distributed layer, not the kernel predictor", k.Label()))

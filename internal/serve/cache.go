@@ -76,7 +76,7 @@ func (c *lruCache[K, V]) Put(key K, val V) {
 
 // DropFunc removes every entry whose key satisfies match, returning how
 // many were dropped. Shard rebalancing uses it to evict the cache slice of
-// an unregistered engine (keys are engine-name-prefixed) without
+// an unregistered engine (keys carry the engine state) without
 // disturbing the entries of engines still serving.
 func (c *lruCache[K, V]) DropFunc(match func(K) bool) int {
 	c.mu.Lock()

@@ -16,7 +16,7 @@ import (
 	"neusight/internal/predict"
 )
 
-// KernelRequest is the JSON body of POST /v1/predict/kernel. Dimension
+// KernelRequest is one kernel of a /v2 predict or observe body. Dimension
 // semantics follow the kernel constructors:
 //
 //	bmm:        B batches of (M x K) @ (K x N)
@@ -36,7 +36,7 @@ type KernelRequest struct {
 	GPU   string `json:"gpu"`
 }
 
-// KernelResponse is the JSON reply of /v1/predict/kernel.
+// KernelResponse is the kernel part of the /v2/predict/kernel reply.
 type KernelResponse struct {
 	Kernel    string  `json:"kernel"`
 	GPU       string  `json:"gpu"`
@@ -45,9 +45,10 @@ type KernelResponse struct {
 	MemBytes  float64 `json:"mem_bytes"`
 }
 
-// BatchRequest is the JSON body of POST /v1/predict/batch: forecast many
-// kernels on one GPU in a single round trip. Misses are deduplicated and
-// evaluated in one batched forward pass; hits come straight from the cache.
+// BatchRequest is the body of POST /v2/predict/batch less its engine:
+// forecast many kernels on one GPU in a single round trip. Misses are
+// deduplicated and evaluated in one batched forward pass; hits come
+// straight from the cache.
 type BatchRequest struct {
 	GPU     string          `json:"gpu"`
 	Kernels []KernelRequest `json:"kernels"` // per-item GPU fields are ignored
@@ -62,7 +63,7 @@ type BatchItem struct {
 	Error     string  `json:"error,omitempty"`
 }
 
-// BatchResponse is the JSON reply of /v1/predict/batch. Items are
+// BatchResponse is the /v2/predict/batch reply less its engine. Items are
 // positional: Items[i] answers Kernels[i] of the request.
 type BatchResponse struct {
 	GPU   string      `json:"gpu"`
@@ -70,8 +71,8 @@ type BatchResponse struct {
 	Items []BatchItem `json:"items"`
 }
 
-// GraphRequest is the JSON body of POST /v1/predict/graph: forecast a
-// registered workload end to end.
+// GraphRequest is the body of POST /v2/predict/graph less its engine:
+// forecast a registered workload end to end.
 type GraphRequest struct {
 	Workload string `json:"workload"`
 	GPU      string `json:"gpu"`
@@ -80,7 +81,7 @@ type GraphRequest struct {
 	Fused    bool   `json:"fused"`
 }
 
-// GraphResponse is the JSON reply of /v1/predict/graph.
+// GraphResponse is the /v2/predict/graph reply less its engine and report.
 type GraphResponse struct {
 	Workload   string  `json:"workload"`
 	GPU        string  `json:"gpu"`
@@ -182,13 +183,13 @@ func positive(op string, dims ...int) error {
 // bigger is rejected before it is buffered.
 const maxBodyBytes = 1 << 20
 
-// MaxBatchKernels bounds one /v1/predict/batch request. A batch holds a
+// MaxBatchKernels bounds one /v2/predict/batch request. A batch holds a
 // worker-pool slot for its whole backend round, so an unbounded batch could
 // starve every other request; the cap comfortably covers the largest
 // registered workload graph.
 const MaxBatchKernels = 4096
 
-// MaxGraphBatch bounds /v1/predict/graph batch sizes: graph construction
+// MaxGraphBatch bounds /v2/predict/graph batch sizes: graph construction
 // multiplies batch into token and attention-row counts as ints, so an
 // absurd batch would overflow before physics had a chance to object.
 const MaxGraphBatch = 1 << 16
@@ -220,8 +221,8 @@ type KernelRequestV2 struct {
 	Engine string `json:"engine"`
 }
 
-// KernelResponseV2 is the JSON reply of /v2/predict/kernel: the v1 fields
-// plus the engine that answered, how it derived the forecast, and the
+// KernelResponseV2 is the JSON reply of /v2/predict/kernel: the kernel
+// fields plus the engine that answered, how it derived the forecast, and the
 // utilization behind it (0 when the engine models none).
 type KernelResponseV2 struct {
 	KernelResponse
@@ -248,7 +249,7 @@ type GraphRequestV2 struct {
 	Engine string `json:"engine"`
 }
 
-// GraphResponseV2 is the JSON reply of /v2/predict/graph: the v1 fields
+// GraphResponseV2 is the JSON reply of /v2/predict/graph: the graph fields
 // plus the engine and a report of how the forecast was assembled. When any
 // kernel fell back to the memory-bound estimate, Warning carries the
 // aggregate error — the forecast is still returned, but its degraded
@@ -307,10 +308,8 @@ func predictErrorCode(err error) int {
 	return http.StatusUnprocessableEntity
 }
 
-// handleKernel serves the kernel endpoint for both API versions: v1 pins
-// the default engine and answers with the v1 response shape; v2 routes by
-// the request's engine field and annotates the reply.
-func handleKernel(s *Service, v2 bool) http.HandlerFunc {
+// handleKernel serves POST /v2/predict/kernel.
+func handleKernel(s *Service) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			writeError(w, http.StatusMethodNotAllowed, "POST only")
@@ -319,9 +318,6 @@ func handleKernel(s *Service, v2 bool) http.HandlerFunc {
 		var req KernelRequestV2
 		if !decodeBody(w, r, &req) {
 			return
-		}
-		if !v2 {
-			req.Engine = ""
 		}
 		k, err := buildKernel(req.KernelRequest)
 		if err != nil {
@@ -338,25 +334,20 @@ func handleKernel(s *Service, v2 bool) http.HandlerFunc {
 			writeError(w, predictErrorCode(err), err.Error())
 			return
 		}
-		v1 := KernelResponse{
-			Kernel: k.Label(), GPU: g.Name, LatencyMs: res.Latency,
-			FLOPs: k.FLOPs(), MemBytes: k.MemBytes(),
-		}
-		if !v2 {
-			writeJSON(w, http.StatusOK, v1)
-			return
-		}
 		writeJSON(w, http.StatusOK, KernelResponseV2{
-			KernelResponse: v1,
-			Engine:         res.Engine,
-			Source:         res.Source,
-			Utilization:    res.Utilization,
+			KernelResponse: KernelResponse{
+				Kernel: k.Label(), GPU: g.Name, LatencyMs: res.Latency,
+				FLOPs: k.FLOPs(), MemBytes: k.MemBytes(),
+			},
+			Engine:      res.Engine,
+			Source:      res.Source,
+			Utilization: res.Utilization,
 		})
 	}
 }
 
-// handleBatch serves the batch endpoint for both API versions.
-func handleBatch(s *Service, v2 bool) http.HandlerFunc {
+// handleBatch serves POST /v2/predict/batch.
+func handleBatch(s *Service) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			writeError(w, http.StatusMethodNotAllowed, "POST only")
@@ -365,9 +356,6 @@ func handleBatch(s *Service, v2 bool) http.HandlerFunc {
 		var req BatchRequestV2
 		if !decodeBody(w, r, &req) {
 			return
-		}
-		if !v2 {
-			req.Engine = ""
 		}
 		if len(req.Kernels) == 0 {
 			writeError(w, http.StatusBadRequest, "empty batch: provide at least one kernel")
@@ -410,12 +398,10 @@ func handleBatch(s *Service, v2 bool) http.HandlerFunc {
 			}
 			items[i].LatencyMs = outs[j].Result.Latency
 		}
-		v1 := BatchResponse{GPU: g.Name, Count: len(items), Items: items}
-		if !v2 {
-			writeJSON(w, http.StatusOK, v1)
-			return
-		}
-		writeJSON(w, http.StatusOK, BatchResponseV2{BatchResponse: v1, Engine: requestedEngine(s, req.Engine)})
+		writeJSON(w, http.StatusOK, BatchResponseV2{
+			BatchResponse: BatchResponse{GPU: g.Name, Count: len(items), Items: items},
+			Engine:        requestedEngine(s, req.Engine),
+		})
 	}
 }
 
@@ -428,8 +414,8 @@ func requestedEngine(s *Service, name string) string {
 	return name
 }
 
-// handleGraph serves the graph endpoint for both API versions.
-func handleGraph(s *Service, v2 bool) http.HandlerFunc {
+// handleGraph serves POST /v2/predict/graph.
+func handleGraph(s *Service) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			writeError(w, http.StatusMethodNotAllowed, "POST only")
@@ -438,9 +424,6 @@ func handleGraph(s *Service, v2 bool) http.HandlerFunc {
 		var req GraphRequestV2
 		if !decodeBody(w, r, &req) {
 			return
-		}
-		if !v2 {
-			req.Engine = ""
 		}
 		if req.Batch <= 0 {
 			req.Batch = 1
@@ -472,17 +455,12 @@ func handleGraph(s *Service, v2 bool) http.HandlerFunc {
 			writeError(w, predictErrorCode(gerr), gerr.Error())
 			return
 		}
-		v1 := GraphResponse{
+		resp := GraphResponseV2{GraphResponse: GraphResponse{
 			Workload: m.Name, GPU: g.Name, Batch: req.Batch,
 			Training: req.Training, Fused: req.Fused,
 			Kernels: pl.Nodes(), TotalFLOPs: pl.FLOPs, LatencyMs: lat,
 			FitsMemory: m.FitsInMemory(req.Batch, g, req.Training),
-		}
-		if !v2 {
-			writeJSON(w, http.StatusOK, v1)
-			return
-		}
-		resp := GraphResponseV2{GraphResponse: v1, Engine: requestedEngine(s, req.Engine), Report: rep}
+		}, Engine: requestedEngine(s, req.Engine), Report: rep}
 		if gerr != nil {
 			resp.Warning = gerr.Error()
 		}
@@ -530,8 +508,7 @@ func handleEngines(s *Service) http.HandlerFunc {
 //
 // The versioned prediction API: /v2 routes per request via the "engine"
 // field (default engine when absent) and annotates responses with engine,
-// source, utilization, and graph assembly reports; /v1 remains a stable
-// alias for the default engine with the original response shapes.
+// source, utilization, and graph assembly reports.
 //
 //	POST /v2/predict/kernel  — one kernel forecast (KernelRequestV2)
 //	POST /v2/predict/batch   — many kernels, one batched forecast (BatchRequestV2)
@@ -541,18 +518,13 @@ func handleEngines(s *Service) http.HandlerFunc {
 //	GET  /v2/plan/{id}       — poll a job's status and ranking; POST resumes, DELETE cancels
 //	GET  /v2/engines         — the registered engine set and default
 //	GET  /v2/stats           — aggregate, per-engine, per-shard, warmup, drift, and plan counters
-//	POST /v1/predict/kernel|batch|graph — v1-shaped aliases, default engine
-//	GET  /v1/healthz         — liveness probe (also /v2/healthz)
-//	GET  /v1/stats           — aggregate counters only
+//	GET  /v2/healthz         — liveness probe
 //	GET  /metrics            — Prometheus text format, engine-labeled series included
 func NewHandler(s *Service) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/predict/kernel", handleKernel(s, false))
-	mux.HandleFunc("/v1/predict/batch", handleBatch(s, false))
-	mux.HandleFunc("/v1/predict/graph", handleGraph(s, false))
-	mux.HandleFunc("/v2/predict/kernel", handleKernel(s, true))
-	mux.HandleFunc("/v2/predict/batch", handleBatch(s, true))
-	mux.HandleFunc("/v2/predict/graph", handleGraph(s, true))
+	mux.HandleFunc("/v2/predict/kernel", handleKernel(s))
+	mux.HandleFunc("/v2/predict/batch", handleBatch(s))
+	mux.HandleFunc("/v2/predict/graph", handleGraph(s))
 	mux.HandleFunc("/v2/observe", handleObserve(s))
 	mux.HandleFunc("/v2/plan", handlePlan(s))
 	mux.HandleFunc("/v2/plan/", handlePlanID(s))
@@ -569,13 +541,8 @@ func NewHandler(s *Service) http.Handler {
 			Plan:            s.PlanStats(),
 		})
 	})
-	healthz := func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/v2/healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok", "backend": s.DefaultEngine()})
-	}
-	mux.HandleFunc("/v1/healthz", healthz)
-	mux.HandleFunc("/v2/healthz", healthz)
-	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.Stats())
 	})
 	mux.HandleFunc("/metrics", metricsHandler(s))
 	return mux

@@ -46,7 +46,7 @@ func decode[T any](t *testing.T, resp *http.Response) T {
 func TestHTTPPredictKernelRoundTrip(t *testing.T) {
 	ts, stub := newTestServer(t)
 
-	resp := postJSON(t, ts.URL+"/v1/predict/kernel", KernelRequest{
+	resp := postJSON(t, ts.URL+"/v2/predict/kernel", KernelRequest{
 		Op: "bmm", B: 8, M: 512, K: 512, N: 512, DType: "fp16", GPU: "H100",
 	})
 	if resp.StatusCode != http.StatusOK {
@@ -61,7 +61,7 @@ func TestHTTPPredictKernelRoundTrip(t *testing.T) {
 	}
 
 	// Identical request again: served from cache, backend untouched.
-	resp = postJSON(t, ts.URL+"/v1/predict/kernel", KernelRequest{
+	resp = postJSON(t, ts.URL+"/v2/predict/kernel", KernelRequest{
 		Op: "bmm", B: 8, M: 512, K: 512, N: 512, DType: "fp16", GPU: "H100",
 	})
 	if resp.StatusCode != http.StatusOK {
@@ -87,7 +87,7 @@ func TestHTTPPredictKernelValidation(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			resp := postJSON(t, ts.URL+"/v1/predict/kernel", c.req)
+			resp := postJSON(t, ts.URL+"/v2/predict/kernel", c.req)
 			defer resp.Body.Close()
 			if resp.StatusCode != c.want {
 				t.Errorf("status = %d, want %d", resp.StatusCode, c.want)
@@ -96,7 +96,7 @@ func TestHTTPPredictKernelValidation(t *testing.T) {
 	}
 
 	// Wrong method.
-	resp, err := http.Get(ts.URL + "/v1/predict/kernel")
+	resp, err := http.Get(ts.URL + "/v2/predict/kernel")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestHTTPPredictKernelValidation(t *testing.T) {
 
 func TestHTTPPredictGraphRoundTrip(t *testing.T) {
 	ts, _ := newTestServer(t)
-	resp := postJSON(t, ts.URL+"/v1/predict/graph", GraphRequest{
+	resp := postJSON(t, ts.URL+"/v2/predict/graph", GraphRequest{
 		Workload: "BERT-Large", GPU: "V100", Batch: 2,
 	})
 	if resp.StatusCode != http.StatusOK {
@@ -122,7 +122,7 @@ func TestHTTPPredictGraphRoundTrip(t *testing.T) {
 		t.Errorf("echo fields wrong: %+v", gr)
 	}
 
-	resp = postJSON(t, ts.URL+"/v1/predict/graph", GraphRequest{Workload: "NoSuchNet", GPU: "V100"})
+	resp = postJSON(t, ts.URL+"/v2/predict/graph", GraphRequest{Workload: "NoSuchNet", GPU: "V100"})
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown workload status = %d, want 400", resp.StatusCode)
@@ -131,7 +131,7 @@ func TestHTTPPredictGraphRoundTrip(t *testing.T) {
 
 func TestHTTPHealthz(t *testing.T) {
 	ts, _ := newTestServer(t)
-	resp, err := http.Get(ts.URL + "/v1/healthz")
+	resp, err := http.Get(ts.URL + "/v2/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,12 +148,12 @@ func TestHTTPStats(t *testing.T) {
 	ts, _ := newTestServer(t)
 	// Generate one miss then one hit so the stats are non-trivial.
 	for i := 0; i < 2; i++ {
-		resp := postJSON(t, ts.URL+"/v1/predict/kernel", KernelRequest{
+		resp := postJSON(t, ts.URL+"/v2/predict/kernel", KernelRequest{
 			Op: "layernorm", B: 64, M: 1024, GPU: "V100",
 		})
 		resp.Body.Close()
 	}
-	resp, err := http.Get(ts.URL + "/v1/stats")
+	resp, err := http.Get(ts.URL + "/v2/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestHTTPPredictBatchRoundTrip(t *testing.T) {
 			{Op: "bmm", B: 4, M: 256, K: 256, N: 256}, // duplicate of [0]
 		},
 	}
-	resp := postJSON(t, ts.URL+"/v1/predict/batch", req)
+	resp := postJSON(t, ts.URL+"/v2/predict/batch", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, want 200", resp.StatusCode)
 	}
@@ -220,14 +220,14 @@ func TestHTTPPredictBatchValidation(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			resp := postJSON(t, ts.URL+"/v1/predict/batch", c.req)
+			resp := postJSON(t, ts.URL+"/v2/predict/batch", c.req)
 			defer resp.Body.Close()
 			if resp.StatusCode != c.want {
 				t.Errorf("status = %d, want %d", resp.StatusCode, c.want)
 			}
 		})
 	}
-	resp, err := http.Get(ts.URL + "/v1/predict/batch")
+	resp, err := http.Get(ts.URL + "/v2/predict/batch")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,18 +240,18 @@ func TestHTTPPredictBatchValidation(t *testing.T) {
 // TestHTTPMetricsExpositionFormat asserts the Prometheus text format
 // contract: content type 0.0.4, a "# HELP" and "# TYPE" line preceding
 // every sample, parseable float values, and the serve counters present
-// with the values /v1/stats reports.
+// with the values /v2/stats reports.
 func TestHTTPMetricsExpositionFormat(t *testing.T) {
 	ts, _ := newTestServer(t)
 	// One miss then one hit so counters are non-trivial.
 	for i := 0; i < 2; i++ {
-		resp := postJSON(t, ts.URL+"/v1/predict/kernel", KernelRequest{
+		resp := postJSON(t, ts.URL+"/v2/predict/kernel", KernelRequest{
 			Op: "layernorm", B: 64, M: 1024, GPU: "V100",
 		})
 		resp.Body.Close()
 	}
 	// And one batch so the batch metrics move.
-	resp := postJSON(t, ts.URL+"/v1/predict/batch", BatchRequest{
+	resp := postJSON(t, ts.URL+"/v2/predict/batch", BatchRequest{
 		GPU: "V100", Kernels: []KernelRequest{{Op: "softmax", B: 8, M: 128}, {Op: "softmax", B: 16, M: 128}},
 	})
 	resp.Body.Close()
@@ -375,7 +375,7 @@ func TestHTTPRequestLimits(t *testing.T) {
 	for i := range over.Kernels {
 		over.Kernels[i] = KernelRequest{Op: "softmax", B: 1 + i, M: 8}
 	}
-	resp := postJSON(t, ts.URL+"/v1/predict/batch", over)
+	resp := postJSON(t, ts.URL+"/v2/predict/batch", over)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("oversized batch status = %d, want 400", resp.StatusCode)
@@ -388,7 +388,7 @@ func TestHTTPRequestLimits(t *testing.T) {
 	big := bytes.NewBufferString(`{"gpu":"V100","kernels":[{"op":"softmax","b":1,"m":8}],"pad":"`)
 	big.Write(bytes.Repeat([]byte("x"), maxBodyBytes+1024))
 	big.WriteString(`"}`)
-	r, err := http.Post(ts.URL+"/v1/predict/batch", "application/json", big)
+	r, err := http.Post(ts.URL+"/v2/predict/batch", "application/json", big)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +409,7 @@ func TestHTTPDimensionAndBatchBounds(t *testing.T) {
 	ts, _ := newTestServer(t)
 
 	// Kernel dimension over maxDim.
-	resp := postJSON(t, ts.URL+"/v1/predict/kernel", KernelRequest{
+	resp := postJSON(t, ts.URL+"/v2/predict/kernel", KernelRequest{
 		Op: "bmm", B: 1, M: maxDim + 1, K: 64, N: 64, GPU: "V100",
 	})
 	resp.Body.Close()
@@ -418,7 +418,7 @@ func TestHTTPDimensionAndBatchBounds(t *testing.T) {
 	}
 
 	// Graph batch large enough that batch*SeqLen would overflow int64.
-	resp = postJSON(t, ts.URL+"/v1/predict/graph", GraphRequest{
+	resp = postJSON(t, ts.URL+"/v2/predict/graph", GraphRequest{
 		Workload: "GPT3-XL", GPU: "V100", Batch: 1 << 62,
 	})
 	resp.Body.Close()
@@ -427,7 +427,7 @@ func TestHTTPDimensionAndBatchBounds(t *testing.T) {
 	}
 
 	// A legitimate large-but-sane graph batch still works.
-	resp = postJSON(t, ts.URL+"/v1/predict/graph", GraphRequest{
+	resp = postJSON(t, ts.URL+"/v2/predict/graph", GraphRequest{
 		Workload: "BERT-Large", GPU: "V100", Batch: 64,
 	})
 	resp.Body.Close()

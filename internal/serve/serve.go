@@ -37,8 +37,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -151,13 +149,12 @@ type engineState struct {
 	name     string
 	eng      predict.Engine
 	affinity string // ShardAffinity, resolved once at registration
-	// prefix namespaces this state's cache entries: the engine name plus a
-	// per-state epoch. The epoch makes a replaced engine (unregister +
-	// re-register under the same name) a distinct key space, so a backend
-	// evaluation in flight across a rebalance caches under the old state's
-	// prefix and can never be served by the replacement — even for engines
-	// that track no generation.
-	prefix string
+	// epoch numbers this state among every engine state the service has
+	// created. It makes a replaced engine (unregister + re-register under
+	// the same name) a distinct key space, so a backend evaluation in flight
+	// across a rebalance caches under the old state's epoch and can never be
+	// served by the replacement — even for engines that track no generation.
+	epoch uint64
 
 	requests    atomic.Uint64
 	errors      atomic.Uint64
@@ -167,21 +164,20 @@ type engineState struct {
 	cacheMisses atomic.Uint64
 }
 
-// owns reports whether a cache key belongs to this engine state.
-func (es *engineState) owns(key string) bool { return strings.HasPrefix(key, es.prefix) }
+// cacheKey identifies a cached forecast and an in-flight evaluation: the
+// engine state (shard caches are shared across engines), its generation (0
+// when it tracks none; a retrain leaves every prior entry unreachable to
+// age out of the LRU), and the whole kernel on the GPU, not its Label.
+type cacheKey struct {
+	epoch, gen uint64
+	tile.CacheKey
+}
 
-// key fingerprints a prediction request with tile.QueryKey's string,
-// prefixed with the engine state's prefix (shard caches are shared across engines, so the
-// engine — and its registration epoch — is part of request identity) and
-// its state generation when it tracks one — so a retrain makes every
-// prior entry unreachable (it then ages out of the LRU) instead of being
-// served stale.
-func (es *engineState) key(k kernels.Kernel, g gpu.Spec) string {
-	key := tile.QueryKey(k, g)
-	if gen, ok := es.eng.(predict.Generational); ok {
-		key = "g" + strconv.FormatUint(gen.Generation(), 10) + "|" + key
-	}
-	return es.prefix + key
+// owns reports whether a cache key belongs to this engine state.
+func (es *engineState) owns(key cacheKey) bool { return key.epoch == es.epoch }
+
+func (es *engineState) key(k kernels.Kernel, g gpu.Spec) cacheKey {
+	return cacheKey{es.epoch, predict.Generation(es.eng), tile.CacheKey{Kernel: k.Key(), GPU: g.Name}}
 }
 
 // inflightCall is one in-progress backend prediction that later arrivals
@@ -272,7 +268,7 @@ func (s *Service) engine(name string) (*engineState, error) {
 		name:     name,
 		eng:      eng,
 		affinity: predict.ShardAffinity(eng),
-		prefix:   name + "#" + strconv.FormatUint(s.epoch.Add(1), 10) + "|",
+		epoch:    s.epoch.Add(1),
 	}
 	s.engines[name] = es
 	return es, nil
@@ -391,8 +387,8 @@ func (s *Service) predictPlan(ctx context.Context, engine string, pl *graph.Plan
 }
 
 // Stats is a point-in-time snapshot of the aggregate service counters,
-// exposed on /v1/stats and consumed by the throughput benchmark. Cache
-// counters sum over every shard.
+// the top level of /v2/stats and what the benchmark reads. Cache counters
+// sum over every shard.
 type Stats struct {
 	Backend        string  `json:"backend"`
 	Requests       uint64  `json:"requests"`

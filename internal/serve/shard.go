@@ -31,13 +31,13 @@ const DefaultShardQueue = 1024
 // startup (default one) and the set never changes.
 type partition struct {
 	shard int // shard index
-	cache *lruCache[string, predict.Result]
+	cache *lruCache[cacheKey, predict.Result]
 	sem   chan struct{}
 	// maxInFlight is the saturation bound; 0 disables backpressure.
 	maxInFlight int
 
 	mu       sync.Mutex
-	inflight map[string]*inflightCall
+	inflight map[cacheKey]*inflightCall
 
 	requests  atomic.Uint64
 	errors    atomic.Uint64
@@ -50,10 +50,10 @@ type partition struct {
 func newPartition(shard, cacheSize, workers, maxInFlight int) *partition {
 	return &partition{
 		shard:       shard,
-		cache:       newLRUCache[string, predict.Result](cacheSize),
+		cache:       newLRUCache[cacheKey, predict.Result](cacheSize),
 		sem:         make(chan struct{}, workers),
 		maxInFlight: maxInFlight,
-		inflight:    map[string]*inflightCall{},
+		inflight:    map[cacheKey]*inflightCall{},
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"neusight/internal/gpu"
 	"neusight/internal/jsonl"
 	"neusight/internal/kernels"
+	"neusight/internal/tile"
 )
 
 // TraceEntry is one line of a workload trace: a (kernel, GPU, engine) key
@@ -97,17 +98,24 @@ func (e TraceEntry) Kernel() (kernels.Kernel, error) {
 // (counted, not silently).
 const maxTraceKeys = 1 << 16
 
-// entryKey fingerprints a trace entry the way the recorder deduplicates
-// and the compactor matches requests: engine, kernel label, GPU.
-func entryKey(engine, kernelLabel, gpuName string) string {
-	return engine + "|" + kernelLabel + "@" + gpuName
+// traceKey is what the recorder deduplicates on and the compactor matches
+// requests by: the engine and the serving cache's identity of the kernel on
+// the GPU, so kernels that share a Label but not their fusion or
+// convolution fields are two entries.
+type traceKey struct {
+	engine string
+	tile.CacheKey
+}
+
+func newTraceKey(engine string, k kernels.Kernel, gpuName string) traceKey {
+	return traceKey{engine, tile.CacheKey{Kernel: k.Key(), GPU: gpuName}}
 }
 
 // compactEntry is one loaded trace entry a compacting recorder tracks:
 // the parsed entry plus its dedup key, so end-of-run aging can match it
 // against the keys requested this run.
 type compactEntry struct {
-	key string
+	key traceKey
 	e   TraceEntry
 }
 
@@ -130,7 +138,7 @@ type TraceRecorder struct {
 	mu      sync.Mutex
 	path    string
 	log     *jsonl.Log // buffered appends; its first write error stops recording permanently
-	seen    map[string]struct{}
+	seen    map[traceKey]struct{}
 	dropped uint64 // novel keys not recorded (dedup set full or write error)
 
 	// loaded and fresh retain the recorder's entries in memory (bounded by
@@ -142,8 +150,8 @@ type TraceRecorder struct {
 
 	// Compaction state, populated only when compactAfter > 0.
 	compactAfter int
-	agedOut      int                 // entries pruned at open (idle >= bound, duplicate, unreplayable)
-	touched      map[string]struct{} // keys requested this run
+	agedOut      int                   // entries pruned at open (idle >= bound, duplicate, unreplayable)
+	touched      map[traceKey]struct{} // keys requested this run
 }
 
 // NewTraceRecorder opens (creating or appending to) the trace at path.
@@ -168,9 +176,9 @@ func NewTraceRecorderCompact(path string, compactAfter int) (*TraceRecorder, err
 }
 
 func newTraceRecorder(path string, compactAfter int) (*TraceRecorder, error) {
-	r := &TraceRecorder{path: path, compactAfter: compactAfter, seen: map[string]struct{}{}}
+	r := &TraceRecorder{path: path, compactAfter: compactAfter, seen: map[traceKey]struct{}{}}
 	if compactAfter > 0 {
-		r.touched = map[string]struct{}{}
+		r.touched = map[traceKey]struct{}{}
 	}
 	if entries, _, err := ReadTrace(path); err == nil {
 		for _, e := range entries {
@@ -181,7 +189,7 @@ func newTraceRecorder(path string, compactAfter int) (*TraceRecorder, error) {
 				}
 				continue
 			}
-			key := entryKey(e.Engine, k.Label(), e.GPU)
+			key := newTraceKey(e.Engine, k, e.GPU)
 			if _, dup := r.seen[key]; dup {
 				if compactAfter > 0 {
 					r.agedOut++ // duplicate from a pre-dedup writer
@@ -224,7 +232,7 @@ func (r *TraceRecorder) Record(engine string, k kernels.Kernel, g gpu.Spec) {
 // counting it would keep every key alive forever), while still appending
 // novel keys for the trace-rotation deployment loop.
 func (r *TraceRecorder) record(engine string, k kernels.Kernel, g gpu.Spec, touch bool) {
-	key := entryKey(engine, k.Label(), g.Name)
+	key := newTraceKey(engine, k, g.Name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if touch && r.compactAfter > 0 {
@@ -268,7 +276,7 @@ func (r *TraceRecorder) Touch(engine string, k kernels.Kernel, g gpu.Spec) {
 	if r.compactAfter <= 0 {
 		return
 	}
-	key := entryKey(engine, k.Label(), g.Name)
+	key := newTraceKey(engine, k, g.Name)
 	r.mu.Lock()
 	r.touchLocked(key)
 	r.mu.Unlock()
@@ -280,7 +288,7 @@ func (r *TraceRecorder) Touch(engine string, k kernels.Kernel, g gpu.Spec) {
 // long-lived process must not accumulate it without bound. Past the cap,
 // novel keys go unmarked; the worst case is a kept trace entry aging one
 // replay early, against unbounded heap growth. Callers hold r.mu.
-func (r *TraceRecorder) touchLocked(key string) {
+func (r *TraceRecorder) touchLocked(key traceKey) {
 	if _, ok := r.touched[key]; ok {
 		return
 	}

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -227,37 +226,18 @@ func TestHTTPV2KernelEngineSelection(t *testing.T) {
 	}
 }
 
-// TestHTTPV1StaysByteCompatible pins the /v1 contract: the engine field is
-// ignored and the response carries exactly the v1 keys — no engine/source
-// annotations leak in.
-func TestHTTPV1StaysByteCompatible(t *testing.T) {
+// TestHTTPV1RoutesAreGone: the /v1 aliases are deleted, so their routes
+// answer 404 rather than a reply in an old shape.
+func TestHTTPV1RoutesAreGone(t *testing.T) {
 	ts := newMultiServer(t)
-	resp := postJSON(t, ts.URL+"/v1/predict/kernel", map[string]any{
-		"op": "bmm", "b": 2, "m": 64, "k": 64, "n": 64, "gpu": "V100", "engine": "beta",
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, want 200", resp.StatusCode)
-	}
-	defer resp.Body.Close()
-	var raw map[string]json.RawMessage
-	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
-		t.Fatal(err)
-	}
-	for _, forbidden := range []string{"engine", "source", "utilization"} {
-		if _, ok := raw[forbidden]; ok {
-			t.Errorf("/v1 response leaked v2 field %q", forbidden)
+	for _, path := range []string{"/v1/predict/kernel", "/v1/predict/batch", "/v1/predict/graph", "/v1/stats"} {
+		resp := postJSON(t, ts.URL+path, map[string]any{
+			"op": "bmm", "b": 2, "m": 64, "k": 64, "n": 64, "gpu": "V100", "workload": "BERT-Large",
+		})
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("POST %s = %d, want 404", path, resp.StatusCode)
 		}
-	}
-	var lat float64
-	if err := json.Unmarshal(raw["latency_ms"], &lat); err != nil {
-		t.Fatal(err)
-	}
-	if lat != 1 {
-		t.Errorf("/v1 latency = %v, want 1 (default engine; the engine field must be ignored)", lat)
-	}
-	want := []string{"kernel", "gpu", "latency_ms", "flops", "mem_bytes"}
-	if len(raw) != len(want) {
-		t.Errorf("/v1 response has %d fields, want exactly %d (%v)", len(raw), len(want), want)
 	}
 }
 
@@ -369,17 +349,22 @@ func TestHTTPV2Stats(t *testing.T) {
 	}
 }
 
-// TestHTTPV2HealthzAlias: the health probe answers on both versions.
+// TestHTTPV2HealthzAlias: the health probe answers on /v2 only; its /v1
+// alias went with the rest of /v1.
 func TestHTTPV2HealthzAlias(t *testing.T) {
 	ts := newMultiServer(t)
-	for _, path := range []string{"/v1/healthz", "/v2/healthz"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := decode[map[string]string](t, resp)
-		if h["status"] != "ok" || h["backend"] != "alpha" {
-			t.Errorf("%s = %v", path, h)
-		}
+	resp, err := http.Get(ts.URL + "/v2/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := decode[map[string]string](t, resp); h["status"] != "ok" || h["backend"] != "alpha" {
+		t.Errorf("/v2/healthz = %v", h)
+	}
+	if resp, err = http.Get(ts.URL + "/v1/healthz"); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/v1/healthz = %d, want 404", resp.StatusCode)
 	}
 }

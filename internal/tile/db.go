@@ -25,39 +25,35 @@ type Record struct {
 }
 
 // DB stores profiled tile records and answers nearest-match queries. All
-// methods are safe for concurrent use: Add may interleave freely with
-// Lookup/LookupOrSelect. Repeated LookupOrSelect queries for the same
-// (kernel, GPU) are served from a memo that Add invalidates, so the hot
-// serving path pays the O(records) nearest-match scan only once per unique
-// query per database generation.
+// methods are safe for concurrent use. LookupOrSelect answers repeated
+// (kernel, GPU) queries from a single-flight memo that Add invalidates, so
+// each unique query pays the O(records) scan once per database generation.
 type DB struct {
 	mu      sync.RWMutex
 	records []Record
 
 	memoMu sync.Mutex
-	memo   map[CacheKey]Tile
-	// memoGen is bumped by Add; a scan only memoizes if the generation is
-	// unchanged. Atomic rather than memoMu-guarded: Generation() sits on
-	// the serving layer's cache-key path, where an exclusive lock shared
-	// with the miss-path memo would serialize every cache hit.
+	memo   map[CacheKey]*memoEntry
+	// memoGen counts Adds. Atomic rather than memoMu-guarded: Generation()
+	// sits on the serving layer's cache-key path, where an exclusive lock
+	// shared with the miss-path memo would serialize every cache hit.
 	memoGen atomic.Uint64
+}
+
+// memoEntry is one memo slot: the caller that finds its key cold scans, and
+// callers arriving meanwhile wait on done. resolved (under memoMu) is false
+// while the scan runs and after one that panicked. A slot that Add or a
+// full memo drops mid-scan serves only the callers already waiting on it.
+type memoEntry struct {
+	done     chan struct{}
+	t        Tile
+	resolved bool
 }
 
 // memoLimit bounds the LookupOrSelect memo; when full the memo is dropped
 // wholesale (queries repeat heavily in serving workloads, so the reset
 // refills almost immediately with the live working set).
 const memoLimit = 8192
-
-// QueryKey fingerprints a (kernel, GPU) prediction query as a string: the
-// key of the serve layer's prediction LRU. Kernel.Label encodes operator,
-// dimensions, precision, and the fused-op list; GPU specs are registry
-// entries uniquely identified by name. The two tile caches below the serve
-// layer — the DB memo here and the predictor's tile cache — key on CacheKey
-// instead, which is finer (a Label omits FusedFLOPs, FusedBytes and
-// ConvInputElems) and costs no string to build.
-func QueryKey(k kernels.Kernel, g gpu.Spec) string {
-	return k.Label() + "@" + g.Name
-}
 
 // CacheKey is the comparable identity of a (kernel, GPU) tile query.
 type CacheKey struct {
@@ -78,20 +74,16 @@ func (db *DB) Add(k kernels.Kernel, g gpu.Spec, t Tile) {
 		Tile: append([]int(nil), t.Dims...),
 	})
 	db.mu.Unlock()
-	// Clear and bump in one critical section: a reader that observes the
-	// new generation must never pair it with a pre-Add memo entry (its memo
-	// access serializes behind this lock), and an in-flight scan that
-	// started under the old generation re-checks it before memoizing.
+	// Clear and bump in one critical section, after the record is in: a slot
+	// claimed from here on scans a record set that holds it.
 	db.memoMu.Lock()
 	db.memo = nil
 	db.memoGen.Add(1)
 	db.memoMu.Unlock()
 }
 
-// Generation reports how many times the record set has changed. Callers
-// that memoize LookupOrSelect results (e.g. the predictor's tile cache)
-// compare generations to notice when a new record may have changed the
-// nearest match.
+// Generation reports how many times the record set has changed: a new
+// record may change a nearest match, and so a forecast.
 func (db *DB) Generation() uint64 {
 	return db.memoGen.Load()
 }
@@ -139,35 +131,63 @@ func (db *DB) Lookup(k kernels.Kernel, g gpu.Spec) (Tile, bool) {
 
 // LookupOrSelect resolves the tile for k on g from profiled data, falling
 // back to the library heuristic when the database has no usable record.
-// Results are memoized per (kernel, GPU) and invalidated whenever Add
-// changes the record set, making repeated serving-path queries O(1).
+// Results are memoized per (kernel, GPU) until Add changes the record set,
+// and concurrent cold queries of one key share one scan; a scan that
+// panics panics its own caller, and its waiters retry.
 func (db *DB) LookupOrSelect(k kernels.Kernel, g gpu.Spec) Tile {
 	key := CacheKey{k.Key(), g.Name}
-	gen := db.memoGen.Load()
 	db.memoMu.Lock()
-	if t, ok := db.memo[key]; ok {
+	if e := db.memo[key]; e != nil {
+		resolved := e.resolved
 		db.memoMu.Unlock()
-		return t
+		if !resolved {
+			<-e.done
+			if !e.resolved { // its scan panicked and left the memo
+				return db.LookupOrSelect(k, g)
+			}
+		}
+		return e.t
 	}
+	e := &memoEntry{done: make(chan struct{})}
+	if db.memo == nil || len(db.memo) >= memoLimit {
+		db.memo = make(map[CacheKey]*memoEntry)
+	}
+	db.memo[key] = e
 	db.memoMu.Unlock()
-
-	t, ok := db.Lookup(k, g)
-	if !ok {
+	ok := false
+	defer func() {
+		db.memoMu.Lock()
+		if e.resolved = ok; !ok && db.memo[key] == e {
+			delete(db.memo, key)
+		}
+		db.memoMu.Unlock()
+		close(e.done)
+	}()
+	t, found := db.Lookup(k, g)
+	if !found {
 		t = Select(k, g)
 	}
-
-	db.memoMu.Lock()
-	// Only memoize if no Add landed during the scan: a fresher record could
-	// have changed the nearest match, and a stale cache would pin it.
-	if db.memoGen.Load() == gen {
-		if db.memo == nil || len(db.memo) >= memoLimit {
-			db.memo = make(map[CacheKey]Tile)
-		}
-		db.memo[key] = t
+	if scanDone != nil {
+		scanDone()
 	}
-	db.memoMu.Unlock()
+	e.t, ok = t, true
 	return t
 }
+
+// Memoized is LookupOrSelect's hit path alone: the memoized tile for k on
+// g if its scan has finished. It never scans.
+func (db *DB) Memoized(k *kernels.Kernel, g gpu.Spec) (t Tile, ok bool) {
+	db.memoMu.Lock()
+	if e := db.memo[CacheKey{k.Key(), g.Name}]; e != nil && e.resolved {
+		t, ok = e.t, true
+	}
+	db.memoMu.Unlock()
+	return t, ok
+}
+
+// scanDone, when set, runs after every scan: the tests' handle on a scan
+// in flight.
+var scanDone func()
 
 func sqDiffLog(a, b float64) float64 {
 	d := math.Log1p(a) - math.Log1p(b)

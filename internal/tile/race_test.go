@@ -2,7 +2,9 @@ package tile
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"neusight/internal/gpu"
 	"neusight/internal/kernels"
@@ -101,4 +103,108 @@ func TestDBConcurrentLookupOrSelectSingleKey(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestLookupOrSelectScansOncePerKey holds LookupOrSelect's single flight:
+// 32 goroutines asking for one cold key share one scan; a scan that panics
+// releases its waiters, which retry, and the key memoizes again; and a scan
+// still running when Add lands is never served to a caller that arrives
+// after the Add.
+func TestLookupOrSelectScansOncePerKey(t *testing.T) {
+	g := gpu.MustLookup("H100")
+	far, query := kernels.NewBMM(64, 2048, 2048, 2048), kernels.NewBMM(2, 96, 64, 96)
+	t.Cleanup(func() { scanDone = nil })
+
+	// holdFirstScan returns a database holding only the far record whose
+	// first scan, once it has read the records, closes scanning and waits
+	// for release — then panics if fail is set. Every scan counts in scans.
+	holdFirstScan := func(fail bool) (db *DB, scans *atomic.Int64, scanning, release chan struct{}) {
+		db, scans = NewDB(), new(atomic.Int64)
+		db.Add(far, g, Tile{Dims: []int{1, 256, 256}})
+		scanning, release = make(chan struct{}), make(chan struct{})
+		scanDone = func() {
+			if scans.Add(1) == 1 {
+				close(scanning)
+				<-release
+				if fail {
+					panic("scan failed")
+				}
+			}
+		}
+		return db, scans, scanning, release
+	}
+
+	t.Run("one scan", func(t *testing.T) {
+		db, scans, scanning, release := holdFirstScan(false)
+		tiles := make([]Tile, 32)
+		var wg sync.WaitGroup
+		for w := range tiles {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				tiles[w] = db.LookupOrSelect(query, g)
+			}(w)
+		}
+		<-scanning
+		close(release)
+		wg.Wait()
+		if n := scans.Load(); n != 1 {
+			t.Fatalf("%d scans for one key from 32 goroutines, want 1", n)
+		}
+		for w := range tiles {
+			if &tiles[w].Dims[0] != &tiles[0].Dims[0] {
+				t.Fatalf("goroutine %d got the tile of a scan of its own", w)
+			}
+		}
+	})
+
+	t.Run("panic", func(t *testing.T) {
+		db, _, scanning, release := holdFirstScan(true)
+		leader := make(chan any)
+		go func() {
+			defer func() { leader <- recover() }()
+			db.LookupOrSelect(query, g)
+		}()
+		<-scanning
+		waiters := make(chan Tile)
+		for i := 0; i < 8; i++ {
+			go func() { waiters <- db.LookupOrSelect(query, g) }()
+		}
+		close(release)
+		if r := <-leader; r == nil {
+			t.Fatal("the caller whose scan panicked returned normally")
+		}
+		for i := 0; i < 8; i++ {
+			select {
+			case tl := <-waiters:
+				if tl.Dims[1] != 256 {
+					t.Errorf("a waiter got %v, want the far record's tile", tl.Dims)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("a waiter is wedged on the panicked scan")
+			}
+		}
+		db.LookupOrSelect(query, g)
+		if _, ok := db.Memoized(&query, g); !ok {
+			t.Error("the key never memoizes again after a panicked scan")
+		}
+	})
+
+	t.Run("Add mid-scan", func(t *testing.T) {
+		db, _, scanning, release := holdFirstScan(false)
+		held := make(chan Tile)
+		go func() { held <- db.LookupOrSelect(query, g) }()
+		<-scanning // that scan has read the far record only
+		db.Add(query, g, Tile{Dims: []int{1, 16, 16}})
+		if tl := db.LookupOrSelect(query, g); tl.Dims[1] != 16 {
+			t.Errorf("a caller after the Add got %v, the scan that started before it", tl.Dims)
+		}
+		close(release)
+		if tl := <-held; tl.Dims[1] != 256 {
+			t.Errorf("the held scan returned %v, want the pre-Add nearest match", tl.Dims)
+		}
+		if tl := db.LookupOrSelect(query, g); tl.Dims[1] != 16 {
+			t.Errorf("after the held scan finished the memo serves %v", tl.Dims)
+		}
+	})
 }

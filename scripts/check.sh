@@ -52,11 +52,11 @@ echo "==> frozen benchmark module (cd bench && go vet ./... && go test -short ./
 if [[ "$fast" == 1 ]]; then
   echo "==> go test ./... (fast mode, no race detector)"
   go test ./...
-  # The engine registry, serving layer, cluster peer layer, load harness,
-  # and observation/retrain loop are the concurrency-critical surface:
-  # they stay race-checked even in fast mode.
-  echo "==> go test -race ./internal/predict ./internal/serve ./internal/cluster ./internal/loadgen ./internal/observe"
-  go test -race ./internal/predict ./internal/serve ./internal/cluster ./internal/loadgen ./internal/observe
+  # The single-flight tile memo, engine registry, serving layer, cluster
+  # peer layer, load harness, and observation/retrain loop are the
+  # concurrency-critical surface: they stay race-checked even in fast mode.
+  echo "==> go test -race ./internal/tile ./internal/predict ./internal/serve ./internal/cluster ./internal/loadgen ./internal/observe"
+  go test -race ./internal/tile ./internal/predict ./internal/serve ./internal/cluster ./internal/loadgen ./internal/observe
 else
   echo "==> go test -race ./..."
   go test -race ./...
@@ -90,7 +90,7 @@ echo "==> docs gate (API routes vs docs/API.md)"
 missing=0
 routes=$(
   {
-    grep -ho 'mux.HandleFunc("/v[12][^"]*"' internal/serve/http.go | sed 's/mux.HandleFunc("//; s/"$//'
+    grep -ho 'mux.HandleFunc("/v2[^"]*"' internal/serve/http.go | sed 's/mux.HandleFunc("//; s/"$//'
     grep -rho --include='*.go' --exclude='*_test.go' '"/v[0-9]/cluster/[^"]*"' internal/cluster | tr -d '"'
   } | sort -u
 )

@@ -46,7 +46,7 @@ start_member() { # addr cluster-flag log-name -> appends pid to $pids
 
 wait_ready() { # addr
   for _ in $(seq 1 100); do
-    if curl -fsS -o /dev/null "http://$1/v1/healthz" 2>/dev/null; then return 0; fi
+    if curl -fsS -o /dev/null "http://$1/v2/healthz" 2>/dev/null; then return 0; fi
     sleep 0.1
   done
   echo "e2e_cluster: member $1 never became ready" >&2
