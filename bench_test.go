@@ -14,7 +14,6 @@ package neusight_bench
 
 import (
 	"context"
-	"fmt"
 	"strconv"
 	"strings"
 	"sync"
@@ -319,65 +318,6 @@ func BenchmarkServeBatchThroughput(b *testing.B) {
 	}
 	b.ReportMetric(float64(len(ks)), "batch_size")
 	b.ReportMetric(st.HitRate*100, "cache_hit_pct")
-}
-
-// BenchmarkShardedThroughput measures what (engine, GPU) sharding buys on
-// a mixed multi-GPU workload: the kernels of a BERT-Large inference graph
-// queried round-robin across every registered GPU from parallel clients,
-// all traffic cache-resident after a prewarm pass. On the single-lock
-// path (shards=1) every hit serializes on one LRU mutex; sharded, the
-// (engine, GPU) keys spread across shards and the lock domains stop
-// contending. Compare predictions/sec between the sub-benchmarks.
-//
-// The engine is the analytical roofline bound so the measurement isolates
-// the serving layer: with a near-free backend and a 100% steady-state hit
-// rate, lock contention is the only thing left to measure.
-func BenchmarkShardedThroughput(b *testing.B) {
-	m, err := models.Lookup("BERT-Large")
-	if err != nil {
-		b.Fatal(err)
-	}
-	ks := ks4bench(m.InferenceGraph(2).Kernels())
-	gpus := gpu.All()
-	for _, shards := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			reg := predict.NewRegistry()
-			reg.MustRegister(predict.NewRooflineEngine())
-			svc := serve.NewMulti(reg, predict.EngineRoofline,
-				serve.Config{CacheSize: serve.DefaultCacheSize, Shards: shards})
-			// Prewarm: every (kernel, GPU) key resident before the clock
-			// starts, so the measurement is the steady-state hit path.
-			for _, g := range gpus {
-				if _, err := svc.PredictBatchEngine(context.Background(), "", ks, g); err != nil {
-					b.Fatal(err)
-				}
-			}
-			// Workers walk the key space from per-goroutine counters with
-			// distinct offsets — a shared atomic index would add a global
-			// contention point to a benchmark whose whole purpose is
-			// measuring the removal of global lock contention.
-			var worker atomic.Int64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := int(worker.Add(1)) * 7919 // distinct stride-offset per worker
-				for pb.Next() {
-					i++
-					k := ks[i%len(ks)]
-					g := gpus[i%len(gpus)]
-					if _, err := svc.PredictKernelEngine(context.Background(), "", k, g); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-			b.StopTimer()
-			st := svc.Stats()
-			if secs := b.Elapsed().Seconds(); secs > 0 {
-				b.ReportMetric(float64(b.N)/secs, "predictions/sec")
-			}
-			b.ReportMetric(st.HitRate*100, "cache_hit_pct")
-		})
-	}
 }
 
 // ks4bench filters out network kernels, which the kernel predictor

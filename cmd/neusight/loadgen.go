@@ -28,10 +28,9 @@ func loadgenCmd(args []string) error {
 	fs := flag.NewFlagSet("loadgen", flag.ExitOnError)
 	target := fs.String("target", "", "base URL of the service under test (e.g. http://127.0.0.1:8080)")
 	self := fs.String("self", "", "serve an in-process target instead of -target: roofline (analytical, instant) or quick (trains the reduced neusight predictor first)")
-	shards := fs.Int("shards", 0, "-self only: shard traffic by (engine, GPU) onto this many shards (0 or 1 = one shard)")
-	shardQueue := fs.Int("shard-queue", 0, "-self only: per-shard in-flight bound before 503 backpressure (0 = default, negative = unbounded)")
-	workers := fs.Int("workers", 0, "-self only: max concurrent backend predictions, split evenly across the shards (0 = GOMAXPROCS)")
-	cacheSize := fs.Int("cache", serve.DefaultCacheSize, "-self only: prediction LRU cache entries per shard (negative disables)")
+	queue := fs.Int("queue", 0, "-self only: in-flight request bound before 503 backpressure (0 = default, negative = unbounded)")
+	workers := fs.Int("workers", 0, "-self only: max concurrent backend predictions (0 = GOMAXPROCS)")
+	cacheSize := fs.Int("cache", serve.DefaultCacheSize, "-self only: prediction LRU cache entries (negative disables)")
 
 	arrival := fs.String("arrival", loadgen.ArrivalPoisson, "arrival process: poisson or bursty")
 	burstOn := fs.Duration("burst-on", 20*time.Millisecond, "bursty: on-window length")
@@ -77,10 +76,7 @@ func loadgenCmd(args []string) error {
 
 	baseURL := *target
 	if *self != "" {
-		stop, url, err := startSelfTarget(*self, serve.Config{
-			CacheSize: *cacheSize, Workers: *workers,
-			Shards: *shards, ShardQueue: *shardQueue,
-		})
+		stop, url, err := startSelfTarget(*self, serve.Config{CacheSize: *cacheSize, Workers: *workers, Queue: *queue})
 		if err != nil {
 			return err
 		}

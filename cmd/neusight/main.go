@@ -14,7 +14,7 @@
 //	                 [-engine neusight]
 //	neusight quick   -workload GPT3-XL -gpu H100 -batch 2 [-engine roofline]
 //	neusight serve   -addr :8080 [-model model.json -tiles tiles.json | -quick | -engines roofline,gpusim]
-//	                 [-shards 8] [-warmup trace.jsonl] [-trace-record trace.jsonl]
+//	                 [-queue 1024] [-warmup trace.jsonl] [-trace-record trace.jsonl]
 //	                 [-trace-compact 5] [-peers host2:8080,host3:8080]
 //	                 [-join host2:8080] [-steer redirect|proxy|off]
 //	                 [-advertise host1:8080] [-cluster-listen :9090]
@@ -32,14 +32,14 @@
 // "quick" trains a reduced predictor in-process (no files needed) — the
 // fastest way to get a forecast. "serve" exposes the engine registry as a
 // concurrent HTTP JSON API (/v2 selects an engine per request) with
-// prediction caching, request coalescing and a queue bound per shard;
-// -shards splits traffic by (engine, GPU) onto several, and -warmup /
-// -trace-record persist the workload profile across restarts. -peers forms
-// a cluster with other serve processes: engine-generation changes gossip
-// between members so a retrain anywhere invalidates every member's stale
-// cache, and requests are steered (307 redirect or transparent proxy) to
-// the member owning their (engine, GPU) shard; -join grows a running
-// cluster by announcing this process to any existing member. "loadgen"
+// prediction caching, request coalescing and a queue bound (-queue) past
+// which it answers 503, and -warmup / -trace-record persist the workload
+// profile across restarts. -peers forms a cluster with other serve
+// processes: engine-generation changes gossip between members so a
+// retrain anywhere invalidates every member's stale cache, and requests
+// are steered (307 redirect or transparent proxy) to the member owning
+// their (engine, GPU) key; -join grows a running cluster by announcing
+// this process to any existing member. "loadgen"
 // offers a service (or one it boots in-process via -self) open-loop
 // Poisson or bursty traffic at a fixed rate and reports latency
 // percentiles, outcomes and the server's own /v2/stats delta. "plan"

@@ -31,25 +31,23 @@ import (
 // (habitat, liregression, direct-mlp, direct-transformer) on the generated
 // dataset so every engine of the standard set is routable via /v2.
 //
-// -shards (default one) partitions traffic by (engine, GPU) onto that many
-// shards, each with -cache entries, an even share of -workers and a
-// -shard-queue bound past which it answers 503; -warmup replays a workload
-// trace into the caches before the listener opens, and -trace-record
-// appends the served keys to one for the next restart. SIGINT/SIGTERM
-// trigger a graceful shutdown: the listener closes immediately, in-flight
-// requests drain up to -drain, then the process exits cleanly (flushing
-// the trace, if recording).
+// Every engine shares one cache of -cache entries and a pool of -workers
+// behind a -queue bound on requests in flight, past which the service
+// answers 503; -warmup replays a workload trace into the cache before the
+// listener opens, and -trace-record appends the served keys to one for
+// the next restart. SIGINT/SIGTERM trigger a graceful shutdown: the
+// listener closes immediately, in-flight requests drain up to -drain, then
+// the process exits cleanly (flushing the trace, if recording).
 func serveCmd(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	modelPath := fs.String("model", "", "trained predictor path (from `neusight train`)")
 	tilePath := fs.String("tiles", "tiles.json", "tile database path")
 	quickTrain := fs.Bool("quick", false, "train a reduced predictor in-process instead of loading one")
-	cacheSize := fs.Int("cache", serve.DefaultCacheSize, "prediction LRU cache entries per shard, shared by the engines routed there (negative disables)")
-	workers := fs.Int("workers", 0, "max concurrent backend predictions, split evenly across the shards, at least one each (0 = GOMAXPROCS)")
+	cacheSize := fs.Int("cache", serve.DefaultCacheSize, "prediction LRU cache entries, shared by every engine (negative disables)")
+	workers := fs.Int("workers", 0, "max concurrent backend predictions (0 = GOMAXPROCS)")
 	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout for in-flight requests")
-	shards := fs.Int("shards", 0, "shard traffic by (engine, GPU) onto this many shards, each with its own cache, worker pool and queue (0 or 1 = one shard)")
-	shardQueue := fs.Int("shard-queue", 0, fmt.Sprintf("per-shard in-flight request bound before 503 backpressure (0 = %d, negative = unbounded)", serve.DefaultShardQueue))
+	queue := fs.Int("queue", 0, fmt.Sprintf("in-flight request bound before 503 backpressure (0 = %d, negative = unbounded)", serve.DefaultQueue))
 	tracePath := fs.String("trace-record", "", "append served (kernel, GPU, engine) keys to this JSONL workload trace")
 	warmupPath := fs.String("warmup", "", "replay this workload trace to warm caches before accepting traffic")
 	traceCompact := fs.Int("trace-compact", 0, "age out trace keys not requested within the last K replays (0 = off; requires -trace-record)")
@@ -169,10 +167,7 @@ func serveCmd(args []string) error {
 		}
 		baseDS = ds
 	}
-	svc := serve.NewMulti(reg, defaultEngine, serve.Config{
-		CacheSize: *cacheSize, Workers: *workers,
-		Shards: *shards, ShardQueue: *shardQueue,
-	})
+	svc := serve.NewMulti(reg, defaultEngine, serve.Config{CacheSize: *cacheSize, Workers: *workers, Queue: *queue})
 	planMgr, err := plan.NewManager(*planDir, planResolver(reg, defaultEngine), plan.Options{})
 	if err != nil {
 		return err
@@ -306,7 +301,7 @@ func serveCmd(args []string) error {
 		if *join != "" {
 			// Join before the listener opens: the seed hands back the
 			// membership and generation views, and the trace warmup below
-			// primes the shards this member is about to own — its first
+			// primes the keys this member is about to own — its first
 			// steered request should be a cache hit, not a cold model run.
 			if err := node.Join(context.Background(), *join); err != nil {
 				return err
@@ -338,8 +333,8 @@ func serveCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("serving engines [%s] on %s, default %s (shards %d, cache %d entries/shard)\n",
-		strings.Join(reg.List(), " "), ln.Addr(), svc.DefaultEngine(), svc.NumShards(), *cacheSize)
+	fmt.Printf("serving engines [%s] on %s, default %s (cache %d entries)\n",
+		strings.Join(reg.List(), " "), ln.Addr(), svc.DefaultEngine(), *cacheSize)
 	fmt.Println("endpoints: POST /v2/predict/kernel|batch|graph (per-request \"engine\")  GET /v2/engines  GET /v2/stats")
 	fmt.Println("           GET /v2/healthz  GET /metrics")
 	fmt.Println("           POST|GET /v2/plan (what-if capacity sweeps)  GET|POST|DELETE /v2/plan/{id} (poll, resume, cancel)")

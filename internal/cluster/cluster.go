@@ -23,10 +23,9 @@
 //     readmitted by their first successful contact, so a restart heals
 //     without operator action. GET /v2/cluster/health exposes the state.
 //
-//   - Replicated shard steering (steer.go): the consistent-hash ring that
-//     assigns (engine, GPU) keys to in-process shards is extended across
-//     the cluster, and every key gets a primary owner plus a distinct
-//     replica. A prediction request landing on the wrong process is
+//   - Replicated key steering (steer.go): a consistent-hash ring
+//     (internal/ring) over the members assigns every (engine, GPU) key a
+//     primary owner plus a distinct replica. A prediction request landing on the wrong process is
 //     steered to the owner — a 307 redirect by default, or a transparent
 //     proxy — and when the primary is unreachable the proxy falls through
 //     to the replica (one retry, counted) instead of failing the request;

@@ -109,18 +109,17 @@ func slowEngine(name string, d time.Duration) predict.Engine {
 		})
 }
 
-// TestSaturatedShardedAgreement drives a sharded (-shards 4) service past
-// saturation and asserts 503s are counted identically on both sides and
-// no request is double-counted. Caching is disabled so every admitted
+// TestSaturatedShardedAgreement drives a service with a queue bound of one
+// past saturation and asserts 503s are counted identically on both sides
+// and no request is double-counted. Caching is disabled so every admitted
 // request costs real backend time — with it on, the steady state would be
-// all cache hits and the shards would never saturate. Run under -race via
+// all cache hits and the service would never saturate. Run under -race via
 // the package's race gate.
 func TestSaturatedShardedAgreement(t *testing.T) {
 	_, tgt := newServedTarget(t, slowEngine("slow", 3*time.Millisecond), serve.Config{
-		CacheSize:  -1,
-		Shards:     4,
-		Workers:    4, // one per shard
-		ShardQueue: 1,
+		CacheSize: -1,
+		Workers:   4,
+		Queue:     1,
 	})
 	res, err := Run(context.Background(), tgt, RunConfig{
 		Rate:     2500,
@@ -132,7 +131,7 @@ func TestSaturatedShardedAgreement(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Rejected == 0 {
-		t.Fatal("expected 503 rejections at 5x capacity with shard queue 1")
+		t.Fatal("expected 503 rejections past capacity with queue 1")
 	}
 	if res.Succeeded == 0 {
 		t.Fatal("expected some successes between rejections")

@@ -14,12 +14,12 @@
 //     it no longer needs.
 //
 // Optional capabilities — training, persistence, whole-graph forecasting,
-// state generations for cache invalidation, native batching, shard
+// state generations for cache invalidation, native batching, placement
 // affinity — are separate interfaces an engine implements only when its
 // backend supports them. The Registry holds the engine set a process
 // serves, turning "which predictor answers this request" into per-request
 // routing instead of a compile-time decision; its version counter lets
-// sharded serving layers rebalance when the set changes.
+// serving layers rebalance when the set changes.
 package predict
 
 import (
@@ -125,14 +125,13 @@ type Generational interface {
 	Generation() uint64
 }
 
-// ShardHint is implemented by engines that want a say in how sharded
-// serving layers partition their traffic. Engines returning the same
+// ShardHint is implemented by engines that want a say in how the
+// cluster's member ring places their traffic. Engines returning the same
 // non-empty affinity key are hashed together, so engines that share
 // mutable backend state (for example several views over one trained
-// predictor) land on the same shard and contend on one lock domain
-// instead of spreading that contention across every shard.
+// predictor) land on the same member.
 type ShardHint interface {
-	// ShardAffinity returns the affinity key sharded routers hash in
+	// ShardAffinity returns the affinity key the member ring hashes in
 	// place of the engine name. Empty means "no preference" and falls
 	// back to the engine name.
 	ShardAffinity() string

@@ -19,11 +19,12 @@ var ErrUnknownEngine = errors.New("unknown engine")
 // CLI per flag, and the experiment harness iterates the set — all against
 // the same registration.
 //
-// The registry also carries the routing hints sharded serving layers
-// consume: a monotonically increasing Version that bumps on every
-// registration change (so routers know when their shard assignments are
-// stale and must rebalance), and the per-engine shard-affinity key
-// (see ShardHint / ShardAffinity in predict.go).
+// The registry also carries the routing hints the serving and cluster
+// layers consume: a monotonically increasing Version that bumps on every
+// registration change (so the serving layer knows when its engine states
+// are stale and must rebalance), and the per-engine affinity key the
+// cluster's member ring hashes by (see ShardHint / ShardAffinity in
+// predict.go).
 type Registry struct {
 	mu      sync.RWMutex
 	engines map[string]Engine
@@ -59,8 +60,7 @@ func (r *Registry) Register(e Engine) error {
 // Unregister removes the engine registered under name, reporting whether
 // one was registered. Traffic already routed to the engine completes; new
 // lookups fail with ErrUnknownEngine, and serving layers observing Version
-// rebalance their shard assignments and drop the engine's cached
-// forecasts.
+// rebalance and drop the engine's cached forecasts.
 func (r *Registry) Unregister(name string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -73,8 +73,8 @@ func (r *Registry) Unregister(name string) bool {
 }
 
 // Version returns a counter that increases on every Register/Unregister.
-// Routers cache it alongside derived routing state (shard assignments,
-// per-engine states) and rebuild when it drifts — a cheap atomic load
+// Serving layers cache it alongside derived routing state (per-engine
+// states) and rebuild when it drifts — a cheap atomic load
 // per request instead of a registry diff.
 func (r *Registry) Version() uint64 { return r.version.Load() }
 

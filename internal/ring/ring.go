@@ -1,5 +1,5 @@
-// Package ring is the consistent-hash ring that places keys on owners: the
-// serving layer's in-process shards and the cluster's members. Every owner
+// Package ring is the consistent-hash ring that places (engine, GPU) keys
+// on the cluster's members. Every owner
 // contributes 64 virtual points hashed from its label, a key belongs to the
 // first point at or clockwise of its own hash, and adding or removing an
 // owner moves only the keys that owner gains or loses.
@@ -14,9 +14,10 @@ import (
 const replicas = 64
 
 // Hash is FNV-1a finished with the MurmurHash3 avalanche mix. Labels differ
-// in a character or two ("shard-1", "shard-2"), and raw FNV clusters such
-// strings: at two shards one owns 85% of the ring. Every cluster member
-// must use the identical function or steering mis-routes.
+// in a character or two ("member-a:1", "member-a:2"), and raw FNV clusters
+// such strings: over labels "shard-1" and "shard-2" one owns 85% of the
+// ring. Every cluster member must use the identical function or steering
+// mis-routes.
 func Hash(s string) uint64 {
 	x := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {

@@ -36,7 +36,7 @@ func (grp *batchGroup) resolve(outs []predict.Outcome, fail func(i int, err erro
 // engine ("" selects the default), amortizing one backend evaluation
 // across all cache misses. Outcomes are positional: outs[i] answers ks[i].
 //
-//  1. cache hits are served immediately from the shard's cache;
+//  1. cache hits are served immediately from the cache;
 //  2. identical misses within the batch deduplicate onto one evaluation,
 //     and misses already in flight elsewhere (another batch, graph or
 //     kernel request on the same engine) coalesce onto that evaluation
@@ -70,11 +70,10 @@ func (s *Service) PredictBatchEngine(ctx context.Context, engine string, ks []ke
 // batch-API counters, so batch_requests / batched_kernels keep meaning
 // "client batch calls".
 //
-// A batch names one engine and one GPU, so the whole batch lives on one
-// shard: one admission, one cache, one coalescing table. A saturated shard
-// rejects the batch as a whole — the returned error wraps ErrSaturated and
-// no per-item work runs — so callers surface backpressure (HTTP 503)
-// instead of folding rejections into per-item fallbacks.
+// A batch is admitted once against the in-flight bound. A saturated
+// service rejects the batch as a whole — the returned error wraps
+// ErrSaturated and no per-item work runs — so callers surface backpressure
+// (HTTP 503) instead of folding rejections into per-item fallbacks.
 //
 // counts, when non-nil, says how many requests each kernel answers: a
 // graph plan submits each distinct kernel once for counts[i] nodes. The
@@ -86,14 +85,12 @@ func (s *Service) predictMany(ctx context.Context, es *engineState, ks []kernels
 	// microseconds, and letting it into the request counters and the
 	// latency window would make an overloaded service look fast and busy on
 	// dashboards at exactly the moment it is shedding load. Rejections
-	// count only in rejected (aggregate and per-shard).
-	p := s.router.shardFor(es.affinity, g.Name)
-	if !p.admit() {
-		s.rejected.Add(1)
-		return nil, fmt.Errorf("serve: shard %d over %d requests in flight for a batch of %d: %w",
-			p.shard, p.maxInFlight, len(ks), ErrSaturated)
+	// count only in rejected.
+	if !s.admit() {
+		return nil, fmt.Errorf("serve: over %d requests in flight for a batch of %d: %w",
+			s.queue, len(ks), ErrSaturated)
 	}
-	defer p.release()
+	defer s.release()
 
 	start := time.Now()
 	count := func(i int) uint64 {
@@ -108,17 +105,12 @@ func (s *Service) predictMany(ctx context.Context, es *engineState, ks []kernels
 	}
 	s.requests.Add(total)
 	es.requests.Add(total)
-	p.requests.Add(total)
-	s.inFlightNow.Add(1)
-	defer func() {
-		s.inFlightNow.Add(-1)
-		s.lat.Observe(time.Since(start))
-	}()
+	defer func() { s.lat.Observe(time.Since(start)) }()
 
 	outs := make([]predict.Outcome, len(ks))
 	fail := func(i int, err error) {
 		outs[i].Err = err
-		s.countErrors(es, p, count(i))
+		s.countErrors(es, count(i))
 	}
 	var deduped uint64
 	defer func() {
@@ -135,7 +127,7 @@ func (s *Service) predictMany(ctx context.Context, es *engineState, ks []kernels
 		return outs, nil
 	}
 
-	// Partition the batch: cache hits, misses we lead, and misses another
+	// Sort the batch into cache hits, misses we lead, and misses another
 	// goroutine is already evaluating. Both kinds of miss deduplicate by
 	// key, so a batch full of one kernel costs one evaluation (or one wait)
 	// and counts one miss — not one per occurrence.
@@ -159,25 +151,24 @@ func (s *Service) predictMany(ctx context.Context, es *engineState, ks []kernels
 			continue
 		}
 		deduped += count(i) - 1
-		if v, ok := p.cache.Get(key); ok {
+		if v, ok := s.cache.Get(key); ok {
 			es.cacheHits.Add(1)
 			s.touchTrace(es.name, k, g)
 			outs[i].Result = v
 			continue
 		}
 		es.cacheMisses.Add(1)
-		p.mu.Lock()
-		if call, ok := p.inflight[key]; ok {
-			p.mu.Unlock()
+		s.imu.Lock()
+		if call, ok := s.inflight[key]; ok {
+			s.imu.Unlock()
 			s.coalesced.Add(1)
 			es.coalesced.Add(1)
-			p.coalesced.Add(1)
 			waiting[key] = &batchGroup{call: call, leader: i}
 			continue
 		}
 		call := &inflightCall{done: make(chan struct{})}
-		p.inflight[key] = call
-		p.mu.Unlock()
+		s.inflight[key] = call
+		s.imu.Unlock()
 		groups[key] = &batchGroup{call: call, leader: i}
 		missKeys = append(missKeys, key)
 	}
@@ -188,16 +179,16 @@ func (s *Service) predictMany(ctx context.Context, es *engineState, ks []kernels
 		for j, key := range missKeys {
 			uniq[j] = ks[groups[key].leader]
 		}
-		round := s.runBatchBackend(ctx, es, p, uniq, g)
+		round := s.runBatchBackend(ctx, es, uniq, g)
 		for j, key := range missKeys {
 			grp := groups[key]
 			grp.call.res, grp.call.err = round[j].Result, round[j].Err
-			p.mu.Lock()
-			delete(p.inflight, key)
-			p.mu.Unlock()
+			s.imu.Lock()
+			delete(s.inflight, key)
+			s.imu.Unlock()
 			close(grp.call.done)
 			if grp.call.err == nil {
-				p.cache.Put(key, grp.call.res)
+				s.cache.Put(key, grp.call.res)
 				s.recordTrace(es.name, ks[grp.leader], g)
 			}
 			grp.resolve(outs, fail)
@@ -216,16 +207,16 @@ func (s *Service) predictMany(ctx context.Context, es *engineState, ks []kernels
 // runBatchBackend evaluates the unique misses of one batch. A round of one
 // kernel is the engine's PredictKernel call, inline. Past that, an engine
 // with a native batch path gets the round in one PredictKernels call under
-// a single slot of the shard's worker pool (the whole point: one compiled
+// a single slot of the worker pool (the whole point: one compiled
 // forward pass); an engine without one gets per-kernel calls fanned out
 // across the pool, preserving the concurrency a cold graph walk had before
 // batching existed. An engine panic — or a native batch returning
 // mis-sized results — is converted into per-item errors so every in-flight
 // call is still resolved; nothing wedges.
-func (s *Service) runBatchBackend(ctx context.Context, es *engineState, p *partition, ks []kernels.Kernel, g gpu.Spec) (outs []predict.Outcome) {
+func (s *Service) runBatchBackend(ctx context.Context, es *engineState, ks []kernels.Kernel, g gpu.Spec) (outs []predict.Outcome) {
 	if len(ks) == 1 {
 		outs = make([]predict.Outcome, 1)
-		outs[0].Result, outs[0].Err = s.callEngine(ctx, es, p, ks[0], g)
+		outs[0].Result, outs[0].Err = s.callEngine(ctx, es, ks[0], g)
 		return outs
 	}
 	if predict.NativeBatch(es.eng) {
@@ -238,8 +229,8 @@ func (s *Service) runBatchBackend(ctx context.Context, es *engineState, p *parti
 				}
 			}
 		}()
-		p.sem <- struct{}{}
-		defer func() { <-p.sem }()
+		s.sem <- struct{}{}
+		defer func() { <-s.sem }()
 		reqs := make([]predict.Request, len(ks))
 		for i, k := range ks {
 			reqs[i] = predict.Request{Kernel: k, GPU: g}
@@ -261,7 +252,7 @@ func (s *Service) runBatchBackend(ctx context.Context, es *engineState, p *parti
 		wg.Add(1)
 		go func(i int, k kernels.Kernel) {
 			defer wg.Done()
-			outs[i].Result, outs[i].Err = s.callEngine(ctx, es, p, k, g)
+			outs[i].Result, outs[i].Err = s.callEngine(ctx, es, k, g)
 		}(i, k)
 	}
 	wg.Wait()

@@ -75,7 +75,7 @@ func (c *lruCache[K, V]) Put(key K, val V) {
 }
 
 // DropFunc removes every entry whose key satisfies match, returning how
-// many were dropped. Shard rebalancing uses it to evict the cache slice of
+// many were dropped. Rebalancing uses it to evict the cache slice of
 // an unregistered engine (keys carry the engine state) without
 // disturbing the entries of engines still serving.
 func (c *lruCache[K, V]) DropFunc(match func(K) bool) int {
@@ -95,7 +95,7 @@ func (c *lruCache[K, V]) DropFunc(match func(K) bool) int {
 }
 
 // LenFunc counts the resident entries whose key satisfies match — the
-// per-engine slice of a shard cache shared across engines.
+// per-engine slice of a cache shared across engines.
 func (c *lruCache[K, V]) LenFunc(match func(K) bool) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -33,7 +33,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 }
 
 // TestMetricsGolden renders every family the serving layer exports —
-// aggregate, engine, shard, warmup, observe (store and two windows) and
+// aggregate, engine, warmup, observe (store and two windows) and
 // plan — from a fixed fixture. An engine name with a quote and a
 // backslash pins the label-quoting rule.
 func TestMetricsGolden(t *testing.T) {
@@ -42,16 +42,12 @@ func TestMetricsGolden(t *testing.T) {
 	WriteMetrics(p, Stats{
 		Backend: "neusight", Requests: 1234567, GraphRequests: 89, BatchRequests: 40, BatchedKernels: 5000,
 		CacheHits: 1000000, CacheMisses: 234000, CacheLen: 4096, HitRate: 0.81, Coalesced: 17, Deduped: 567,
-		Errors: 3, Rejected: 2, Shards: 2, InFlight: 5,
+		Errors: 3, Rejected: 2, InFlight: 5,
 		LatencyP50ms: 0.125, LatencyP90ms: 1.5, LatencyP99ms: 12.75, UptimeSec: 3600.5,
 	})
 	WriteEngineMetrics(p, []EngineStats{
 		{Engine: "neusight", Requests: 1200000, Errors: 1, Coalesced: 10, Deduped: 500, CacheHits: 990000, CacheMisses: 209500, CacheLen: 4000, Generation: 3},
 		{Engine: `odd "name"\v2`, Requests: 34567, Errors: 2, Coalesced: 7, CacheHits: 10000, CacheMisses: 24500, CacheLen: 96, Generation: 1},
-	})
-	WriteShardMetrics(p, []ShardStats{
-		{Shard: 0, Keys: 3, Requests: 700000, Errors: 3, Coalesced: 9, Rejected: 2, CacheHits: 600000, CacheMisses: 100000, CacheLen: 2048, InFlight: 4},
-		{Shard: 1, Keys: 2, Requests: 534567, Coalesced: 8, CacheHits: 400000, CacheMisses: 134000, CacheLen: 2048, InFlight: 1},
 	})
 	WriteWarmupMetrics(p, &WarmupStats{Source: "trace.jsonl", Entries: 2928, Warmed: 2900, Skipped: 4, Failed: 24, DurationMs: 812.25})
 	observe.WriteMetrics(p, &observe.Report{

@@ -280,14 +280,12 @@ type EnginesResponse struct {
 
 // StatsV2 is the JSON reply of GET /v2/stats: the aggregate counters plus
 // one entry per engine traffic has touched, the graph-plan memo counters,
-// one entry per shard, the last cache-warmup
-// report when one ran, and the trace-compaction state when a compacting
+// the last cache-warmup report when one ran, and the trace-compaction state when a compacting
 // recorder is attached.
 type StatsV2 struct {
 	Stats
 	Engines         []EngineStats    `json:"engines"`
 	GraphPlans      PlanMemoStats    `json:"graph_plans"`
-	Shards          []ShardStats     `json:"shards"`
 	Warmup          *WarmupStats     `json:"warmup,omitempty"`
 	TraceCompaction *TraceCompaction `json:"trace_compaction,omitempty"`
 	Observe         *observe.Report  `json:"observe,omitempty"`
@@ -296,7 +294,7 @@ type StatsV2 struct {
 
 // predictErrorCode classifies a Predict*Engine error for HTTP: naming an
 // unregistered engine is a client error (400, the message lists the
-// registered set); a saturated shard is backpressure (503 — retry after
+// registered set); saturation is backpressure (503 — retry after
 // backing off); anything else is an unpredictable request (422).
 func predictErrorCode(err error) int {
 	if errors.Is(err, predict.ErrUnknownEngine) {
@@ -445,7 +443,7 @@ func handleGraph(s *Service) http.HandlerFunc {
 		}
 		pl := s.graphPlan(m, req.Batch, req.Training, req.Fused)
 		lat, rep, gerr := s.predictPlan(r.Context(), req.Engine, pl, g)
-		// An unknown engine, a saturated shard, or a cancellation abort is
+		// An unknown engine, saturation, or a cancellation abort is
 		// a failed forecast, not a degraded one: the fold never ran (or
 		// stopped), so the total must not be served as an answer. Fallback
 		// aggregation errors fall through and surface as the v2 warning
@@ -517,7 +515,7 @@ func handleEngines(s *Service) http.HandlerFunc {
 //	POST /v2/plan            — submit a what-if sweep as an async job (plan.Spec); GET lists jobs
 //	GET  /v2/plan/{id}       — poll a job's status and ranking; POST resumes, DELETE cancels
 //	GET  /v2/engines         — the registered engine set and default
-//	GET  /v2/stats           — aggregate, per-engine, per-shard, warmup, drift, and plan counters
+//	GET  /v2/stats           — aggregate, per-engine, warmup, drift, and plan counters
 //	GET  /v2/healthz         — liveness probe
 //	GET  /metrics            — Prometheus text format, engine-labeled series included
 func NewHandler(s *Service) http.Handler {
@@ -534,7 +532,6 @@ func NewHandler(s *Service) http.Handler {
 			Stats:           s.Stats(),
 			Engines:         s.EngineStats(),
 			GraphPlans:      s.PlanMemoStats(),
-			Shards:          s.Shards(),
 			Warmup:          s.Warmup(),
 			TraceCompaction: s.TraceCompaction(),
 			Observe:         s.ObserveReport(),

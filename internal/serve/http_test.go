@@ -292,7 +292,7 @@ func TestHTTPMetricsExpositionFormat(t *testing.T) {
 			if len(f) != 2 {
 				t.Fatalf("malformed sample line %q", line)
 			}
-			// Labeled samples carry {engine="..."} or {shard="..."}; the
+			// Labeled samples carry {engine="..."}; the
 			// family name is everything before the label set.
 			family := f[0]
 			if i := strings.IndexByte(family, '{'); i >= 0 {
@@ -320,7 +320,6 @@ func TestHTTPMetricsExpositionFormat(t *testing.T) {
 		"neusight_errors_total":          0,
 		"neusight_inflight_requests":     0,
 		"neusight_rejected_total":        0,
-		"neusight_shards":                1,
 	}
 	for name, v := range want {
 		got, ok := samples[name]
@@ -336,22 +335,12 @@ func TestHTTPMetricsExpositionFormat(t *testing.T) {
 		t.Error("uptime gauge missing")
 	}
 	// The engine-labeled series must mirror the single engine's share of
-	// the traffic, and the shard-labeled series the default layout's single
-	// shard's — here all of it.
+	// the traffic — here all of it.
 	wantLabeled := map[string]float64{
 		`neusight_engine_requests_total{engine="stub"}`:     4,
 		`neusight_engine_cache_hits_total{engine="stub"}`:   1,
 		`neusight_engine_cache_misses_total{engine="stub"}`: 3,
 		`neusight_engine_errors_total{engine="stub"}`:       0,
-		`neusight_shard_requests_total{shard="0"}`:          4,
-		`neusight_shard_cache_hits_total{shard="0"}`:        1,
-		`neusight_shard_cache_misses_total{shard="0"}`:      3,
-		`neusight_shard_errors_total{shard="0"}`:            0,
-		`neusight_shard_coalesced_total{shard="0"}`:         0,
-		`neusight_shard_rejected_total{shard="0"}`:          0,
-		`neusight_shard_cache_entries{shard="0"}`:           3,
-		`neusight_shard_keys{shard="0"}`:                    1,
-		`neusight_shard_inflight_requests{shard="0"}`:       0,
 	}
 	for name, v := range wantLabeled {
 		got, ok := samples[name]

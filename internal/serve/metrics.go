@@ -2,7 +2,6 @@ package serve
 
 import (
 	"net/http"
-	"strconv"
 
 	"neusight/internal/observe"
 	"neusight/internal/plan"
@@ -30,8 +29,7 @@ func WriteMetrics(p *promtext.Writer, st Stats) {
 	p.Counter("neusight_coalesced_total", "Requests coalesced onto an identical in-flight prediction.", float64(st.Coalesced))
 	p.Counter("neusight_deduped_total", "Requests answered by another occurrence of the same kernel in their graph or batch (requests = cache hits + cache misses + deduped).", float64(st.Deduped))
 	p.Counter("neusight_errors_total", "Predictions that returned an error.", float64(st.Errors))
-	p.Counter("neusight_rejected_total", "Requests rejected by shard saturation backpressure.", float64(st.Rejected))
-	p.Gauge("neusight_shards", "Shards the service routes across, each with its own cache, worker pool and queue bound (default 1).", float64(st.Shards))
+	p.Counter("neusight_rejected_total", "Requests rejected by saturation backpressure.", float64(st.Rejected))
 	p.Gauge("neusight_cache_entries", "Prediction cache entries currently resident.", float64(st.CacheLen))
 	p.Gauge("neusight_inflight_requests", "Prediction requests currently being served.", float64(st.InFlight))
 	p.Gauge("neusight_batch_size_avg", "Mean kernels per batched prediction call.", avgBatch)
@@ -63,33 +61,6 @@ var engineFamilies = []promtext.Family[EngineStats]{
 // have no state and therefore no series.
 func WriteEngineMetrics(p *promtext.Writer, engines []EngineStats) {
 	promtext.Families(p, engines, func(e EngineStats) string { return promtext.Label("engine", e.Engine) }, engineFamilies...)
-}
-
-var shardFamilies = []promtext.Family[ShardStats]{
-	promtext.CounterOf("neusight_shard_requests_total", "Kernel predictions served, by shard.",
-		func(sh ShardStats) float64 { return float64(sh.Requests) }),
-	promtext.CounterOf("neusight_shard_errors_total", "Predictions that returned an error, by shard.",
-		func(sh ShardStats) float64 { return float64(sh.Errors) }),
-	promtext.CounterOf("neusight_shard_coalesced_total", "Requests coalesced onto an identical in-flight prediction, by shard.",
-		func(sh ShardStats) float64 { return float64(sh.Coalesced) }),
-	promtext.CounterOf("neusight_shard_rejected_total", "Requests rejected by saturation backpressure, by shard.",
-		func(sh ShardStats) float64 { return float64(sh.Rejected) }),
-	promtext.CounterOf("neusight_shard_cache_hits_total", "Prediction cache hits, by shard.",
-		func(sh ShardStats) float64 { return float64(sh.CacheHits) }),
-	promtext.CounterOf("neusight_shard_cache_misses_total", "Prediction cache misses, by shard.",
-		func(sh ShardStats) float64 { return float64(sh.CacheMisses) }),
-	promtext.GaugeOf("neusight_shard_cache_entries", "Prediction cache entries currently resident, by shard.",
-		func(sh ShardStats) float64 { return float64(sh.CacheLen) }),
-	promtext.GaugeOf("neusight_shard_keys", "(engine, GPU) routing keys assigned so far, by shard.",
-		func(sh ShardStats) float64 { return float64(sh.Keys) }),
-	promtext.GaugeOf("neusight_shard_inflight_requests", "Requests currently in flight, by shard.",
-		func(sh ShardStats) float64 { return float64(sh.InFlight) }),
-}
-
-// WriteShardMetrics renders per-shard labeled series, one family per
-// block with one labeled sample per shard.
-func WriteShardMetrics(p *promtext.Writer, shards []ShardStats) {
-	promtext.Families(p, shards, func(sh ShardStats) string { return promtext.Label("shard", strconv.Itoa(sh.Shard)) }, shardFamilies...)
 }
 
 // WriteWarmupMetrics renders the last trace-replay report as gauges; a
@@ -124,7 +95,7 @@ func WritePlanMetrics(p *promtext.Writer, ps *plan.Stats) {
 }
 
 // metricsHandler serves the service counters as a Prometheus scrape target:
-// the aggregate families first, then the engine-, shard-, warmup-,
+// the aggregate families first, then the engine-, warmup-,
 // drift-, and planner-labeled families.
 func metricsHandler(s *Service) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -133,7 +104,6 @@ func metricsHandler(s *Service) http.HandlerFunc {
 		p := promtext.NewWriter(w)
 		WriteMetrics(p, s.Stats())
 		WriteEngineMetrics(p, s.EngineStats())
-		WriteShardMetrics(p, s.Shards())
 		WriteWarmupMetrics(p, s.Warmup())
 		observe.WriteMetrics(p, s.ObserveReport())
 		WritePlanMetrics(p, s.PlanStats())

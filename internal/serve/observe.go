@@ -70,7 +70,7 @@ func (s *Service) ObserveReport() *observe.Report {
 // monitor. On failure it returns a client-facing error plus the HTTP
 // status the single form reports: 400 for a malformed observation,
 // predictErrorCode for a failure resolving the reference prediction
-// (unknown engine, saturated shard).
+// (unknown engine, saturation).
 func (s *Service) observeOne(r *http.Request, m *observe.Monitor, req ObserveRequest) (int, error) {
 	k, err := buildKernel(req.Kernel)
 	if err != nil {

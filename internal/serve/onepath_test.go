@@ -14,7 +14,6 @@ import (
 type pathCounters struct {
 	requests, hits, misses, coalesced, deduped, errors uint64
 	engine                                             EngineStats
-	shard                                              ShardStats
 	backendCalls, backendBatches                       int64
 }
 
@@ -22,7 +21,7 @@ type pathCounters struct {
 // one-kernel batch are the same request: asked twice on fresh services
 // (a miss, then a hit or a second failure), they return the same results
 // and errors, reach the backend the same way, and move every aggregate,
-// per-engine and per-shard counter identically.
+// and per-engine counter identically.
 func TestKernelRequestIsBatchOfOne(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -74,7 +73,7 @@ func TestKernelRequestIsBatchOfOne(t *testing.T) {
 				return ress, errs, pathCounters{
 					requests: st.Requests, hits: st.CacheHits, misses: st.CacheMisses,
 					coalesced: st.Coalesced, deduped: st.Deduped, errors: st.Errors,
-					engine: svc.EngineStats()[0], shard: svc.Shards()[0],
+					engine:       svc.EngineStats()[0],
 					backendCalls: stub.calls.Load(), backendBatches: stub.batchCalls.Load(),
 				}
 			}

@@ -29,112 +29,13 @@ func countingEngine(name string, lat float64, calls *atomic.Int64) predict.Engin
 		})
 }
 
-// shardedService builds an n-shard service over two engines: "alpha"
-// (default, latency 1) and "beta" (latency 2).
-func shardedService(t *testing.T, n int) *Service {
-	t.Helper()
-	reg := predict.NewRegistry()
-	reg.MustRegister(constEngine("alpha", 1))
-	reg.MustRegister(constEngine("beta", 2))
-	return NewMulti(reg, "alpha", Config{CacheSize: 64, Shards: n})
-}
-
-func TestShardRoutingIsDeterministicAndSpreads(t *testing.T) {
-	r := newShardRouter(8, 64, 2, 0)
-	seen := map[int]bool{}
-	for i := 0; i < 64; i++ {
-		key := fmt.Sprintf("engine-%d", i)
-		p1 := r.shardFor(key, "H100")
-		p2 := r.shardFor(key, "H100")
-		if p1 != p2 {
-			t.Fatalf("key %q routed to shards %d and %d", key, p1.shard, p2.shard)
-		}
-		seen[p1.shard] = true
-	}
-	// 64 keys over 8 shards: consistent hashing with 64 virtual points per
-	// shard spreads keys across most shards; all landing on one or two
-	// would mean the ring is broken.
-	if len(seen) < 4 {
-		t.Errorf("64 keys landed on only %d of 8 shards", len(seen))
-	}
-}
-
-// TestOneShardOwnsEveryKey pins the default layout: with one shard, every
-// key routes to it.
-func TestOneShardOwnsEveryKey(t *testing.T) {
-	r := newShardRouter(1, 64, 2, 0)
-	for i := 0; i < 1000; i++ {
-		if p := r.shardFor(fmt.Sprintf("engine-%d", i), "H100"); p != r.shards[0] {
-			t.Fatalf("key engine-%d routed to shard %d of a one-shard router", i, p.shard)
-		}
-	}
-}
-
-func TestShardedServingMatchesUnsharded(t *testing.T) {
-	svc := shardedService(t, 4)
-	ctx := context.Background()
-	gpus := []gpu.Spec{gpu.MustLookup("V100"), gpu.MustLookup("H100"), gpu.MustLookup("A100-40GB")}
-	k := kernels.NewBMM(2, 64, 64, 64)
-
-	for _, g := range gpus {
-		for i := 0; i < 3; i++ {
-			res, err := svc.PredictKernelEngine(ctx, "", k, g)
-			if err != nil || res.Latency != 1 {
-				t.Fatalf("alpha on %s = (%+v, %v), want latency 1", g.Name, res, err)
-			}
-			res, err = svc.PredictKernelEngine(ctx, "beta", k, g)
-			if err != nil || res.Latency != 2 {
-				t.Fatalf("beta on %s = (%+v, %v), want latency 2", g.Name, res, err)
-			}
-		}
-	}
-
-	st := svc.Stats()
-	if st.Shards != 4 {
-		t.Errorf("Stats.Shards = %d, want 4", st.Shards)
-	}
-	// 6 unique (engine, GPU, kernel) keys, each queried 3 times.
-	if st.CacheMisses != 6 || st.CacheHits != 12 {
-		t.Errorf("hits/misses = %d/%d, want 12/6", st.CacheHits, st.CacheMisses)
-	}
-	if st.CacheLen != 6 {
-		t.Errorf("cache len = %d, want 6", st.CacheLen)
-	}
-
-	// Per-engine accounting must survive the shard layout.
-	for _, e := range svc.EngineStats() {
-		if e.Requests != 9 || e.CacheMisses != 3 || e.CacheHits != 6 || e.CacheLen != 3 {
-			t.Errorf("engine %s stats = %+v, want 9 requests, 6 hits, 3 misses, 3 entries", e.Engine, e)
-		}
-	}
-
-	// Shard sections: counters must sum to the aggregate.
-	shards := svc.Shards()
-	if len(shards) != 4 {
-		t.Fatalf("Shards() = %d entries, want 4", len(shards))
-	}
-	var reqs, hits, misses uint64
-	var keys, entries int
-	for _, sh := range shards {
-		reqs += sh.Requests
-		hits += sh.CacheHits
-		misses += sh.CacheMisses
-		keys += sh.Keys
-		entries += sh.CacheLen
-	}
-	if reqs != 18 || hits != 12 || misses != 6 || entries != 6 {
-		t.Errorf("shard sums = %d reqs, %d hits, %d misses, %d entries; want 18/12/6/6", reqs, hits, misses, entries)
-	}
-	if keys != 6 {
-		t.Errorf("assigned keys = %d, want 6 (2 engines x 3 GPUs)", keys)
-	}
-}
-
+// TestShardedBatchAndGraphPaths pins in-batch deduplication and the warm
+// cache on the batch path of the default layout.
 func TestShardedBatchAndGraphPaths(t *testing.T) {
 	var calls atomic.Int64
 	reg := predict.NewRegistry()
 	reg.MustRegister(countingEngine("alpha", 1, &calls))
-	svc := NewMulti(reg, "alpha", Config{CacheSize: 64, Shards: 4})
+	svc := NewMulti(reg, "alpha", Config{CacheSize: 64})
 	g := gpu.MustLookup("V100")
 	ks := []kernels.Kernel{
 		kernels.NewBMM(2, 64, 64, 64),
@@ -152,7 +53,7 @@ func TestShardedBatchAndGraphPaths(t *testing.T) {
 		}
 	}
 	if got := calls.Load(); got != 2 {
-		t.Errorf("backend calls = %d, want 2 (in-batch dedup must survive sharding)", got)
+		t.Errorf("backend calls = %d, want 2 (in-batch duplicates must share one evaluation)", got)
 	}
 
 	// The same keys again: all hits, no new backend work.
@@ -164,6 +65,9 @@ func TestShardedBatchAndGraphPaths(t *testing.T) {
 	}
 }
 
+// TestShardBackpressure pins the queue bound on every entrance: past it,
+// kernel, batch and graph requests reject whole with ErrSaturated, and
+// only the admitted request counts.
 func TestShardBackpressure(t *testing.T) {
 	gate := make(chan struct{})
 	started := make(chan struct{}, 16)
@@ -174,11 +78,11 @@ func TestShardBackpressure(t *testing.T) {
 			<-gate
 			return 1, nil
 		}))
-	svc := NewMulti(reg, "slow", Config{CacheSize: 64, Shards: 2, Workers: 8, ShardQueue: 1})
+	svc := NewMulti(reg, "slow", Config{CacheSize: 64, Workers: 8, Queue: 1})
 	g := gpu.MustLookup("V100")
 	ctx := context.Background()
 
-	// Occupy the single in-flight slot of the (slow, V100) shard.
+	// Occupy the single in-flight slot.
 	done := make(chan error, 1)
 	go func() {
 		_, err := svc.PredictKernelEngine(ctx, "", kernels.NewBMM(1, 32, 32, 32), g)
@@ -186,14 +90,14 @@ func TestShardBackpressure(t *testing.T) {
 	}()
 	<-started
 
-	// The shard is saturated: a second, different kernel must be rejected
+	// The service is saturated: a second, different kernel must be rejected
 	// immediately rather than queue.
 	_, err := svc.PredictKernelEngine(ctx, "", kernels.NewLinear(8, 16, 16), g)
 	if !errors.Is(err, ErrSaturated) {
-		t.Fatalf("saturated shard error = %v, want ErrSaturated", err)
+		t.Fatalf("saturated service error = %v, want ErrSaturated", err)
 	}
 
-	// Batch and graph traffic on the saturated shard reject as a whole —
+	// Batch and graph traffic on the saturated service reject as a whole —
 	// a call-level error, never per-item fallbacks.
 	if _, err := svc.PredictBatchEngine(ctx, "", []kernels.Kernel{kernels.NewLinear(8, 16, 16)}, g); !errors.Is(err, ErrSaturated) {
 		t.Fatalf("saturated batch error = %v, want ErrSaturated", err)
@@ -213,20 +117,12 @@ func TestShardBackpressure(t *testing.T) {
 	if st.Requests != 1 {
 		t.Errorf("Stats.Requests = %d, want 1 (rejected requests must not count)", st.Requests)
 	}
-	var shardRejected uint64
-	for _, sh := range svc.Shards() {
-		shardRejected += sh.Rejected
-	}
-	if shardRejected != 3 {
-		t.Errorf("per-shard rejected sum = %d, want 3", shardRejected)
-	}
-
 	close(gate)
 	if err := <-done; err != nil {
 		t.Fatalf("in-flight request failed: %v", err)
 	}
 
-	// With the slot free again the shard admits new work.
+	// With the slot free again the service admits new work.
 	if _, err := svc.PredictKernelEngine(ctx, "", kernels.NewLinear(8, 16, 16), g); err != nil {
 		t.Fatalf("post-drain request failed: %v", err)
 	}
@@ -242,7 +138,7 @@ func TestSaturationMapsTo503(t *testing.T) {
 			<-gate
 			return 1, nil
 		}))
-	svc := NewMulti(reg, "slow", Config{CacheSize: 64, Shards: 2, ShardQueue: 1})
+	svc := NewMulti(reg, "slow", Config{CacheSize: 64, Queue: 1})
 	ts := httptest.NewServer(NewHandler(svc))
 	defer ts.Close()
 	defer close(gate)
@@ -257,7 +153,7 @@ func TestSaturationMapsTo503(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("saturated shard HTTP status = %d, want 503", resp.StatusCode)
+		t.Errorf("saturated service HTTP status = %d, want 503", resp.StatusCode)
 	}
 }
 
@@ -265,7 +161,7 @@ func TestRebalanceDropsUnregisteredEngineState(t *testing.T) {
 	reg := predict.NewRegistry()
 	reg.MustRegister(constEngine("alpha", 1))
 	reg.MustRegister(constEngine("gamma", 3))
-	svc := NewMulti(reg, "alpha", Config{CacheSize: 64, Shards: 4})
+	svc := NewMulti(reg, "alpha", Config{CacheSize: 64})
 	g := gpu.MustLookup("V100")
 	k := kernels.NewBMM(2, 64, 64, 64)
 	ctx := context.Background()
@@ -302,10 +198,10 @@ func TestRebalanceDropsUnregisteredEngineState(t *testing.T) {
 	}
 }
 
-// TestDefaultLayoutShedsPastQueueBound drives the default layout — one
-// shard — past its queue bound over HTTP: the excess is shed with 503 and
-// counted as rejected on the aggregate and on shard 0, never as requests
-// or latency samples, and the service answers again once load drops.
+// TestDefaultLayoutShedsPastQueueBound drives the default layout past its
+// queue bound over HTTP: the excess is shed with 503 and counted as
+// rejected, never as requests or latency samples, and the service answers
+// again once load drops.
 func TestDefaultLayoutShedsPastQueueBound(t *testing.T) {
 	gate := make(chan struct{})
 	started := make(chan struct{}, 16)
@@ -317,7 +213,7 @@ func TestDefaultLayoutShedsPastQueueBound(t *testing.T) {
 			return 1, nil
 		}))
 	const bound, excess = 2, 5
-	svc := NewMulti(reg, "slow", Config{ShardQueue: bound})
+	svc := NewMulti(reg, "slow", Config{Queue: bound})
 	ts := httptest.NewServer(NewHandler(svc))
 	defer ts.Close()
 	// Without a queue bound the excess requests would wait on the gate
@@ -378,12 +274,6 @@ func TestDefaultLayoutShedsPastQueueBound(t *testing.T) {
 		t.Errorf("latency p50/p99 = %v/%v with no admitted request finished, want 0/0 (rejections are not latency samples)",
 			st.LatencyP50ms, st.LatencyP99ms)
 	}
-	if st.Stats.Shards != 1 || len(st.Shards) != 1 {
-		t.Fatalf("shard_count = %d, shards section = %+v; want the one default shard", st.Stats.Shards, st.Shards)
-	}
-	if sh := st.Shards[0]; sh.Shard != 0 || sh.Rejected != excess+1 || sh.Requests != bound || sh.InFlight != bound {
-		t.Errorf("shard 0 = %+v, want %d rejected, %d requests, %d in flight", sh, excess+1, bound, bound)
-	}
 
 	release()
 	held.Wait()
@@ -396,14 +286,14 @@ func TestDefaultLayoutShedsPastQueueBound(t *testing.T) {
 }
 
 // TestUnshardedRebalanceKeepsCounterHistory pins that dropping an engine
-// (and registering it again) in the default one-shard layout does not
-// regress the aggregate cache counters — they are exported to Prometheus
+// (and registering it again) does not regress the aggregate cache
+// counters — they are exported to Prometheus
 // as monotonic counters.
 func TestUnshardedRebalanceKeepsCounterHistory(t *testing.T) {
 	reg := predict.NewRegistry()
 	reg.MustRegister(constEngine("alpha", 1))
 	reg.MustRegister(constEngine("gamma", 3))
-	svc := NewMulti(reg, "alpha", Config{CacheSize: 64}) // one shard
+	svc := NewMulti(reg, "alpha", Config{CacheSize: 64})
 	g := gpu.MustLookup("V100")
 	k := kernels.NewBMM(2, 64, 64, 64)
 	ctx := context.Background()
@@ -453,7 +343,7 @@ func TestReplacedEngineDoesNotServeStaleCache(t *testing.T) {
 			<-gate
 			return 1, nil // the OLD engine's answer
 		}))
-	svc := NewMulti(reg, "x", Config{CacheSize: 64, Shards: 4})
+	svc := NewMulti(reg, "x", Config{CacheSize: 64})
 	g := gpu.MustLookup("V100")
 	k := kernels.NewBMM(2, 64, 64, 64)
 	ctx := context.Background()
@@ -487,7 +377,7 @@ func TestReplacedEngineDoesNotServeStaleCache(t *testing.T) {
 	}
 }
 
-// TestShardRebalanceUnderConcurrentLoad hammers a sharded service from
+// TestShardRebalanceUnderConcurrentLoad hammers the service from
 // many goroutines while engines churn (register/unregister) behind it —
 // the registry-version rebalance path must stay correct and race-free
 // (run under -race).
@@ -495,7 +385,7 @@ func TestShardRebalanceUnderConcurrentLoad(t *testing.T) {
 	reg := predict.NewRegistry()
 	reg.MustRegister(constEngine("alpha", 1))
 	reg.MustRegister(constEngine("beta", 2))
-	svc := NewMulti(reg, "alpha", Config{CacheSize: 256, Shards: 4})
+	svc := NewMulti(reg, "alpha", Config{CacheSize: 256})
 	gpus := []gpu.Spec{gpu.MustLookup("V100"), gpu.MustLookup("H100"), gpu.MustLookup("A100-40GB")}
 	ctx := context.Background()
 

@@ -17,14 +17,11 @@
 //
 // Two subsystems scale that machinery to production traffic:
 //
-//   - Sharding (shard.go): traffic is partitioned by (engine, GPU) key
-//     onto Config.Shards shards (default one) via consistent hashing.
-//     Each shard owns its cache, coalescing table, worker pool, and
-//     bounded queue, so concurrent clients hitting different (engine,
-//     GPU) pairs on different shards do not contend on one lock; a
-//     saturated shard pushes back with ErrSaturated instead of queueing
-//     without bound, and engine registration changes trigger a rebalance
-//     that evicts orphaned cache slices.
+//   - One bounded serving unit: the Service holds one cache, one
+//     coalescing table and one worker pool behind one in-flight bound, so
+//     overload pushes back with ErrSaturated instead of queueing without
+//     bound, and engine registration changes trigger a rebalance that
+//     evicts orphaned cache slices.
 //   - Workload traces (trace.go): the keys the service actually serves can
 //     be recorded to an append-only JSONL trace, and a saved trace replayed
 //     at startup to warm the caches concurrently before the listener
@@ -34,6 +31,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -51,27 +49,31 @@ import (
 	"neusight/internal/tile"
 )
 
-// Config sizes the service. The cache size, the worker budget and the
-// queue bound are all per shard; the default is one shard.
+// Config sizes the service's one cache, worker pool and queue bound.
 type Config struct {
-	// CacheSize is the LRU capacity in entries of each shard's cache, shared
-	// by every engine routed to that shard. Zero means DefaultCacheSize;
-	// negative disables caching.
+	// CacheSize is the LRU capacity in entries, shared by every engine.
+	// Zero means DefaultCacheSize; negative disables caching.
 	CacheSize int
 	// Workers bounds how many predictions run concurrently in the backends.
-	// Zero means GOMAXPROCS. It is the total budget, split evenly across the
-	// shard pools — but every pool gets at least one slot, so the effective
-	// aggregate bound is max(Workers, Shards).
+	// Zero means GOMAXPROCS.
 	Workers int
-	// Shards partitions traffic by (engine, GPU) key onto this many shards —
-	// each with its own cache, coalescing table, worker pool, and queue —
-	// assigned by consistent hashing. Zero or one means one shard.
-	Shards int
-	// ShardQueue bounds how many requests may be in flight on one shard
-	// before arrivals are rejected with ErrSaturated. Zero means
-	// DefaultShardQueue; negative disables backpressure.
-	ShardQueue int
+	// Queue bounds how many requests may be in flight (executing, or
+	// waiting on the worker pool or a coalesced call) before arrivals are
+	// rejected with ErrSaturated. Zero means DefaultQueue; negative
+	// disables backpressure.
+	Queue int
 }
+
+// ErrSaturated is wrapped by prediction calls rejected by backpressure:
+// the service already has Config.Queue requests in flight, so the request
+// is refused immediately instead of queueing without bound. HTTP maps it
+// to 503; clients should back off and retry.
+var ErrSaturated = errors.New("serve: saturated")
+
+// DefaultQueue is the default in-flight bound: large enough that only
+// genuine overload trips it, small enough that overload is reported as
+// backpressure rather than unbounded memory growth.
+const DefaultQueue = 1024
 
 // DefaultCacheSize holds the working set of several large transformer
 // graphs (a GPT-3 inference graph has a few thousand kernels but only
@@ -89,22 +91,30 @@ const DefaultCacheSize = 4096
 //  3. a bounded worker pool so graph fan-out cannot oversubscribe the CPU,
 //     behind a bounded queue so overload is shed, not buffered.
 //
-// All three live on the shard the request's (engine, GPU) key routes to
-// (shard.go).
-//
 // Requests name an engine (or take the default); engines are looked up in
 // the registry per request, so engines registered after the service starts
 // become routable immediately.
 type Service struct {
-	reg    *predict.Registry
-	def    string
-	router *shardRouter
-	lat    *latencyWindow
-	start  time.Time
+	reg   *predict.Registry
+	def   string
+	lat   *latencyWindow
+	start time.Time
 
-	// regVersion is the registry version the routing state was built
-	// against; drift triggers Rebalance (see shard.go). epoch numbers the
-	// engine states ever created, namespacing each one's cache entries.
+	// cache holds every engine's forecasts (keys carry the engine state);
+	// inflight, under imu, holds the backend evaluations later arrivals for
+	// the same key wait on; sem is the Workers-slot pool; queue is the
+	// in-flight bound (0 disables backpressure) that inFlight is admitted
+	// against.
+	cache    *lruCache[cacheKey, predict.Result]
+	imu      sync.Mutex
+	inflight map[cacheKey]*inflightCall
+	sem      chan struct{}
+	queue    int
+	inFlight atomic.Int64
+
+	// regVersion is the registry version the engine states were built
+	// against; drift triggers Rebalance. epoch numbers the engine states
+	// ever created, namespacing each one's cache entries.
 	regVersion atomic.Uint64
 	epoch      atomic.Uint64
 	// recorder, when set, appends every newly served key to a workload
@@ -139,16 +149,13 @@ type Service struct {
 	batches        atomic.Uint64
 	batchedKernels atomic.Uint64
 	rejected       atomic.Uint64
-	inFlightNow    atomic.Int64
 }
 
 // engineState is one engine's routing entry and its slice of the
-// counters. Its traffic's cache, coalescing table, and worker pool live on
-// the shards the router assigns its (engine, GPU) keys to.
+// counters.
 type engineState struct {
-	name     string
-	eng      predict.Engine
-	affinity string // ShardAffinity, resolved once at registration
+	name string
+	eng  predict.Engine
 	// epoch numbers this state among every engine state the service has
 	// created. It makes a replaced engine (unregister + re-register under
 	// the same name) a distinct key space, so a backend evaluation in flight
@@ -165,7 +172,7 @@ type engineState struct {
 }
 
 // cacheKey identifies a cached forecast and an in-flight evaluation: the
-// engine state (shard caches are shared across engines), its generation (0
+// engine state (the cache is shared across engines), its generation (0
 // when it tracks none; a retrain leaves every prior entry unreachable to
 // age out of the LRU), and the whole kernel on the GPU, not its Label.
 type cacheKey struct {
@@ -205,22 +212,24 @@ func NewMulti(reg *predict.Registry, defaultEngine string, cfg Config) *Service 
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	shards := max(cfg.Shards, 1)
-	queue := cfg.ShardQueue
+	queue := cfg.Queue
 	switch {
 	case queue == 0:
-		queue = DefaultShardQueue
+		queue = DefaultQueue
 	case queue < 0:
 		queue = 0 // backpressure disabled
 	}
 	s := &Service{
-		reg:     reg,
-		def:     defaultEngine,
-		router:  newShardRouter(shards, size, max(workers/shards, 1), queue),
-		lat:     newLatencyWindow(),
-		start:   time.Now(),
-		engines: map[string]*engineState{},
-		plans:   newLRUCache[planKey, *graph.Plan](planMemoSize),
+		reg:      reg,
+		def:      defaultEngine,
+		lat:      newLatencyWindow(),
+		start:    time.Now(),
+		cache:    newLRUCache[cacheKey, predict.Result](size),
+		inflight: map[cacheKey]*inflightCall{},
+		sem:      make(chan struct{}, workers),
+		queue:    queue,
+		engines:  map[string]*engineState{},
+		plans:    newLRUCache[planKey, *graph.Plan](planMemoSize),
 	}
 	s.regVersion.Store(reg.Version())
 	return s
@@ -264,12 +273,7 @@ func (s *Service) engine(name string) (*engineState, error) {
 	if err != nil {
 		return nil, err
 	}
-	es = &engineState{
-		name:     name,
-		eng:      eng,
-		affinity: predict.ShardAffinity(eng),
-		epoch:    s.epoch.Add(1),
-	}
+	es = &engineState{name: name, eng: eng, epoch: s.epoch.Add(1)}
 	s.engines[name] = es
 	return es, nil
 }
@@ -286,13 +290,13 @@ func (s *Service) states() []*engineState {
 	return out
 }
 
-// InvalidateEngine drops every cached forecast of the engine named name
-// from every shard, returning how many entries were dropped. It is
-// the cluster layer's invalidation hook: a peer process reporting a newer
-// state generation for this engine means locally cached forecasts may be
-// stale even though the local engine's own generation — the one cache
-// keys fold in — never moved. An engine no traffic has touched has
-// nothing cached and drops zero.
+// InvalidateEngine drops every cached forecast of the engine named name,
+// returning how many entries were dropped. It is the cluster layer's
+// invalidation hook: a peer process reporting a newer state generation for
+// this engine means locally cached forecasts may be stale even though the
+// local engine's own generation — the one cache keys fold in — never
+// moved. An engine no traffic has touched has nothing cached and drops
+// zero.
 func (s *Service) InvalidateEngine(name string) int {
 	s.emu.RLock()
 	es, ok := s.engines[name]
@@ -300,12 +304,62 @@ func (s *Service) InvalidateEngine(name string) int {
 	if !ok {
 		return 0
 	}
-	n := 0
-	for _, p := range s.router.shards {
-		n += p.cache.DropFunc(es.owns)
-	}
-	return n
+	return s.cache.DropFunc(es.owns)
 }
+
+// Rebalance reconciles the service's engine states with the current
+// registry: states of engines that unregistered (or were replaced by a new
+// instance under the same name) are dropped and their cached forecasts
+// evicted. The cache and its counters stay, so the aggregate hit/miss
+// counters keep their history. It runs automatically when the registry
+// version drifts from the one the service last observed — explicit calls
+// are only needed by callers that want eviction to happen eagerly rather
+// than on the next request.
+func (s *Service) Rebalance() {
+	// Record the version first: a registration racing this rebalance
+	// bumps the version after our read and triggers another pass, rather
+	// than being masked by a later read.
+	s.regVersion.Store(s.reg.Version())
+
+	var stale []*engineState
+	s.emu.Lock()
+	for name, es := range s.engines {
+		cur, err := s.reg.Get(name)
+		if err != nil || cur != es.eng {
+			delete(s.engines, name)
+			stale = append(stale, es)
+		}
+	}
+	s.emu.Unlock()
+	for _, es := range stale {
+		s.cache.DropFunc(es.owns)
+	}
+}
+
+// maybeRebalance triggers a rebalance when engines have registered or
+// unregistered since the last one. The steady-state cost is one atomic
+// load per request.
+func (s *Service) maybeRebalance() {
+	if s.regVersion.Load() != s.reg.Version() {
+		s.Rebalance()
+	}
+}
+
+// admit applies the in-flight bound, reserving a slot on success. Callers
+// must release() the slot when the request completes. The bound is exact
+// under concurrency: the slot is taken first and handed back on
+// rejection, so racing arrivals cannot all pass a stale load.
+func (s *Service) admit() bool {
+	if n := s.inFlight.Add(1); s.queue > 0 && n > int64(s.queue) {
+		s.inFlight.Add(-1)
+		s.rejected.Add(1)
+		return false
+	}
+	return true
+}
+
+// release returns an in-flight slot reserved by admit.
+func (s *Service) release() { s.inFlight.Add(-1) }
 
 // PredictKernelEngine forecasts the latency of kernel k on device g with
 // the named engine ("" selects the default): a batch of one through
@@ -324,16 +378,15 @@ func (s *Service) PredictKernelEngine(ctx context.Context, engine string, k kern
 	return outs[0].Result, outs[0].Err
 }
 
-// countErrors records n failed predictions on the aggregate, engine and
-// shard counters.
-func (s *Service) countErrors(es *engineState, p *partition, n uint64) {
+// countErrors records n failed predictions on the aggregate and engine
+// counters.
+func (s *Service) countErrors(es *engineState, n uint64) {
 	s.errors.Add(n)
 	es.errors.Add(n)
-	p.errors.Add(n)
 }
 
 // callEngine runs one per-kernel engine prediction under a slot of the
-// shard's worker pool, converting an engine panic into an error with the
+// worker pool, converting an engine panic into an error with the
 // slot released. A backend round of one kernel and the fan-out for engines
 // without native batch support both go through it.
 //
@@ -342,15 +395,15 @@ func (s *Service) countErrors(es *engineState, p *partition, n uint64) {
 // not poison the result every coalesced waiter receives (the classic
 // singleflight-with-context bug). Cancelled callers fail fast before
 // leading or joining an evaluation instead (see predictMany).
-func (s *Service) callEngine(ctx context.Context, es *engineState, p *partition, k kernels.Kernel, g gpu.Spec) (res predict.Result, err error) {
+func (s *Service) callEngine(ctx context.Context, es *engineState, k kernels.Kernel, g gpu.Spec) (res predict.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res = predict.Result{}
 			err = fmt.Errorf("serve: backend panic predicting %s: %v", k.Label(), r)
 		}
 	}()
-	p.sem <- struct{}{}
-	defer func() { <-p.sem }()
+	s.sem <- struct{}{}
+	defer func() { <-s.sem }()
 	return es.eng.PredictKernel(context.WithoutCancel(ctx), predict.Request{Kernel: k, GPU: g})
 }
 
@@ -378,7 +431,7 @@ func (s *Service) predictPlan(ctx context.Context, engine string, pl *graph.Plan
 	s.graphs.Add(1)
 	outs, err := s.predictMany(ctx, es, pl.Kernels, g, pl.Counts)
 	if err != nil {
-		// Whole-batch rejection (saturated shard): the forecast never ran,
+		// Whole-batch rejection (saturation): the forecast never ran,
 		// so there is no total to fold — callers surface backpressure
 		// instead of serving a fallback-assembled number.
 		return 0, core.GraphReport{Network: pl.Network}, err
@@ -387,8 +440,7 @@ func (s *Service) predictPlan(ctx context.Context, engine string, pl *graph.Plan
 }
 
 // Stats is a point-in-time snapshot of the aggregate service counters,
-// the top level of /v2/stats and what the benchmark reads. Cache counters
-// sum over every shard.
+// the top level of /v2/stats and what the benchmark reads.
 type Stats struct {
 	Backend        string  `json:"backend"`
 	Requests       uint64  `json:"requests"`
@@ -403,7 +455,6 @@ type Stats struct {
 	Deduped        uint64  `json:"deduped"`
 	Errors         uint64  `json:"errors"`
 	Rejected       uint64  `json:"rejected"`
-	Shards         int     `json:"shard_count"` // "shards" is the per-shard section on /v2/stats
 	InFlight       int64   `json:"in_flight"`
 	LatencyP50ms   float64 `json:"latency_p50_ms"`
 	LatencyP90ms   float64 `json:"latency_p90_ms"`
@@ -427,24 +478,13 @@ type EngineStats struct {
 	Generation  uint64  `json:"generation"`
 }
 
-// cacheTotals sums the cache counters of every shard. The shard set is
-// fixed for the life of the service — Rebalance evicts a stale engine's
-// entries but never its shard — so the aggregates, exported to Prometheus
-// as counters, are monotonic.
-func (s *Service) cacheTotals() (hits, misses uint64, length int) {
-	for _, p := range s.router.shards {
-		h, m := p.cache.Counters()
-		hits += h
-		misses += m
-		length += p.cache.Len()
-	}
-	return hits, misses, length
-}
-
 // Stats returns the current aggregate counters. HitRate is
-// hits/(hits+misses), 0 before any traffic.
+// hits/(hits+misses), 0 before any traffic. The cache lives as long as the
+// service — Rebalance evicts a stale engine's entries, never the cache —
+// so its counters, exported to Prometheus as counters, are monotonic.
 func (s *Service) Stats() Stats {
-	hits, misses, length := s.cacheTotals()
+	hits, misses := s.cache.Counters()
+	length := s.cache.Len()
 	ps := s.lat.Percentiles(0.50, 0.90, 0.99)
 	st := Stats{
 		Backend:        s.def,
@@ -459,8 +499,7 @@ func (s *Service) Stats() Stats {
 		Deduped:        s.deduped.Load(),
 		Errors:         s.errors.Load(),
 		Rejected:       s.rejected.Load(),
-		Shards:         s.NumShards(),
-		InFlight:       s.inFlightNow.Load(),
+		InFlight:       s.inFlight.Load(),
 		LatencyP50ms:   ps[0],
 		LatencyP90ms:   ps[1],
 		LatencyP99ms:   ps[2],
@@ -472,17 +511,13 @@ func (s *Service) Stats() Stats {
 	return st
 }
 
-// engineCacheLen counts the cache entries the engine currently owns: its
-// keys' slice of every shard cache. That is an O(entries) scan under each
-// shard's cache lock — acceptable because it runs only on stats/metrics
-// reads against bounded caches; if scrape frequency ever makes it hurt,
-// replace with per-engine resident counters maintained on Put/evict.
+// engineCacheLen counts the cache entries the engine currently owns. That
+// is an O(entries) scan under the cache lock — acceptable because it runs
+// only on stats/metrics reads against a bounded cache; if scrape frequency
+// ever makes it hurt, replace with per-engine resident counters maintained
+// on Put/evict.
 func (s *Service) engineCacheLen(es *engineState) int {
-	n := 0
-	for _, p := range s.router.shards {
-		n += p.cache.LenFunc(es.owns)
-	}
-	return n
+	return s.cache.LenFunc(es.owns)
 }
 
 // EngineStats returns per-engine counters for every engine traffic has

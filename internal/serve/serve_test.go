@@ -15,35 +15,34 @@ import (
 )
 
 // TestInvalidateEngine pins the cluster layer's invalidation hook: only
-// the named engine's cached forecasts drop, with one shard and with four.
+// the named engine's cached forecasts drop from the cache it shares with
+// other engines.
 func TestInvalidateEngine(t *testing.T) {
-	for _, shards := range []int{0, 4} {
-		reg := predict.NewRegistry()
-		reg.MustRegister(constEngine("alpha", 1))
-		reg.MustRegister(constEngine("beta", 2))
-		svc := NewMulti(reg, "alpha", Config{CacheSize: 64, Shards: shards})
-		g := gpu.MustLookup("V100")
-		k := kernels.NewBMM(2, 64, 64, 64)
-		ctx := context.Background()
-		svc.PredictKernelEngine(ctx, "alpha", k, g)
-		svc.PredictKernelEngine(ctx, "beta", k, g)
+	reg := predict.NewRegistry()
+	reg.MustRegister(constEngine("alpha", 1))
+	reg.MustRegister(constEngine("beta", 2))
+	svc := NewMulti(reg, "alpha", Config{CacheSize: 64})
+	g := gpu.MustLookup("V100")
+	k := kernels.NewBMM(2, 64, 64, 64)
+	ctx := context.Background()
+	svc.PredictKernelEngine(ctx, "alpha", k, g)
+	svc.PredictKernelEngine(ctx, "beta", k, g)
 
-		if n := svc.InvalidateEngine("ghost"); n != 0 {
-			t.Errorf("shards=%d: invalidating an unknown engine dropped %d", shards, n)
-		}
-		if n := svc.InvalidateEngine("alpha"); n != 1 {
-			t.Errorf("shards=%d: InvalidateEngine(alpha) = %d, want 1", shards, n)
-		}
-		if st := svc.Stats(); st.CacheLen != 1 {
-			t.Errorf("shards=%d: cache len after invalidate = %d, want beta's 1 entry untouched", shards, st.CacheLen)
-		}
-		// alpha refills on the next request; beta was never disturbed.
-		missesBefore := svc.Stats().CacheMisses
-		svc.PredictKernelEngine(ctx, "alpha", k, g)
-		svc.PredictKernelEngine(ctx, "beta", k, g)
-		if misses := svc.Stats().CacheMisses - missesBefore; misses != 1 {
-			t.Errorf("shards=%d: misses after invalidate = %d, want 1 (alpha only)", shards, misses)
-		}
+	if n := svc.InvalidateEngine("ghost"); n != 0 {
+		t.Errorf("invalidating an unknown engine dropped %d", n)
+	}
+	if n := svc.InvalidateEngine("alpha"); n != 1 {
+		t.Errorf("InvalidateEngine(alpha) = %d, want 1", n)
+	}
+	if st := svc.Stats(); st.CacheLen != 1 {
+		t.Errorf("cache len after invalidate = %d, want beta's 1 entry untouched", st.CacheLen)
+	}
+	// alpha refills on the next request; beta was never disturbed.
+	missesBefore := svc.Stats().CacheMisses
+	svc.PredictKernelEngine(ctx, "alpha", k, g)
+	svc.PredictKernelEngine(ctx, "beta", k, g)
+	if misses := svc.Stats().CacheMisses - missesBefore; misses != 1 {
+		t.Errorf("misses after invalidate = %d, want 1 (alpha only)", misses)
 	}
 }
 
@@ -266,8 +265,8 @@ func TestCoalescingSharesOneBackendCall(t *testing.T) {
 	if st := svc.Stats(); st.CacheLen != 1 || st.CacheMisses != n {
 		t.Errorf("cache len/misses = %d/%d, want 1/%d", st.CacheLen, st.CacheMisses, n)
 	}
-	if e, sh := svc.EngineStats()[0], svc.Shards()[0]; e.Coalesced != n-1 || sh.Coalesced != n-1 {
-		t.Errorf("engine/shard coalesced = %d/%d, want %d on both", e.Coalesced, sh.Coalesced, n-1)
+	if e := svc.EngineStats()[0]; e.Coalesced != n-1 {
+		t.Errorf("engine coalesced = %d, want %d", e.Coalesced, n-1)
 	}
 }
 

@@ -465,10 +465,10 @@ type WarmupStats struct {
 func (s *Service) Warmup() *WarmupStats { return s.warmup.Load() }
 
 // WarmFromTrace replays the workload trace at path through the serving
-// path, priming every shard's cache before the process starts
-// accepting traffic: each (engine, GPU) group of entries is replayed
-// concurrently as one batched prediction, so warmup parallelizes across
-// shards and amortizes native-batch engines exactly like live traffic.
+// path, priming the cache before the process starts accepting traffic:
+// each (engine, GPU) group of entries is replayed concurrently as one
+// batched prediction, so warmup parallelizes across groups and amortizes
+// native-batch engines exactly like live traffic.
 //
 // Damaged lines and entries naming unknown engines, GPUs, or operators
 // are counted and skipped — a stale or truncated trace degrades warmup,
@@ -494,7 +494,7 @@ func (s *Service) WarmFromTrace(ctx context.Context, path string) (WarmupStats, 
 // WarmFromTraceData replays JSONL trace data (a peer's recorded trace,
 // fetched over the cluster's /v2/cluster/trace) through the serving path,
 // priming only the entries whose (engine, GPU) key owns reports true —
-// the shards this process is about to serve. It returns how many
+// the keys this process is about to serve. It returns how many
 // forecasts were primed. Damage tolerance matches WarmFromTrace: corrupt
 // lines and unknown engines/GPUs/ops degrade the warmup, never abort it.
 func (s *Service) WarmFromTraceData(ctx context.Context, data []byte, owns func(engine, gpuName string) bool) (int, error) {
@@ -525,8 +525,7 @@ func (s *Service) warmEntries(ctx context.Context, entries []TraceEntry, ws *War
 	s.warming.Store(true)
 	defer s.warming.Store(false)
 
-	// Group by (engine, GPU): each group is one batched replay against one
-	// shard.
+	// Group by (engine, GPU): each group is one batched replay.
 	type group struct {
 		engine string
 		g      gpu.Spec
@@ -575,7 +574,7 @@ func (s *Service) warmEntries(ctx context.Context, entries []TraceEntry, ws *War
 			defer wg.Done()
 			outs, batchErr := s.predictMany(ctx, es, grp.ks, grp.g, nil)
 			ok, bad := 0, 0
-			if batchErr != nil { // e.g. a saturated shard: nothing primed
+			if batchErr != nil { // e.g. saturation: nothing primed
 				bad = len(grp.ks)
 			} else {
 				for _, out := range outs {

@@ -83,12 +83,12 @@ func TestWarmupFirstRequestIsCacheHit(t *testing.T) {
 		t.Fatalf("trace has %d entries, want %d (one per unique key)", len(entries), len(ks))
 	}
 
-	// Second process: fresh service, warm from the trace, sharded this
-	// time — warmup must prime shard caches the same way.
+	// Second process: fresh service, warm from the trace — warmup must
+	// prime its cache the same way.
 	var callsB atomic.Int64
 	regB := predict.NewRegistry()
 	regB.MustRegister(countingEngine("alpha", 1, &callsB))
-	svcB := NewMulti(regB, "alpha", Config{CacheSize: 64, Shards: 4})
+	svcB := NewMulti(regB, "alpha", Config{CacheSize: 64})
 	ws, err := svcB.WarmFromTrace(context.Background(), path)
 	if err != nil {
 		t.Fatalf("WarmFromTrace: %v", err)

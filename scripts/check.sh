@@ -4,6 +4,10 @@
 #
 #   scripts/check.sh          full gate: fmt, vet, build, race-enabled tests
 #   scripts/check.sh -fast    skip the race detector (plain `go test ./...`)
+#
+# Tests run with -shuffle=on, so a test that depends on the order of the
+# tests before it fails here; the seed is printed, and
+# `go test -shuffle=<seed>` replays that order.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -50,16 +54,16 @@ echo "==> frozen benchmark module (cd bench && go vet ./... && go test -short ./
 (cd bench && go vet ./... && go test -short -skip '^TestSelfTimes$' ./...)
 
 if [[ "$fast" == 1 ]]; then
-  echo "==> go test ./... (fast mode, no race detector)"
-  go test ./...
+  echo "==> go test -shuffle=on ./... (fast mode, no race detector)"
+  go test -shuffle=on ./...
   # The single-flight tile memo, engine registry, serving layer, cluster
   # peer layer, load harness, and observation/retrain loop are the
   # concurrency-critical surface: they stay race-checked even in fast mode.
-  echo "==> go test -race ./internal/tile ./internal/predict ./internal/serve ./internal/cluster ./internal/loadgen ./internal/observe"
-  go test -race ./internal/tile ./internal/predict ./internal/serve ./internal/cluster ./internal/loadgen ./internal/observe
+  echo "==> go test -race -shuffle=on ./internal/tile ./internal/predict ./internal/serve ./internal/cluster ./internal/loadgen ./internal/observe"
+  go test -race -shuffle=on ./internal/tile ./internal/predict ./internal/serve ./internal/cluster ./internal/loadgen ./internal/observe
 else
-  echo "==> go test -race ./..."
-  go test -race ./...
+  echo "==> go test -race -shuffle=on ./..."
+  go test -race -shuffle=on ./...
 
   # Every workload through the benchmark's own judge, about 25 s: a parity
   # miss, a broken precondition or a tripped client.cpu_share guard fails
@@ -118,7 +122,7 @@ echo "==> benchmark smoke (-benchtime=1x)"
 go test -run '^$' -bench . -benchtime=1x ./internal/mat ./internal/core >/dev/null
 go test -run '^$' -bench 'EngineDispatch' -benchtime=1x ./internal/predict >/dev/null
 go test -run '^$' -bench 'ObserveIngest|StoreAppend' -benchtime=1x ./internal/observe >/dev/null
-go test -run '^$' -bench 'Serve|ShardedThroughput|ForecastOffline' -benchtime=1x . >/dev/null
+go test -run '^$' -bench 'Serve|ForecastOffline' -benchtime=1x . >/dev/null
 
 # Loadgen smoke run: one short fixed-rate step against a self-served
 # roofline target — exercises the whole path (CLI flags, in-process
