@@ -76,13 +76,13 @@ func loadgenCmd(args []string) error {
 
 	baseURL := *target
 	if *self != "" {
-		stop, url, err := startSelfTarget(*self, serve.Config{CacheSize: *cacheSize, Workers: *workers, Queue: *queue})
+		stop, urls, err := startSelfCluster(*self, 1, serve.Config{CacheSize: *cacheSize, Workers: *workers, Queue: *queue})
 		if err != nil {
 			return err
 		}
 		defer stop()
-		baseURL = url
-		fmt.Fprintf(os.Stderr, "loadgen: self-serving %s target on %s\n", *self, url)
+		baseURL = urls[0]
+		fmt.Fprintf(os.Stderr, "loadgen: self-serving %s target on %s\n", *self, baseURL)
 	}
 
 	ctx, stopSig := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -12,9 +12,11 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
+	"neusight/internal/cluster"
 	"neusight/internal/core"
 	"neusight/internal/dataset"
 	"neusight/internal/gpu"
@@ -25,7 +27,7 @@ import (
 	"neusight/internal/tile"
 )
 
-// captureStdout runs f with os.Stdout redirected to a pipe and returns
+// captureStdout runs f with os.Stdout pointed at a pipe and returns
 // what it printed.
 func captureStdout(t *testing.T, f func() error) string {
 	t.Helper()
@@ -203,12 +205,119 @@ func TestServeCmdFlagValidation(t *testing.T) {
 	}
 	// -steer validation must run before the expensive training step: these
 	// return in milliseconds precisely because they fail early.
-	if err := serveCmd([]string{"-quick", "-peers", "h:1", "-steer", "proyx"}); err == nil {
-		t.Fatal("unknown -steer mode must error")
+	for _, mode := range []string{"proyx", "redirect"} {
+		err := serveCmd([]string{"-quick", "-peers", "h:1", "-steer", mode})
+		if err == nil || !strings.Contains(err.Error(), "want proxy or off") {
+			t.Fatalf("-steer %s = %v, want an error naming proxy and off", mode, err)
+		}
 	}
+	// -steer proxy is the default, yet setting it still needs a cluster.
 	if err := serveCmd([]string{"-quick", "-steer", "proxy"}); err == nil {
 		t.Fatal("-steer proxy without -peers must error")
 	}
+}
+
+// TestServeClusterProxiesByDefault starts two `serve` members in this
+// process with no -steer flag and sends one of them a kernel whose
+// (engine, GPU) key the other owns: the default mode proxies it there.
+func TestServeClusterProxiesByDefault(t *testing.T) {
+	a, b := freeAddr(t), freeAddr(t)
+	done := make(chan error, 2)
+	for _, m := range [][2]string{{a, b}, {b, a}} {
+		args := []string{"-engines", "roofline", "-addr", m[0], "-peers", m[1]}
+		go func() { done <- serveCmd(args) }()
+	}
+	for _, addr := range []string{a, b} {
+		if err := waitHealthy(addr, done); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Both members answer, so both have installed their SIGTERM handler:
+	// one signal shuts both down.
+	t.Cleanup(func() {
+		syscall.Kill(os.Getpid(), syscall.SIGTERM)
+		for i := 0; i < 2; i++ {
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Error(err)
+				}
+			case <-time.After(20 * time.Second):
+				t.Error("serve did not shut down on SIGTERM")
+			}
+		}
+	})
+
+	ring := fetchRing(t, a)
+	var gpuB string
+	for _, as := range ring.Assignments {
+		if as.Owner == b {
+			gpuB = as.GPU
+			break
+		}
+	}
+	if gpuB == "" {
+		t.Fatalf("no key owned by %s in %+v", b, ring.Assignments)
+	}
+	resp, err := http.Post("http://"+a+"/v2/predict/kernel", "application/json",
+		strings.NewReader(fmt.Sprintf(`{"op":"bmm","b":2,"m":64,"k":64,"n":64,"gpu":%q}`, gpuB)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("peer-owned kernel = %d, want 200", resp.StatusCode)
+	}
+	if ring := fetchRing(t, a); ring.Mode != cluster.SteerProxy || ring.Steering.Proxied != 1 {
+		t.Fatalf("ring mode %q, steering %+v; want proxy with 1 proxied request", ring.Mode, ring.Steering)
+	}
+}
+
+// freeAddr returns a loopback address no listener holds right now.
+func freeAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	return ln.Addr().String()
+}
+
+// waitHealthy polls addr's /v2/healthz until it answers 200, failing
+// early when a serve command returns on done.
+func waitHealthy(addr string, done <-chan error) error {
+	deadline := time.Now().Add(20 * time.Second)
+	for time.Now().Before(deadline) {
+		select {
+		case err := <-done:
+			return fmt.Errorf("serve returned before %s came up: %v", addr, err)
+		default:
+		}
+		if resp, err := http.Get("http://" + addr + "/v2/healthz"); err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				return nil
+			}
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	return fmt.Errorf("%s never became healthy", addr)
+}
+
+// fetchRing reads addr's /v2/cluster/ring.
+func fetchRing(t *testing.T, addr string) cluster.RingResponse {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + cluster.RouteRing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var ring cluster.RingResponse
+	if err := json.NewDecoder(resp.Body).Decode(&ring); err != nil {
+		t.Fatal(err)
+	}
+	return ring
 }
 
 func TestSplitPeers(t *testing.T) {

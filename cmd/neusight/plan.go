@@ -13,7 +13,6 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"neusight/internal/cluster"
 	"neusight/internal/plan"
 	"neusight/internal/predict"
 	"neusight/internal/serve"
@@ -45,7 +44,6 @@ func planCmd(args []string) error {
 	target := fs.String("target", "", "base URL of the planning service (e.g. http://127.0.0.1:8080)")
 	self := fs.String("self", "", "boot an in-process target instead of -target: roofline (analytical, instant) or quick (trains the reduced neusight predictor first)")
 	selfCluster := fs.Int("self-cluster", 0, "boot this many in-process cluster members as the target and fan the sweep across them (needs -self)")
-	steer := fs.String("steer", cluster.SteerProxy, "-self-cluster only: members' steering mode (redirect, proxy, off)")
 
 	pollID := fs.String("poll", "", "poll this job id once instead of submitting (with -wait: until terminal)")
 	cancelID := fs.String("cancel", "", "cancel this job id instead of submitting")
@@ -92,22 +90,15 @@ func planCmd(args []string) error {
 
 	base := *target
 	if *self != "" {
-		cfg := serve.Config{CacheSize: serve.DefaultCacheSize}
-		if *selfCluster > 0 {
-			stop, seeds, err := startSelfCluster(*self, *selfCluster, *steer, cfg)
-			if err != nil {
-				return err
-			}
-			defer stop()
-			base = seeds[0]
-			fmt.Fprintf(os.Stderr, "plan: %d-member self-cluster up, submitting to %s\n", *selfCluster, base)
-		} else {
-			stop, url, err := startSelfTarget(*self, cfg)
-			if err != nil {
-				return err
-			}
-			defer stop()
-			base = url
+		members := max(*selfCluster, 1)
+		stop, seeds, err := startSelfCluster(*self, members, serve.Config{CacheSize: serve.DefaultCacheSize})
+		if err != nil {
+			return err
+		}
+		defer stop()
+		base = seeds[0]
+		if members > 1 {
+			fmt.Fprintf(os.Stderr, "plan: %d-member self-cluster up, submitting to %s\n", members, base)
 		}
 	}
 	base = strings.TrimRight(base, "/")

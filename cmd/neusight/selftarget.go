@@ -41,35 +41,13 @@ func selfRegistry(mode string) (func() (*predict.Registry, string), error) {
 	return nil, fmt.Errorf("unknown -self mode %q (want roofline or quick)", mode)
 }
 
-// startSelfTarget boots an in-process prediction service on a loopback
-// port and returns its base URL plus a stop function.
-func startSelfTarget(mode string, cfg serve.Config) (stop func(), baseURL string, err error) {
-	newRegistry, err := selfRegistry(mode)
-	if err != nil {
-		return nil, "", err
-	}
-	reg, def := newRegistry()
-	svc := serve.NewMulti(reg, def, cfg)
-	pm, err := plan.NewManager("", planResolver(reg, def), plan.Options{})
-	if err != nil {
-		return nil, "", err
-	}
-	svc.SetPlanner(pm)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, "", err
-	}
-	srv := &http.Server{Handler: serve.NewHandler(svc), ReadHeaderTimeout: 10 * time.Second}
-	go srv.Serve(ln)
-	return func() { pm.Close(); srv.Close() }, "http://" + ln.Addr().String(), nil
-}
-
-// startSelfCluster boots n in-process cluster members wired all-to-all —
+// startSelfCluster boots n in-process members on loopback ports and
+// returns a stop function and their base URLs. One member is a plain
+// prediction service; two or more are cluster members wired all-to-all —
 // a full local cluster behind one command, which is how `neusight plan
 // -self-cluster` and scripts/plan_e2e.sh exercise the planner's fan-out
-// without managing processes. Returns a stop function and the member seed
-// URLs.
-func startSelfCluster(mode string, n int, steer string, cfg serve.Config) (func(), []string, error) {
+// without managing processes.
+func startSelfCluster(mode string, n int, cfg serve.Config) (func(), []string, error) {
 	newRegistry, err := selfRegistry(mode)
 	if err != nil {
 		return nil, nil, err
@@ -77,13 +55,14 @@ func startSelfCluster(mode string, n int, steer string, cfg serve.Config) (func(
 
 	type member struct {
 		addr string
-		node *cluster.Node
+		node *cluster.Node // nil for a lone member
 		srv  *http.Server
 		pm   *plan.Manager
 	}
 	members := make([]*member, 0, n)
 	closeAll := func() {
 		for _, m := range members {
+			m.pm.Close()
 			m.srv.Close()
 		}
 	}
@@ -95,34 +74,45 @@ func startSelfCluster(mode string, n int, steer string, cfg serve.Config) (func(
 		}
 		reg, def := newRegistry()
 		svc := serve.NewMulti(reg, def, cfg)
-		node, err := cluster.NewNode(cluster.Config{
-			Self:          ln.Addr().String(),
-			Steer:         steer,
-			Registry:      reg,
-			DefaultEngine: def,
-			Invalidate:    svc.InvalidateEngine,
-		})
-		if err != nil {
-			ln.Close()
-			closeAll()
-			return nil, nil, err
-		}
-		// Every member gets an in-memory planner wired to the cluster's
-		// fan-out hook, so a /v2/plan submitted to any member spreads its
-		// configuration batches across all of them.
 		pm, err := plan.NewManager("", planResolver(reg, def), plan.Options{})
 		if err != nil {
 			ln.Close()
 			closeAll()
 			return nil, nil, err
 		}
-		pm.SetDispatcher(node.PlanDispatcher())
 		svc.SetPlanner(pm)
-		srv := &http.Server{Handler: node.Handler(serve.NewHandler(svc)), ReadHeaderTimeout: 10 * time.Second}
-		go srv.Serve(ln)
-		members = append(members, &member{addr: ln.Addr().String(), node: node, srv: srv, pm: pm})
+		m := &member{addr: ln.Addr().String(), pm: pm}
+		handler := serve.NewHandler(svc)
+		if n > 1 {
+			m.node, err = cluster.NewNode(cluster.Config{
+				Self:          m.addr,
+				Registry:      reg,
+				DefaultEngine: def,
+				Invalidate:    svc.InvalidateEngine,
+			})
+			if err != nil {
+				pm.Close()
+				ln.Close()
+				closeAll()
+				return nil, nil, err
+			}
+			// Every member's planner is wired to the cluster's fan-out
+			// hook, so a /v2/plan submitted to any member spreads its
+			// configuration batches across all of them.
+			pm.SetDispatcher(m.node.PlanDispatcher())
+			handler = m.node.Handler(handler)
+		}
+		m.srv = &http.Server{Handler: handler, ReadHeaderTimeout: 10 * time.Second}
+		go m.srv.Serve(ln)
+		members = append(members, m)
 	}
+
+	seeds := make([]string, n)
 	for i, m := range members {
+		seeds[i] = "http://" + m.addr
+		if m.node == nil {
+			continue
+		}
 		peers := make([]string, 0, n-1)
 		for j, o := range members {
 			if j != i {
@@ -132,15 +122,12 @@ func startSelfCluster(mode string, n int, steer string, cfg serve.Config) (func(
 		m.node.SetPeers(peers)
 		m.node.Start()
 	}
-
-	seeds := make([]string, n)
-	for i, m := range members {
-		seeds[i] = "http://" + m.addr
-	}
 	stop := func() {
 		for _, m := range members {
 			m.pm.Close()
-			m.node.Stop()
+			if m.node != nil {
+				m.node.Stop()
+			}
 			m.srv.Close()
 		}
 	}

@@ -54,7 +54,7 @@ func serveCmd(args []string) error {
 	engineList := fs.String("engines", "", "serve only these non-trainable engines, comma-separated (no -model/-quick needed; e.g. roofline,gpusim)")
 	peers := fs.String("peers", "", "comma-separated addresses of peer serve processes forming a cluster")
 	join := fs.String("join", "", "join a running cluster by announcing this process to the given member address")
-	steer := fs.String("steer", cluster.SteerRedirect, "cluster steering for requests owned by a peer: redirect (307), proxy (transparent), or off")
+	steer := fs.String("steer", cluster.SteerProxy, "cluster steering for requests owned by a peer: proxy (forward to the owner) or off (serve locally)")
 	advertise := fs.String("advertise", "", "address peers reach this process at (default: -addr with an empty host replaced by 127.0.0.1)")
 	clusterListen := fs.String("cluster-listen", "", "optional extra listener serving only the cluster control routes (/v2/cluster/*)")
 	clusterToken := fs.String("cluster-token", "", "shared bearer token required on all /v2/cluster/* control routes (every member must use the same one)")
@@ -91,13 +91,13 @@ func serveCmd(args []string) error {
 	}
 	// Validate -steer before the expensive model loading/training below: a
 	// typo'd mode must fail in milliseconds, not after a -quick train.
-	switch *steer {
-	case cluster.SteerRedirect, cluster.SteerProxy, cluster.SteerOff:
-	default:
-		return fmt.Errorf("serve: unknown -steer mode %q (want %s, %s, or %s)",
-			*steer, cluster.SteerRedirect, cluster.SteerProxy, cluster.SteerOff)
+	if *steer != cluster.SteerProxy && *steer != cluster.SteerOff {
+		return fmt.Errorf("serve: unknown -steer mode %q (want %s or %s)", *steer, cluster.SteerProxy, cluster.SteerOff)
 	}
-	if *steer != cluster.SteerRedirect && !clustered {
+	// Setting -steer at all, even to its default, needs a cluster.
+	steerSet := false
+	fs.Visit(func(f *flag.Flag) { steerSet = steerSet || f.Name == "steer" })
+	if steerSet && !clustered {
 		return fmt.Errorf("serve: -steer requires -peers or -join")
 	}
 	reg := predict.NewRegistry()

@@ -25,14 +25,13 @@
 //
 //   - Replicated key steering (steer.go): a consistent-hash ring
 //     (internal/ring) over the members assigns every (engine, GPU) key a
-//     primary owner plus a distinct replica. A prediction request landing on the wrong process is
-//     steered to the owner — a 307 redirect by default, or a transparent
-//     proxy — and when the primary is unreachable the proxy falls through
-//     to the replica (one retry, counted) instead of failing the request;
-//     redirect mode sends clients straight to the replica once the
-//     primary is marked dead. GET /v2/cluster/ring exposes the
-//     assignment; all steering/failover counters are exported to
-//     Prometheus.
+//     primary owner plus a distinct replica. A prediction request landing
+//     on the wrong process is proxied to the owner, and when the primary
+//     is unreachable the proxy falls through to the replica (one retry,
+//     counted) instead of failing the request; once the primary is marked
+//     dead, requests go straight to the replica. GET /v2/cluster/ring
+//     exposes the assignment; all steering/failover counters are exported
+//     to Prometheus.
 //
 //   - Join warmup (membership.go): a joining member pulls the recorded
 //     workload traces of the members currently owning the shards it will
@@ -66,12 +65,8 @@ import (
 
 // Steering modes for Config.Steer.
 const (
-	// SteerRedirect answers requests owned by a peer with a 307 redirect
-	// to the owner — the client re-sends the request there. The default:
-	// no double proxying, and clients learn the topology.
-	SteerRedirect = "redirect"
 	// SteerProxy forwards requests owned by a peer to the owner and relays
-	// the response — transparent to clients that cannot follow redirects.
+	// the response. The default.
 	SteerProxy = "proxy"
 	// SteerOff serves every request locally. Gossip still runs.
 	SteerOff = "off"
@@ -94,8 +89,8 @@ type Config struct {
 	// join via /v2/cluster/join or gossiped membership views, and dead
 	// members are evicted from the ring by the failure detector.
 	Peers []string
-	// Steer selects the steering mode (SteerRedirect, SteerProxy,
-	// SteerOff). Empty means SteerRedirect.
+	// Steer selects the steering mode (SteerProxy, SteerOff). Empty means
+	// SteerProxy.
 	Steer string
 	// PollInterval is the gossip cadence; zero means DefaultPollInterval.
 	// Each round's actual delay is jittered ±20% so simultaneously started
@@ -104,23 +99,10 @@ type Config struct {
 	// HealthInterval is the health sweeper's cadence (same jitter); zero
 	// means DefaultHealthInterval.
 	HealthInterval time.Duration
-	// RequestTimeout bounds every individual outbound request (gossip
-	// push/poll, probe, proxy attempt, join, trace fetch); zero means
-	// DefaultRequestTimeout.
-	RequestTimeout time.Duration
-	// SuspectAfter and DeadAfter are the failure detector's strike
-	// thresholds (failed contacts before suspect / dead); zero means the
-	// defaults.
-	SuspectAfter int
-	DeadAfter    int
 	// Token, when non-empty, is the shared bearer token every
 	// /v2/cluster/* request must carry (Authorization: Bearer <token>).
 	// Outbound control-plane requests attach it automatically.
 	Token string
-	// Client issues outbound gossip, probe, and proxy requests; nil gets a
-	// client with a sane backstop timeout (per-attempt deadlines come from
-	// RequestTimeout).
-	Client *http.Client
 	// Registry is the local engine registry: the source of local engine
 	// generations and shard affinities.
 	Registry *predict.Registry
@@ -149,16 +131,20 @@ type Node struct {
 	steerMode      string
 	interval       time.Duration
 	healthInterval time.Duration
-	reqTimeout     time.Duration
-	suspectAfter   int
-	deadAfter      int
-	token          string
-	client         *http.Client
-	reg            *predict.Registry
-	def            string
-	invalidate     func(string) int
-	traceDump      func() []byte
-	warmOwned      func([]byte, func(string, string) bool) (int, error)
+	// reqTimeout bounds every outbound request (gossip push/poll, probe,
+	// proxy attempt, join, trace fetch); suspectAfter and deadAfter are the
+	// failure detector's strike thresholds. They and client are the package
+	// defaults, which in-package tests lower before SetPeers and Start.
+	reqTimeout   time.Duration
+	suspectAfter int
+	deadAfter    int
+	token        string
+	client       *http.Client
+	reg          *predict.Registry
+	def          string
+	invalidate   func(string) int
+	traceDump    func() []byte
+	warmOwned    func([]byte, func(string, string) bool) (int, error)
 
 	// mu guards the membership — the per-member failure-detector records —
 	// and the ring built over its non-dead members: ring owner i is
@@ -206,7 +192,6 @@ type Node struct {
 
 	// steering counters
 	steered       atomic.Uint64
-	redirected    atomic.Uint64
 	proxied       atomic.Uint64
 	misrouted     atomic.Uint64
 	proxyFailures atomic.Uint64
@@ -230,13 +215,10 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	mode := cfg.Steer
 	if mode == "" {
-		mode = SteerRedirect
+		mode = SteerProxy
 	}
-	switch mode {
-	case SteerRedirect, SteerProxy, SteerOff:
-	default:
-		return nil, fmt.Errorf("cluster: unknown steering mode %q (want %s, %s, or %s)",
-			cfg.Steer, SteerRedirect, SteerProxy, SteerOff)
+	if mode != SteerProxy && mode != SteerOff {
+		return nil, fmt.Errorf("cluster: unknown steering mode %q (want %s or %s)", cfg.Steer, SteerProxy, SteerOff)
 	}
 	interval := cfg.PollInterval
 	if interval <= 0 {
@@ -246,36 +228,16 @@ func NewNode(cfg Config) (*Node, error) {
 	if healthInterval <= 0 {
 		healthInterval = DefaultHealthInterval
 	}
-	reqTimeout := cfg.RequestTimeout
-	if reqTimeout <= 0 {
-		reqTimeout = DefaultRequestTimeout
-	}
-	suspectAfter := cfg.SuspectAfter
-	if suspectAfter <= 0 {
-		suspectAfter = DefaultSuspectAfter
-	}
-	deadAfter := cfg.DeadAfter
-	if deadAfter <= 0 {
-		deadAfter = DefaultDeadAfter
-	}
-	if deadAfter < suspectAfter {
-		return nil, fmt.Errorf("cluster: DeadAfter (%d) must be >= SuspectAfter (%d)", deadAfter, suspectAfter)
-	}
-	client := cfg.Client
-	if client == nil {
-		// Backstop only: per-attempt deadlines come from reqTimeout.
-		client = &http.Client{Timeout: reqTimeout + 3*time.Second}
-	}
 	n := &Node{
 		self:             cfg.Self,
 		steerMode:        mode,
 		interval:         interval,
 		healthInterval:   healthInterval,
-		reqTimeout:       reqTimeout,
-		suspectAfter:     suspectAfter,
-		deadAfter:        deadAfter,
+		reqTimeout:       DefaultRequestTimeout,
+		suspectAfter:     DefaultSuspectAfter,
+		deadAfter:        DefaultDeadAfter,
 		token:            cfg.Token,
-		client:           client,
+		client:           &http.Client{Timeout: DefaultRequestTimeout + 3*time.Second}, // a backstop: each call has its own deadline
 		reg:              cfg.Registry,
 		def:              cfg.DefaultEngine,
 		invalidate:       cfg.Invalidate,
@@ -328,6 +290,14 @@ func (n *Node) SetPeers(peers []string) {
 	}
 	n.rebuildRingLocked()
 	n.mu.Unlock()
+}
+
+// peerCount returns how many peers the membership holds, whatever their
+// state, without copying the list.
+func (n *Node) peerCount() int {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	return len(n.members)
 }
 
 // Peers returns the current peer addresses (every known member but self,

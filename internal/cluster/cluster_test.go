@@ -78,15 +78,17 @@ func TestNewNodeValidation(t *testing.T) {
 	if _, err := NewNode(Config{Self: "a:1"}); err == nil {
 		t.Error("nil Registry must fail")
 	}
-	if _, err := NewNode(Config{Self: "a:1", Registry: reg, Steer: "bogus"}); err == nil {
-		t.Error("unknown steering mode must fail")
+	for _, mode := range []string{"bogus", "redirect"} {
+		if _, err := NewNode(Config{Self: "a:1", Registry: reg, Steer: mode}); err == nil {
+			t.Errorf("steering mode %q must fail", mode)
+		}
 	}
 	n, err := NewNode(Config{Self: "a:1", Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.Mode() != SteerRedirect {
-		t.Errorf("default mode = %q, want %q", n.Mode(), SteerRedirect)
+	if n.Mode() != SteerProxy {
+		t.Errorf("default mode = %q, want %q", n.Mode(), SteerProxy)
 	}
 }
 

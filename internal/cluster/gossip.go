@@ -205,7 +205,7 @@ func (n *Node) Absorb(msg GenMessage) int {
 // SyncNow runs one synchronous gossip round: push the snapshot to every
 // live peer if it changed since the last push (generation OR membership
 // change), then poll every live peer and absorb their views. Each
-// outbound attempt carries its own RequestTimeout deadline, and each
+// outbound attempt carries its own reqTimeout deadline, and each
 // outcome feeds the failure detector. The background loop calls it every
 // PollInterval; tests and shutdown paths call it directly for
 // determinism.

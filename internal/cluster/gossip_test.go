@@ -66,7 +66,6 @@ func startProcOpts(t *testing.T, o procOpts) *proc {
 		Steer:          o.mode,
 		PollInterval:   50 * time.Millisecond,
 		HealthInterval: o.sweep,
-		RequestTimeout: o.reqTimeout,
 		Registry:       reg,
 		DefaultEngine:  "alpha",
 		Invalidate:     svc.InvalidateEngine,
@@ -78,6 +77,9 @@ func startProcOpts(t *testing.T, o procOpts) *proc {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if o.reqTimeout > 0 {
+		node.reqTimeout = o.reqTimeout
 	}
 	srv := &http.Server{Handler: node.Handler(serve.NewHandler(svc))}
 	go srv.Serve(ln)

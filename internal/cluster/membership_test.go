@@ -237,7 +237,7 @@ func TestJoinWarmup(t *testing.T) {
 		t.Fatal("warmup never reached the joiner's engine")
 	}
 	g := gpuOwnedBy(t, c.node, c.addr)
-	lat, code := postKernel(t, noFollow(), "http://"+c.addr+"/v2/predict/kernel", g)
+	lat, code := postKernel(t, http.DefaultClient, "http://"+c.addr+"/v2/predict/kernel", g)
 	if code != http.StatusOK || lat != 3 {
 		t.Fatalf("first steered request = (%v, %d), want 3 from the joiner", lat, code)
 	}
@@ -438,7 +438,7 @@ func TestKillMemberFailover(t *testing.T) {
 	t.Cleanup(a.node.Stop)
 
 	engine, gB := keyOwnedBy(t, a.node, b.addr, a, b, c)
-	if lat, code := postKernelEngine(t, noFollow(), "http://"+a.addr+"/v2/predict/kernel", engine, gB); code != 200 || lat != 2 {
+	if lat, code := postKernelEngine(t, http.DefaultClient, "http://"+a.addr+"/v2/predict/kernel", engine, gB); code != 200 || lat != 2 {
 		t.Fatalf("pre-kill steered = (%v, %d), want 2 from B", lat, code)
 	}
 
@@ -453,7 +453,7 @@ func TestKillMemberFailover(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("B never declared dead by the sweeper")
 		}
-		_, code := postKernelEngine(t, noFollow(), "http://"+a.addr+"/v2/predict/kernel", engine, gB)
+		_, code := postKernelEngine(t, http.DefaultClient, "http://"+a.addr+"/v2/predict/kernel", engine, gB)
 		if code != http.StatusOK {
 			t.Fatalf("mid-outage request = %d, want 200 via the replica, never a 502", code)
 		}
@@ -489,7 +489,7 @@ func TestKillMemberFailover(t *testing.T) {
 	if owner, _ := a.node.Owner(engine, gB.Name); owner != b.addr {
 		t.Fatalf("post-readmission owner = %s, want %s", owner, b.addr)
 	}
-	if lat, code := postKernelEngine(t, noFollow(), "http://"+a.addr+"/v2/predict/kernel", engine, gB); code != 200 || lat != 2 {
+	if lat, code := postKernelEngine(t, http.DefaultClient, "http://"+a.addr+"/v2/predict/kernel", engine, gB); code != 200 || lat != 2 {
 		t.Fatalf("post-restart steered = (%v, %d), want 2 from the restarted B", lat, code)
 	}
 }

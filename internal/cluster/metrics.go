@@ -19,11 +19,10 @@ func (n *Node) WriteMetrics(p *promtext.Writer) {
 			dead++
 		}
 	}
-	p.Gauge("neusight_cluster_peers", "Peer processes this node gossips with.", float64(len(n.Peers())))
+	p.Gauge("neusight_cluster_peers", "Peer processes this node gossips with.", float64(n.peerCount()))
 	p.Gauge("neusight_cluster_members_suspect", "Members currently suspected by the failure detector.", suspect)
 	p.Gauge("neusight_cluster_members_dead", "Members currently declared dead (evicted from the ring).", dead)
-	p.Counter("neusight_cluster_steered_total", "Prediction requests steered to their shard owner (redirected plus proxied).", float64(ss.Steered))
-	p.Counter("neusight_cluster_redirected_total", "Prediction requests answered with a 307 redirect to the shard owner.", float64(ss.Redirected))
+	p.Counter("neusight_cluster_steered_total", "Prediction requests steered to their shard owner.", float64(ss.Steered))
 	p.Counter("neusight_cluster_proxied_total", "Prediction requests transparently proxied to the shard owner.", float64(ss.Proxied))
 	p.Counter("neusight_cluster_misrouted_total", "Steered requests arriving at a non-owner (ring disagreement); served locally.", float64(ss.Misrouted))
 	p.Counter("neusight_cluster_proxy_failures_total", "Proxy attempts that failed to reach the target (non-timeout).", float64(ss.ProxyFailures))

@@ -204,12 +204,13 @@ func TestPeerCallOutcomes(t *testing.T) {
 				}
 				n, err := NewNode(Config{
 					Self: "127.0.0.1:1", Peers: []string{peer}, Registry: reg,
-					DefaultEngine: predict.EngineRoofline, RequestTimeout: reqTimeout,
-					Client: &http.Client{}, // deadlines come from each call alone
+					DefaultEngine: predict.EngineRoofline,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
+				n.reqTimeout = reqTimeout
+				n.client = &http.Client{} // deadlines come from each call alone
 				err = op.run(t, n, peer, fault)
 				switch {
 				case want.err == "" && err != nil:

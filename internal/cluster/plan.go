@@ -97,7 +97,7 @@ func (n *Node) PlanDispatcher() plan.Dispatcher { return planDispatcher{n} }
 // resolves a dead primary to its replica, so a freshly killed owner's
 // cells assign straight to the survivor.
 func (d planDispatcher) Assign(engine string, cfg plan.Config) string {
-	if d.n.steerMode == SteerOff || len(d.n.Peers()) == 0 {
+	if d.n.steerMode == SteerOff || d.n.peerCount() == 0 {
 		return ""
 	}
 	owner, _, local := d.n.route(engine, cfg.GPU)

@@ -81,8 +81,6 @@ func startPlanProc(t *testing.T, gated bool) *planProc {
 		Steer:          SteerProxy,
 		PollInterval:   50 * time.Millisecond,
 		HealthInterval: 50 * time.Millisecond,
-		SuspectAfter:   1,
-		DeadAfter:      2,
 		Registry:       reg,
 		DefaultEngine:  predict.EngineRoofline,
 		Invalidate:     svc.InvalidateEngine,
@@ -90,6 +88,7 @@ func startPlanProc(t *testing.T, gated bool) *planProc {
 	if err != nil {
 		t.Fatal(err)
 	}
+	node.suspectAfter, node.deadAfter = 1, 2
 	pm, err := plan.NewManager("", func(name string) (predict.Engine, error) {
 		if name == "" {
 			name = predict.EngineRoofline

@@ -20,11 +20,6 @@ import (
 // address of the node that forwarded the request.
 const steerHeader = "X-Neusight-Steered"
 
-// steerParam is the redirect-mode equivalent: a client following a 307
-// carries the query parameter to the owner, which then always serves
-// locally (redirects cannot attach headers to the client's next request).
-const steerParam = "steered"
-
 // maxSteerBody caps how much of a request body the steering layer buffers
 // to read the routing fields — the same 1 MiB the serving layer enforces,
 // so steering never accepts more than serving would.
@@ -45,24 +40,17 @@ func isPredictPath(path string) bool {
 	return strings.HasPrefix(path, "/v2/predict/")
 }
 
-// alreadySteered reports whether r arrived via a steer (proxy header or
-// redirect query parameter).
-func alreadySteered(r *http.Request) bool {
-	return r.Header.Get(steerHeader) != "" || r.URL.Query().Get(steerParam) == "1"
-}
-
 // steer routes one prediction request: requests whose (engine, GPU) key
 // this node serves — and requests that were already steered here — go to
-// next; the rest are redirected or proxied to the key's current owner
-// according to the steering mode. "Current owner" means the primary
-// unless the failure detector has declared it dead, in which case the
-// replica has taken over (route); proxy mode additionally falls through
-// to the replica when a live-looking primary turns out unreachable
-// mid-request. The request body is buffered (bounded) to read the routing
-// fields and restored for whoever serves it; malformed bodies are served
-// locally so the serving layer produces its ordinary 400.
+// next; the rest are proxied to the key's current owner. "Current owner"
+// means the primary unless the failure detector has declared it dead, in
+// which case the replica has taken over (route); a live-looking primary
+// that turns out unreachable mid-request falls through to the replica.
+// The request body is buffered (bounded) to read the routing fields and
+// restored for whoever serves it; malformed bodies are served locally so
+// the serving layer produces its ordinary 400.
 func (n *Node) steer(w http.ResponseWriter, r *http.Request, next http.Handler) {
-	if n.steerMode == SteerOff || len(n.Peers()) == 0 {
+	if n.steerMode == SteerOff || n.peerCount() == 0 {
 		next.ServeHTTP(w, r)
 		return
 	}
@@ -92,19 +80,16 @@ func (n *Node) steer(w http.ResponseWriter, r *http.Request, next http.Handler) 
 	switch {
 	case local:
 		next.ServeHTTP(w, r)
-	case alreadySteered(r):
+	case r.Header.Get(steerHeader) != "":
 		// A steered request we do not own: two nodes disagree about the
 		// ring (peer lists drifted, a member is joining). Serve it locally
 		// — correctness does not depend on ownership, only cache locality
 		// does — and count the disagreement.
 		n.misrouted.Add(1)
 		next.ServeHTTP(w, r)
-	case n.steerMode == SteerProxy:
-		n.steered.Add(1)
-		n.proxyTo(w, r, owner, fallback, buf, next)
 	default:
 		n.steered.Add(1)
-		n.redirectTo(w, r, owner)
+		n.proxyTo(w, r, owner, fallback, buf, next)
 	}
 }
 
@@ -112,17 +97,6 @@ func (n *Node) steer(w http.ResponseWriter, r *http.Request, next http.Handler) 
 type readCloser struct {
 	io.Reader
 	io.Closer
-}
-
-// redirectTo answers with a 307 to the owner. 307 preserves the method and
-// body, so the client re-POSTs the identical request; the steered query
-// parameter stops the owner from redirecting onward if its ring disagrees.
-func (n *Node) redirectTo(w http.ResponseWriter, r *http.Request, owner string) {
-	n.redirected.Add(1)
-	q := r.URL.Query()
-	q.Set(steerParam, "1")
-	u := url.URL{Scheme: "http", Host: owner, Path: r.URL.Path, RawQuery: q.Encode()}
-	http.Redirect(w, r, u.String(), http.StatusTemporaryRedirect)
 }
 
 // proxyTo forwards the buffered request to the owner and relays the
@@ -210,10 +184,9 @@ func (n *Node) countProxyError(err error) {
 // SteerStats is a snapshot of the steering counters, exposed on
 // /v2/cluster/ring.
 type SteerStats struct {
-	Steered    uint64 `json:"steered"`
-	Redirected uint64 `json:"redirected"`
-	Proxied    uint64 `json:"proxied"`
-	Misrouted  uint64 `json:"misrouted"`
+	Steered   uint64 `json:"steered"`
+	Proxied   uint64 `json:"proxied"`
+	Misrouted uint64 `json:"misrouted"`
 	// ProxyFailures counts proxy attempts that failed without a timeout
 	// (owner unreachable); ProxyTimeouts counts attempts that hit the
 	// per-attempt deadline. FailedOver counts requests that fell through
@@ -229,7 +202,6 @@ type SteerStats struct {
 func (n *Node) SteerStats() SteerStats {
 	return SteerStats{
 		Steered:       n.steered.Load(),
-		Redirected:    n.redirected.Load(),
 		Proxied:       n.proxied.Load(),
 		Misrouted:     n.misrouted.Load(),
 		ProxyFailures: n.proxyFailures.Load(),

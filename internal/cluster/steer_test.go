@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -101,70 +100,21 @@ func postKernelEngine(t *testing.T, client *http.Client, target, engine string, 
 	return out.LatencyMs, resp.StatusCode
 }
 
-// noFollow is a client that surfaces redirects instead of following them.
-func noFollow() *http.Client {
-	return &http.Client{CheckRedirect: func(req *http.Request, via []*http.Request) error {
-		return http.ErrUseLastResponse
-	}}
-}
-
-// TestRedirectSteering: a request for a peer-owned shard gets a 307 to
-// the owner carrying the steered marker; a redirect-following client ends
-// up served by the owner.
-func TestRedirectSteering(t *testing.T) {
-	a, b := twoProcs(t, SteerRedirect)
-	gB := gpuOwnedBy(t, a.node, b.addr)
-
-	resp, err := noFollow().Post("http://"+a.addr+"/v2/predict/kernel", "application/json",
-		strings.NewReader(kernelBody("alpha", gB)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTemporaryRedirect {
-		t.Fatalf("status = %d, want 307", resp.StatusCode)
-	}
-	loc, err := url.Parse(resp.Header.Get("Location"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loc.Host != b.addr {
-		t.Fatalf("redirect host = %s, want owner %s", loc.Host, b.addr)
-	}
-	if loc.Path != "/v2/predict/kernel" || loc.Query().Get(steerParam) != "1" {
-		t.Fatalf("redirect location = %s, want same path with %s=1", loc, steerParam)
-	}
-
-	// A following client lands on B (latency 2). Go re-POSTs the body on
-	// 307 automatically.
-	lat, code := postKernel(t, &http.Client{}, "http://"+a.addr+"/v2/predict/kernel", gB)
-	if code != http.StatusOK || lat != 2 {
-		t.Fatalf("followed redirect = (%v, %d), want latency 2 from B", lat, code)
-	}
-	if b.eng.calls.Load() == 0 {
-		t.Fatal("owner's engine was never evaluated")
-	}
-	st := a.node.SteerStats()
-	if st.Steered != 2 || st.Redirected != 2 {
-		t.Fatalf("A steering stats = %+v, want 2 steered/redirected (one unfollowed, one followed)", st)
-	}
-}
-
-// TestProxySteering: in proxy mode the non-owner forwards the request and
-// relays the owner's answer — the client never sees a redirect.
+// TestProxySteering: the non-owner forwards the request and relays the
+// owner's answer.
 func TestProxySteering(t *testing.T) {
 	a, b := twoProcs(t, SteerProxy)
 	gB := gpuOwnedBy(t, a.node, b.addr)
 
-	lat, code := postKernel(t, noFollow(), "http://"+a.addr+"/v2/predict/kernel", gB)
+	lat, code := postKernel(t, http.DefaultClient, "http://"+a.addr+"/v2/predict/kernel", gB)
 	if code != http.StatusOK || lat != 2 {
-		t.Fatalf("proxied = (%v, %d), want latency 2 from B with no redirect", lat, code)
+		t.Fatalf("proxied = (%v, %d), want latency 2 from B", lat, code)
 	}
 	if a.eng.calls.Load() != 0 {
 		t.Fatal("non-owner must not evaluate a proxied request")
 	}
 	st := a.node.SteerStats()
-	if st.Steered != 1 || st.Proxied != 1 || st.Redirected != 0 {
+	if st.Steered != 1 || st.Proxied != 1 {
 		t.Fatalf("A steering stats = %+v, want 1 steered/proxied", st)
 	}
 	// The owner saw a steered request it owns: not a mis-route.
@@ -174,12 +124,11 @@ func TestProxySteering(t *testing.T) {
 }
 
 // TestLocallyOwnedNotSteered: requests for keys this process owns are
-// served in place, whatever the mode.
+// served in place.
 func TestLocallyOwnedNotSteered(t *testing.T) {
-	a, b := twoProcs(t, SteerRedirect)
-	_ = b
+	a, _ := twoProcs(t, SteerProxy)
 	gA := gpuOwnedBy(t, a.node, a.addr)
-	lat, code := postKernel(t, noFollow(), "http://"+a.addr+"/v2/predict/kernel", gA)
+	lat, code := postKernel(t, http.DefaultClient, "http://"+a.addr+"/v2/predict/kernel", gA)
 	if code != http.StatusOK || lat != 1 {
 		t.Fatalf("local key = (%v, %d), want latency 1 served by A", lat, code)
 	}
@@ -192,13 +141,26 @@ func TestLocallyOwnedNotSteered(t *testing.T) {
 // marker is served where it lands — counted as a ring disagreement, never
 // bounced again.
 func TestMisroutedServedLocally(t *testing.T) {
-	a, b := twoProcs(t, SteerRedirect)
+	a, b := twoProcs(t, SteerProxy)
 	gB := gpuOwnedBy(t, a.node, b.addr)
 
-	lat, code := postKernel(t, noFollow(),
-		"http://"+a.addr+"/v2/predict/kernel?"+steerParam+"=1", gB)
-	if code != http.StatusOK || lat != 1 {
-		t.Fatalf("misrouted = (%v, %d), want latency 1 served locally by A", lat, code)
+	req, err := http.NewRequest(http.MethodPost, "http://"+a.addr+"/v2/predict/kernel",
+		strings.NewReader(kernelBody("alpha", gB)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(steerHeader, b.addr)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out struct {
+		LatencyMs float64 `json:"latency_ms"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&out)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || out.LatencyMs != 1 {
+		t.Fatalf("misrouted = (%v, %d, %v), want latency 1 served locally by A", out.LatencyMs, resp.StatusCode, err)
 	}
 	st := a.node.SteerStats()
 	if st.Misrouted != 1 || st.Steered != 0 {
@@ -210,7 +172,7 @@ func TestMisroutedServedLocally(t *testing.T) {
 func TestSteerOff(t *testing.T) {
 	a, b := twoProcs(t, SteerOff)
 	gB := gpuOwnedBy(t, a.node, b.addr)
-	lat, code := postKernel(t, noFollow(), "http://"+a.addr+"/v2/predict/kernel", gB)
+	lat, code := postKernel(t, http.DefaultClient, "http://"+a.addr+"/v2/predict/kernel", gB)
 	if code != http.StatusOK || lat != 1 {
 		t.Fatalf("steer=off = (%v, %d), want latency 1 served locally", lat, code)
 	}
@@ -219,7 +181,7 @@ func TestSteerOff(t *testing.T) {
 // TestSteeringPassesBadBodiesThrough: requests steering cannot parse go
 // to the local serving layer for its ordinary client errors.
 func TestSteeringPassesBadBodiesThrough(t *testing.T) {
-	a, _ := twoProcs(t, SteerRedirect)
+	a, _ := twoProcs(t, SteerProxy)
 	resp, err := http.Post("http://"+a.addr+"/v2/predict/kernel", "application/json",
 		strings.NewReader(`{"op":`))
 	if err != nil {
@@ -250,7 +212,7 @@ func TestProxyOwnerUnreachableFailsOverToSelf(t *testing.T) {
 	dead := "127.0.0.1:1"
 	a.node.SetPeers([]string{dead})
 	gDead := gpuOwnedBy(t, a.node, dead)
-	lat, code := postKernel(t, noFollow(), "http://"+a.addr+"/v2/predict/kernel", gDead)
+	lat, code := postKernel(t, http.DefaultClient, "http://"+a.addr+"/v2/predict/kernel", gDead)
 	if code != http.StatusOK || lat != 1 {
 		t.Fatalf("unreachable owner = (%v, %d), want latency 1 served by the local replica", lat, code)
 	}
@@ -281,7 +243,7 @@ func TestProxyBothOwnersDead(t *testing.T) {
 	a := startProc(t, 1, SteerProxy)
 	a.node.SetPeers([]string{"127.0.0.1:1", "127.0.0.1:2"})
 	engine, g := keyOwnedByNeither(t, a.node, a.addr)
-	_, code := postKernelEngine(t, noFollow(), "http://"+a.addr+"/v2/predict/kernel", engine, g)
+	_, code := postKernelEngine(t, http.DefaultClient, "http://"+a.addr+"/v2/predict/kernel", engine, g)
 	if code != http.StatusBadGateway {
 		t.Fatalf("both owners unreachable = %d, want 502", code)
 	}
@@ -341,7 +303,7 @@ func TestProxyTimedOutHopIsServedTwice(t *testing.T) {
 	replica.reg.MustRegister(predict.NewFuncEngine(engine, predict.SourceAnalytical,
 		func(kernels.Kernel, gpu.Spec) (float64, error) { return 3, nil }))
 
-	lat, code := postKernelEngine(t, noFollow(), "http://"+steerer.addr+"/v2/predict/kernel", engine, g)
+	lat, code := postKernelEngine(t, http.DefaultClient, "http://"+steerer.addr+"/v2/predict/kernel", engine, g)
 	if code != http.StatusOK || lat != 3 {
 		t.Fatalf("client saw (%v, %d), want one 200 with the replica's latency 3", lat, code)
 	}
@@ -373,40 +335,37 @@ func TestProxyTimedOutHopIsServedTwice(t *testing.T) {
 	}
 }
 
-// TestRedirectToReplicaWhenPrimaryDead: once the failure detector
-// declares a member dead, its keys' redirects point at the replica — the
-// next distinct member on the ring — not at the corpse.
-func TestRedirectToReplicaWhenPrimaryDead(t *testing.T) {
-	a := startProc(t, 1, SteerRedirect)
-	a.node.SetPeers([]string{"127.0.0.1:1", "127.0.0.1:2"})
-	engine, g := keyOwnedByNeither(t, a.node, a.addr)
-	primary, replica := a.node.Owners(engine, g.Name)
-
+// TestProxyToReplicaWhenPrimaryDead: once the failure detector declares
+// a member dead, its keys go straight to the replica — the next distinct
+// member on the ring — with no attempt at the corpse: no failover and no
+// proxy failure is counted.
+func TestProxyToReplicaWhenPrimaryDead(t *testing.T) {
+	a := startProc(t, 1, SteerProxy)
+	replica := startProc(t, 2, SteerProxy)
+	dead := "127.0.0.1:1"
+	a.node.SetPeers([]string{replica.addr, dead})
+	engine, g := ringKey(t, a.node, func(primary, rep string) bool {
+		return primary == dead && rep == replica.addr
+	})
+	replica.serveAs(engine)
 	for i := 0; i < DefaultDeadAfter; i++ {
-		a.node.markContact(primary, false)
+		a.node.markContact(dead, false)
 	}
-	resp, err := noFollow().Post("http://"+a.addr+"/v2/predict/kernel", "application/json",
-		strings.NewReader(kernelBody(engine, g)))
-	if err != nil {
-		t.Fatal(err)
+
+	lat, code := postKernelEngine(t, http.DefaultClient, "http://"+a.addr+"/v2/predict/kernel", engine, g)
+	if code != http.StatusOK || lat != 2 {
+		t.Fatalf("dead primary = (%v, %d), want latency 2 from the replica", lat, code)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTemporaryRedirect {
-		t.Fatalf("status = %d, want 307", resp.StatusCode)
-	}
-	loc, err := url.Parse(resp.Header.Get("Location"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loc.Host != replica {
-		t.Fatalf("redirect host = %s, want replica %s (primary %s is dead)", loc.Host, replica, primary)
+	st := a.node.SteerStats()
+	if st.Steered != 1 || st.Proxied != 1 || st.FailedOver != 0 || st.ProxyFailures+st.ProxyTimeouts != 0 {
+		t.Fatalf("A steering stats = %+v, want 1 steered and proxied, no failover and no failed attempt", st)
 	}
 }
 
 // TestRingEndpoint: /v2/cluster/ring exposes the membership and a full
 // (engine, GPU) -> owner assignment both members agree on.
 func TestRingEndpoint(t *testing.T) {
-	a, b := twoProcs(t, SteerRedirect)
+	a, b := twoProcs(t, SteerProxy)
 
 	fetch := func(addr string) RingResponse {
 		t.Helper()
@@ -426,8 +385,8 @@ func TestRingEndpoint(t *testing.T) {
 	}
 
 	ra, rb := fetch(a.addr), fetch(b.addr)
-	if ra.Self != a.addr || ra.Mode != SteerRedirect {
-		t.Fatalf("ring self/mode = %s/%s, want %s/%s", ra.Self, ra.Mode, a.addr, SteerRedirect)
+	if ra.Self != a.addr || ra.Mode != SteerProxy {
+		t.Fatalf("ring self/mode = %s/%s, want %s/%s", ra.Self, ra.Mode, a.addr, SteerProxy)
 	}
 	if len(ra.Members) != 2 {
 		t.Fatalf("members = %v, want both processes", ra.Members)
@@ -494,7 +453,7 @@ func (r *recorder) Write(b []byte) (int, error) {
 // B's stale cached prediction within a gossip interval, and a request for
 // a B-owned shard sent to A is steered to B.
 func TestClusterEndToEnd(t *testing.T) {
-	a, b := twoProcs(t, SteerRedirect)
+	a, b := twoProcs(t, SteerProxy)
 	a.node.Start()
 	b.node.Start()
 	t.Cleanup(a.node.Stop)
@@ -506,8 +465,8 @@ func TestClusterEndToEnd(t *testing.T) {
 	if code != http.StatusOK || lat != 2 {
 		t.Fatalf("steered request = (%v, %d), want B's latency 2", lat, code)
 	}
-	if st := a.node.SteerStats(); st.Redirected == 0 {
-		t.Fatalf("A steering stats = %+v, want a redirect", st)
+	if st := a.node.SteerStats(); st.Proxied == 0 {
+		t.Fatalf("A steering stats = %+v, want a proxied request", st)
 	}
 
 	// Gossip: B caches, the model drifts, A retrains — the background loop

@@ -101,9 +101,6 @@ type RunConfig struct {
 	// Timeout bounds each request round trip (0 = 30s). A timed-out
 	// request counts as errored.
 	Timeout time.Duration
-	// SkipServerStats disables the /v2/stats delta (for targets that do
-	// not serve it).
-	SkipServerStats bool
 	// ObserveFeedback reports each successful kernel request's measured
 	// round-trip latency back to the target via POST /v2/observe after the
 	// step completes — the client side of the continuous-calibration loop.
@@ -241,17 +238,11 @@ func Run(ctx context.Context, tgt *Target, cfg RunConfig) (StepResult, error) {
 		timeout = 30 * time.Second
 	}
 
-	var before serve.StatsV2
-	haveBefore := false
-	if !cfg.SkipServerStats {
-		// Bounded: a target that accepts the connection and never answers
-		// must not hang the step.
-		sctx, scancel := context.WithTimeout(ctx, statsDeadline(timeout))
-		if st, err := tgt.Stats(sctx); err == nil {
-			before, haveBefore = st, true
-		}
-		scancel()
-	}
+	// Bounded: a target that accepts the connection and never answers must
+	// not hang the step.
+	sctx, scancel := context.WithTimeout(ctx, statsDeadline(timeout))
+	before, beforeErr := tgt.Stats(sctx)
+	scancel()
 
 	var (
 		sent, succeeded, rejected, errored, dropped atomic.Uint64
@@ -347,7 +338,7 @@ func Run(ctx context.Context, tgt *Target, cfg RunConfig) (StepResult, error) {
 	if offered := res.Sent + res.Dropped; offered > 0 {
 		res.ErrorRate = float64(res.Rejected+res.Errored+res.Dropped) / float64(offered)
 	}
-	if haveBefore {
+	if beforeErr == nil {
 		sctx, scancel := context.WithTimeout(ctx, statsDeadline(timeout))
 		if after, err := tgt.Stats(sctx); err == nil {
 			res.Server = deltaStats(before, after)

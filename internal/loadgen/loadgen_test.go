@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -344,6 +345,49 @@ func TestNewTraceReplay(t *testing.T) {
 	}
 	if _, _, err := NewTraceReplay(empty, ""); err == nil {
 		t.Error("trace with no replayable entries must error")
+	}
+}
+
+// TestNewTraceReplaySkipsFusedKernels: a fused trace entry names a kernel
+// the kernel API cannot express. Sent as the plain kernel of the same op
+// and dimensions, it would ask a different question than the one served,
+// so the replay skips it and counts it.
+func TestNewTraceReplaySkipsFusedKernels(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	lines := []string{
+		`{"engine":"alpha","gpu":"V100","op":"linear","b":1,"m":32,"k":64,"n":64,"fused":true,"fused_flops":300000,"fused_bytes":40000,"fused_ops":["ew_relu"]}`,
+		`{"engine":"alpha","gpu":"V100","op":"linear","b":1,"m":32,"k":64,"n":64}`,
+	}
+	if err := os.WriteFile(path, []byte(joinLines(lines)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sc, skipped, err := NewTraceReplay(path, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc.Len() != 1 || skipped != 1 {
+		t.Fatalf("replay pool %d entries, %d skipped; want the plain entry alone and the fused one skipped", sc.Len(), skipped)
+	}
+}
+
+// TestNewTraceReplaySkipsOverlongLine: one line past any sane entry size
+// costs that line, as it does in warmup, not the whole replay.
+func TestNewTraceReplaySkipsOverlongLine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	lines := []string{
+		`{"engine":"alpha","gpu":"V100","op":"bmm","b":1,"m":32,"k":32,"n":32}`,
+		`{"engine":"alpha","gpu":"V100","op":"bmm","pad":"` + strings.Repeat("x", 1<<20+1) + `"}`,
+		`{"engine":"alpha","gpu":"H100","op":"softmax","b":16,"m":128}`,
+	}
+	if err := os.WriteFile(path, []byte(joinLines(lines)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sc, skipped, err := NewTraceReplay(path, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc.Len() != 2 || skipped != 1 {
+		t.Fatalf("replay pool %d entries, %d skipped; want 2 and 1", sc.Len(), skipped)
 	}
 }
 

@@ -1,15 +1,12 @@
 package loadgen
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"sort"
 
 	"neusight/internal/gpu"
-	"neusight/internal/kernels"
 	"neusight/internal/models"
 	"neusight/internal/serve"
 )
@@ -105,26 +102,6 @@ type MixConfig struct {
 	Seed int64 `json:"seed"`
 }
 
-// apiOps is the operator set the /v2 kernel and batch endpoints accept;
-// graph nodes outside it (dropout, transpose, network collectives) are
-// served only through the graph endpoint, so the mix generator must not
-// emit them as standalone kernel requests.
-var apiOps = map[kernels.Op]bool{
-	kernels.OpBMM: true, kernels.OpLinear: true,
-	kernels.OpEWAdd: true, kernels.OpEWMul: true, kernels.OpEWDiv: true,
-	kernels.OpEWReLU: true, kernels.OpEWGELU: true, kernels.OpEWTanh: true,
-	kernels.OpSoftmax: true, kernels.OpLayerNorm: true, kernels.OpEmbedding: true,
-}
-
-// kernelBody converts a kernel into the /v2 request it round-trips as.
-func kernelBody(k kernels.Kernel) serve.KernelRequest {
-	body := serve.KernelRequest{Op: k.Op.String(), B: k.B, M: k.M, K: k.K, N: k.N}
-	if k.DType == kernels.FP16 {
-		body.DType = "fp16"
-	}
-	return body
-}
-
 // NewMix builds a mixed scenario from cfg. The kernel pool is the set of
 // unique API-expressible kernel shapes across the named models' inference
 // graphs — the same shapes live traffic repeats layer after layer.
@@ -165,15 +142,15 @@ func NewMix(cfg MixConfig) (*Scenario, error) {
 	}
 	// Unique API-expressible kernel shapes across the model matrix,
 	// sorted for seed-stable pool construction.
-	shapes := map[string]kernels.Kernel{}
+	shapes := map[string]serve.KernelRequest{}
 	for _, name := range cfg.Models {
 		m, err := models.Lookup(name)
 		if err != nil {
 			return nil, err
 		}
 		for _, k := range m.InferenceGraph(graphBatch).Kernels() {
-			if apiOps[k.Op] {
-				shapes[k.Label()] = k
+			if kb, ok := serve.KernelRequestOf(k); ok {
+				shapes[k.Label()] = kb
 			}
 		}
 	}
@@ -198,8 +175,7 @@ func NewMix(cfg MixConfig) (*Scenario, error) {
 		var body any
 		switch pick := rng.Float64() * (kw + bw + gw); {
 		case pick < kw:
-			k := shapes[labels[rng.Intn(len(labels))]]
-			kb := kernelBody(k)
+			kb := shapes[labels[rng.Intn(len(labels))]]
 			kb.GPU = gpuName
 			req = Request{Kind: KindKernel, Path: "/v2/predict/kernel", Kernels: 1,
 				Observe: &serve.ObserveRequest{Kernel: kb, Engine: cfg.Engine}}
@@ -207,7 +183,7 @@ func NewMix(cfg MixConfig) (*Scenario, error) {
 		case pick < kw+bw:
 			ks := make([]serve.KernelRequest, batchSize)
 			for j := range ks {
-				ks[j] = kernelBody(shapes[labels[rng.Intn(len(labels))]])
+				ks[j] = shapes[labels[rng.Intn(len(labels))]]
 			}
 			req = Request{Kind: KindBatch, Path: "/v2/predict/batch", Kernels: batchSize}
 			body = serve.BatchRequestV2{
@@ -239,35 +215,23 @@ func NewMix(cfg MixConfig) (*Scenario, error) {
 // NewTraceReplay builds a scenario replaying a recorded workload trace
 // (see serve.TraceRecorder) as kernel requests in file order — offered at
 // whatever rate the driver is asked for, which is the difference between
-// replaying a profile and warming from one. Entries whose operator the
-// kernel API cannot express and corrupt lines are skipped (counted, not
-// fatal), mirroring WarmFromTrace's tolerance.
+// replaying a profile and warming from one. The trace is read by
+// serve.ReadTrace, so damaged lines are skipped and counted exactly as
+// warmup skips them; entries the kernel API cannot express
+// (serve.KernelRequestOf) are skipped and counted too.
 func NewTraceReplay(path, engine string) (*Scenario, int, error) {
-	f, err := os.Open(path)
+	entries, skipped, err := serve.ReadTrace(path)
 	if err != nil {
 		return nil, 0, err
 	}
-	defer f.Close()
 	sc := &Scenario{Name: "trace(" + path + ")"}
-	skipped := 0
-	scan := bufio.NewScanner(f)
-	scan.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	for scan.Scan() {
-		line := scan.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var e serve.TraceEntry
-		if err := json.Unmarshal(line, &e); err != nil {
-			skipped++
-			continue
-		}
+	for _, e := range entries {
 		k, err := e.Kernel()
-		if err != nil || !apiOps[k.Op] {
+		kb, ok := serve.KernelRequestOf(k)
+		if err != nil || !ok {
 			skipped++
 			continue
 		}
-		kb := kernelBody(k)
 		kb.GPU = e.GPU
 		eng := engine
 		if eng == "" {
@@ -275,15 +239,11 @@ func NewTraceReplay(path, engine string) (*Scenario, int, error) {
 		}
 		enc, err := json.Marshal(serve.KernelRequestV2{KernelRequest: kb, Engine: eng})
 		if err != nil {
-			skipped++
-			continue
+			return nil, skipped, err
 		}
 		sc.reqs = append(sc.reqs, Request{Kind: KindKernel, Path: "/v2/predict/kernel", Body: enc, Kernels: 1,
 			Observe: &serve.ObserveRequest{Kernel: kb, Engine: eng},
 			Engine:  eng, GPU: e.GPU})
-	}
-	if err := scan.Err(); err != nil {
-		return nil, skipped, err
 	}
 	if len(sc.reqs) == 0 {
 		return nil, skipped, fmt.Errorf("loadgen: trace %s has no replayable entries (%d skipped)", path, skipped)

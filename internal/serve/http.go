@@ -94,26 +94,40 @@ type GraphResponse struct {
 	FitsMemory bool    `json:"fits_memory"`
 }
 
-// opsByName maps API operator names to ops the kernel endpoint can build.
-// Network collectives are deliberately absent: they are priced by the
-// distributed layer, not the kernel predictor.
-var opsByName = map[string]kernels.Op{
-	"bmm":       kernels.OpBMM,
-	"linear":    kernels.OpLinear,
-	"ew_add":    kernels.OpEWAdd,
-	"ew_mul":    kernels.OpEWMul,
-	"ew_div":    kernels.OpEWDiv,
-	"ew_relu":   kernels.OpEWReLU,
-	"ew_gelu":   kernels.OpEWGELU,
-	"ew_tanh":   kernels.OpEWTanh,
-	"softmax":   kernels.OpSoftmax,
-	"layernorm": kernels.OpLayerNorm,
-	"embedding": kernels.OpEmbedding,
+// apiOps maps the canonical name of each operator the kernel endpoint can
+// build to the operator. Network collectives are deliberately absent:
+// they are priced by the distributed layer, not the kernel predictor. So
+// are dropout, transpose, convolution and pooling, which only a graph
+// request prices.
+var apiOps = func() map[string]kernels.Op {
+	m := map[string]kernels.Op{}
+	for _, op := range []kernels.Op{
+		kernels.OpBMM, kernels.OpLinear,
+		kernels.OpEWAdd, kernels.OpEWMul, kernels.OpEWDiv,
+		kernels.OpEWReLU, kernels.OpEWGELU, kernels.OpEWTanh,
+		kernels.OpSoftmax, kernels.OpLayerNorm, kernels.OpEmbedding,
+	} {
+		m[op.String()] = op
+	}
+	return m
+}()
+
+// KernelRequestOf encodes k as the kernel request that builds it, and
+// reports whether the kernel API can express k at all: a fused kernel, a
+// convolution, an operator outside apiOps or a field the request does not
+// carry would be served as a different kernel, so those report false.
+func KernelRequestOf(k kernels.Kernel) (KernelRequest, bool) {
+	req := KernelRequest{Op: k.Op.String(), B: k.B, M: k.M, K: k.K, N: k.N}
+	if k.DType == kernels.FP16 {
+		req.DType = "fp16"
+	}
+	built, err := buildKernel(req)
+	return req, err == nil && built.Key() == k.Key()
 }
 
 // buildKernel validates a KernelRequest and constructs the kernel.
 func buildKernel(req KernelRequest) (kernels.Kernel, error) {
-	op, ok := opsByName[req.Op]
+	op, ok := apiOps[req.Op]
 	if !ok {
 		return kernels.Kernel{}, fmt.Errorf("unknown op %q", req.Op)
 	}

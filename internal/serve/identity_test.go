@@ -118,3 +118,45 @@ func TestTraceRecordsLabelTwinsApart(t *testing.T) {
 		t.Errorf("%d of %d twins were cache hits after the warmup", got, len(ks))
 	}
 }
+
+// TestKernelRequestOfRoundTrips pins the one place that decides what the
+// kernel API can express: every API operator, at both precisions, encodes
+// to a request that builds a kernel with the original's Key, while fused
+// kernels, convolutions and operators outside the API are refused — a
+// client encoding them would be served a different kernel.
+func TestKernelRequestOfRoundTrips(t *testing.T) {
+	samples := []kernels.Kernel{
+		kernels.NewBMM(8, 64, 32, 16),
+		kernels.NewLinear(96, 64, 48),
+		kernels.NewSoftmax(16, 128),
+		kernels.NewLayerNorm(16, 768),
+		kernels.NewEmbedding(512, 768, 30522),
+	}
+	for _, op := range []kernels.Op{kernels.OpEWAdd, kernels.OpEWMul, kernels.OpEWDiv,
+		kernels.OpEWReLU, kernels.OpEWGELU, kernels.OpEWTanh} {
+		samples = append(samples, kernels.NewElementwise(op, 4, 1024))
+	}
+	covered := map[kernels.Op]bool{}
+	for _, k := range samples {
+		for _, k := range []kernels.Kernel{k, k.WithDType(kernels.FP16)} {
+			req, ok := KernelRequestOf(k)
+			built, err := buildKernel(req)
+			if !ok || err != nil || built.Key() != k.Key() {
+				t.Errorf("%s: encoded as %+v (ok %t), built %s (%v); want the same kernel back", k.Label(), req, ok, built.Label(), err)
+			}
+		}
+		covered[k.Op] = true
+	}
+	if len(covered) != len(apiOps) {
+		t.Errorf("samples cover %d API operators, want all %d", len(covered), len(apiOps))
+	}
+
+	refused := append(labelTwins(t),
+		kernels.Kernel{Op: kernels.OpTranspose, B: 4, M: 64},
+		kernels.Kernel{Op: kernels.OpAllReduce, B: 1, M: 1024})
+	for _, k := range refused {
+		if req, ok := KernelRequestOf(k); ok {
+			t.Errorf("%s: encoded as %+v, want it refused", k.Label(), req)
+		}
+	}
+}

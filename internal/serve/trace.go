@@ -94,8 +94,8 @@ func (e TraceEntry) Kernel() (kernels.Kernel, error) {
 
 // maxTraceKeys bounds the recorder's in-memory dedup set. Real workloads
 // have a few thousand unique (kernel, GPU, engine) keys; once the set is
-// full the working profile is captured and further novel keys are dropped
-// (counted, not silently).
+// full the working profile is captured and further novel keys are not
+// recorded.
 const maxTraceKeys = 1 << 16
 
 // traceKey is what the recorder deduplicates on and the compactor matches
@@ -135,11 +135,10 @@ type compactEntry struct {
 // included, via Touch), and Close rewrites the trace with idle counts
 // aged one replay.
 type TraceRecorder struct {
-	mu      sync.Mutex
-	path    string
-	log     *jsonl.Log // buffered appends; its first write error stops recording permanently
-	seen    map[traceKey]struct{}
-	dropped uint64 // novel keys not recorded (dedup set full or write error)
+	mu   sync.Mutex
+	path string
+	log  *jsonl.Log // buffered appends; its first write error stops recording permanently
+	seen map[traceKey]struct{}
 
 	// loaded and fresh retain the recorder's entries in memory (bounded by
 	// the same maxTraceKeys cap as the dedup set): the carried-over file
@@ -242,12 +241,10 @@ func (r *TraceRecorder) record(engine string, k kernels.Kernel, g gpu.Spec, touc
 		return
 	}
 	if len(r.seen) >= maxTraceKeys {
-		r.dropped++
 		return
 	}
 	entry := entryFromKernel(engine, k, g)
 	if r.log.Append(entry) != nil {
-		r.dropped++
 		return
 	}
 	r.seen[key] = struct{}{}
@@ -296,21 +293,6 @@ func (r *TraceRecorder) touchLocked(key traceKey) {
 		return
 	}
 	r.touched[key] = struct{}{}
-}
-
-// Flush writes buffered entries through to the file.
-func (r *TraceRecorder) Flush() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.log.Flush()
-}
-
-// Dropped returns how many novel keys were not recorded (dedup set full
-// or a write error).
-func (r *TraceRecorder) Dropped() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
 }
 
 // Close flushes and closes the trace file. A compacting recorder then

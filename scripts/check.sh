@@ -108,6 +108,28 @@ if ! grep -q -- "/metrics" docs/API.md; then
   echo "route /metrics handled in internal/serve/http.go but missing from docs/API.md" >&2
   missing=1
 fi
+# The same both ways for `neusight serve` flags: every flag literal
+# (fs.<Type>("name", ...) in cmd/neusight/serve.go) needs a backticked
+# entry in the first column of docs/OPERATIONS.md's flag reference table,
+# and every entry there must name a flag serve defines.
+echo "==> docs gate (serve flags vs docs/OPERATIONS.md)"
+code_flags=$(grep -o 'fs\.[A-Za-z0-9]*("[^"]*"' cmd/neusight/serve.go | sed 's/^[^"]*"//; s/"$//' | sort -u)
+doc_flags=$(
+  awk '/^## Flag reference/ { on = 1; next } /^## / { on = 0 } on && /^\| `-/' docs/OPERATIONS.md |
+    cut -d'|' -f2 | grep -o '`-[^`]*`' | sed 's/^`-//; s/`$//' | sort -u
+)
+for flag in $code_flags; do
+  if ! grep -qxF -- "$flag" <<<"$doc_flags"; then
+    echo "serve flag -$flag defined in cmd/neusight/serve.go but missing from docs/OPERATIONS.md's flag table" >&2
+    missing=1
+  fi
+done
+for flag in $doc_flags; do
+  if ! grep -qxF -- "$flag" <<<"$code_flags"; then
+    echo "docs/OPERATIONS.md's flag table names -$flag, which cmd/neusight/serve.go does not define" >&2
+    missing=1
+  fi
+done
 if [[ "$missing" != 0 ]]; then
   exit 1
 fi
