@@ -141,11 +141,8 @@ func listEngines() error {
 	}
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "NAME\tSOURCE\tBATCH\tTRAINABLE\tDESCRIPTION")
-	for _, name := range reg.List() {
-		eng, err := reg.Get(name)
-		if err != nil {
-			return err
-		}
+	for _, eng := range reg.Engines() {
+		name := eng.Name()
 		info := catalog[name]
 		native := "sequential"
 		if predict.NativeBatch(eng) {

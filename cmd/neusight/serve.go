@@ -199,23 +199,18 @@ func serveCmd(args []string) error {
 		// serving caches (local and cluster-wide, via gossip) would keep
 		// answering from the pre-retrain model. Everything else is tracked
 		// alert-only.
-		for _, name := range reg.List() {
-			eng, err := reg.Get(name)
-			if err != nil {
-				continue
-			}
+		for _, eng := range reg.Engines() {
 			cal, ok := eng.(predict.Calibrator)
 			if !ok {
 				continue
 			}
-			if _, ok := eng.(predict.Generational); !ok {
+			gen, ok := eng.(predict.Generational)
+			if !ok {
 				continue
 			}
-			mon.RegisterRetrainer(name, func(calib []dataset.Sample) (uint64, error) {
-				if err := cal.Calibrate(baseDS, calib); err != nil {
-					return predict.Generation(eng), err
-				}
-				return predict.Generation(eng), nil
+			mon.RegisterRetrainer(eng.Name(), func(calib []dataset.Sample) (uint64, error) {
+				err := cal.Calibrate(baseDS, calib)
+				return gen.Generation(), err
 			})
 		}
 		if ocfg.Store != nil {

@@ -15,10 +15,12 @@ import (
 
 // stubEngine is a Generational engine whose answer and generation are
 // mutable from tests: bumping gen simulates a retrain, changing lat
-// simulates the retrained model answering differently.
+// simulates the retrained model answering differently, and a hold hook
+// keeps a request in the backend until the test lets it go.
 type stubEngine struct {
 	name  string
 	lat   atomic.Value // float64
+	hold  atomic.Value // func(), run before each answer when set
 	gen   atomic.Uint64
 	calls atomic.Int64
 }
@@ -35,6 +37,9 @@ func (e *stubEngine) Generation() uint64 { return e.gen.Load() }
 
 func (e *stubEngine) PredictKernel(ctx context.Context, req predict.Request) (predict.Result, error) {
 	e.calls.Add(1)
+	if hold, ok := e.hold.Load().(func()); ok {
+		hold()
+	}
 	return predict.Result{Latency: e.lat.Load().(float64), Engine: e.name, Source: predict.SourceAnalytical}, nil
 }
 

@@ -62,13 +62,9 @@ func (n *Node) refreshLocalLocked() {
 		st = &originState{instance: n.instance, gens: map[string]uint64{}}
 		n.known[n.self] = st
 	}
-	for _, name := range n.reg.List() {
-		eng, err := n.reg.Get(name)
-		if err != nil {
-			continue // racing unregistration
-		}
-		if g := predict.Generation(eng); g > st.gens[name] {
-			st.gens[name] = g
+	for _, eng := range n.reg.Engines() {
+		if g := predict.Generation(eng); g > st.gens[eng.Name()] {
+			st.gens[eng.Name()] = g
 		}
 	}
 }

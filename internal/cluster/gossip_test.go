@@ -20,7 +20,6 @@ import (
 // `neusight serve -peers ...` assembles in production.
 type proc struct {
 	addr string
-	reg  *predict.Registry
 	svc  *serve.Service
 	node *Node
 	eng  *stubEngine
@@ -39,9 +38,12 @@ type procOpts struct {
 	reqTimeout time.Duration
 }
 
-// startProc boots a process whose single engine "alpha" answers lat,
-// serving the cluster-wrapped API on a real TCP listener. Peers are wired
+// startProc boots a process whose stub engine "alpha" answers lat, serving
+// the cluster-wrapped API on a real TCP listener. Peers are wired
 // afterwards via SetPeers (addresses exist only once listeners are up).
+// Beside "alpha" the process serves every engine name ringKey tries, each
+// tracking no generation and answering through the stub, so a key found
+// on the ring once the listeners are up is already served.
 func startProc(t *testing.T, lat float64, mode string) *proc {
 	return startProcOpts(t, procOpts{lat: lat, mode: mode})
 }
@@ -60,6 +62,13 @@ func startProcOpts(t *testing.T, o procOpts) *proc {
 		t.Fatal(err)
 	}
 	reg, eng := stubRegistry(o.lat)
+	for i := 0; i < ringKeys; i++ {
+		reg.MustRegister(predict.NewFuncEngine(ringKeyName(i), predict.SourceAnalytical,
+			func(k kernels.Kernel, g gpu.Spec) (float64, error) {
+				res, err := eng.PredictKernel(context.Background(), predict.Request{Kernel: k, GPU: g})
+				return res.Latency, err
+			}))
+	}
 	svc := serve.NewMulti(reg, "alpha", serve.Config{CacheSize: 256})
 	node, err := NewNode(Config{
 		Self:           ln.Addr().String(),
@@ -84,7 +93,7 @@ func startProcOpts(t *testing.T, o procOpts) *proc {
 	srv := &http.Server{Handler: node.Handler(serve.NewHandler(svc))}
 	go srv.Serve(ln)
 	t.Cleanup(func() { srv.Close() })
-	return &proc{addr: ln.Addr().String(), reg: reg, svc: svc, node: node, eng: eng, srv: srv}
+	return &proc{addr: ln.Addr().String(), svc: svc, node: node, eng: eng, srv: srv}
 }
 
 // kill closes the process's listener and connections — the in-test

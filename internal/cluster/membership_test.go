@@ -437,7 +437,7 @@ func TestKillMemberFailover(t *testing.T) {
 	a.node.Start()
 	t.Cleanup(a.node.Stop)
 
-	engine, gB := keyOwnedBy(t, a.node, b.addr, a, b, c)
+	engine, gB := keyOwnedBy(t, a.node, b.addr)
 	if lat, code := postKernelEngine(t, http.DefaultClient, "http://"+a.addr+"/v2/predict/kernel", engine, gB); code != 200 || lat != 2 {
 		t.Fatalf("pre-kill steered = (%v, %d), want 2 from B", lat, code)
 	}
@@ -472,7 +472,6 @@ func TestKillMemberFailover(t *testing.T) {
 	// Restart at the same address (a fresh process: new node, new
 	// instance). The sweeper's next successful probe readmits it.
 	b2 := mk(2, b.addr)
-	b2.serveAs(engine)
 	b2.node.SetPeers([]string{a.addr, c.addr})
 	deadline = time.Now().Add(10 * time.Second)
 	for a.node.memberDead(b.addr) {

@@ -10,28 +10,31 @@ import (
 
 	"neusight/internal/gpu"
 	"neusight/internal/kernels"
-	"neusight/internal/predict"
 	"neusight/internal/serve"
 )
 
+// ringKeys is how many engine names ringKey tries; ringKeyName names them.
+const ringKeys = 64
+
+func ringKeyName(i int) string { return fmt.Sprintf("key-%d", i) }
+
 // ringKey searches the (engine name × registered GPU) key space, from n's
 // view of the ring, for a key whose primary and replica satisfy want.
-// Steering hashes whatever engine string a request carries, registered or
-// not, so the engine axis is free: where one pass over the GPU registry
-// can miss for an unlucky draw of httptest ports, 64 × 12 keys cannot. No
-// fixture registers the names tried, so a caller that needs the key served
-// registers an engine under the returned name.
+// Steering hashes whatever engine string a request carries, so the engine
+// axis is free: where one pass over the GPU registry can miss for an
+// unlucky draw of httptest ports, 64 × 12 keys cannot. Every proc serves
+// the names tried (see startProcOpts), answering like its stub engine.
 func ringKey(t *testing.T, n *Node, want func(primary, replica string) bool) (engine string, g gpu.Spec) {
 	t.Helper()
-	for i := 0; i < 64; i++ {
-		engine = fmt.Sprintf("key-%d", i)
+	for i := 0; i < ringKeys; i++ {
+		engine = ringKeyName(i)
 		for _, g := range gpu.All() {
 			if want(n.Owners(engine, g.Name)) {
 				return engine, g
 			}
 		}
 	}
-	t.Fatalf("no (engine, GPU) key among %d satisfies the ring condition — ring degenerate", 64*len(gpu.All()))
+	t.Fatalf("no (engine, GPU) key among %d satisfies the ring condition — ring degenerate", ringKeys*len(gpu.All()))
 	return "", gpu.Spec{}
 }
 
@@ -52,21 +55,10 @@ func gpuOwnedBy(t *testing.T, n *Node, owner string) gpu.Spec {
 }
 
 // keyOwnedBy finds an (engine, GPU) key the given member owns as primary,
-// from n's view of the ring, and has every listed process serve it.
-func keyOwnedBy(t *testing.T, n *Node, owner string, serving ...*proc) (engine string, g gpu.Spec) {
+// from n's view of the ring.
+func keyOwnedBy(t *testing.T, n *Node, owner string) (engine string, g gpu.Spec) {
 	t.Helper()
-	engine, g = ringKey(t, n, func(primary, _ string) bool { return primary == owner })
-	for _, p := range serving {
-		p.serveAs(engine)
-	}
-	return engine, g
-}
-
-// serveAs registers a second engine on the process that answers like its
-// stub (same latency) under a searched key's engine name.
-func (p *proc) serveAs(engine string) {
-	p.reg.MustRegister(predict.NewFuncEngine(engine, predict.SourceAnalytical,
-		func(kernels.Kernel, gpu.Spec) (float64, error) { return p.eng.lat.Load().(float64), nil }))
+	return ringKey(t, n, func(primary, _ string) bool { return primary == owner })
 }
 
 // kernelBody builds a /v2/predict/kernel request for the (engine, g) key.
@@ -294,14 +286,12 @@ func TestProxyTimedOutHopIsServedTwice(t *testing.T) {
 	// The owner's engine holds its one request until the client has its
 	// answer, so the hop times out however slow the machine is.
 	entered, release := make(chan struct{}), make(chan struct{})
-	owner.reg.MustRegister(predict.NewFuncEngine(engine, predict.SourceAnalytical,
-		func(kernels.Kernel, gpu.Spec) (float64, error) {
-			close(entered)
-			<-release
-			return 2, nil
-		}))
-	replica.reg.MustRegister(predict.NewFuncEngine(engine, predict.SourceAnalytical,
-		func(kernels.Kernel, gpu.Spec) (float64, error) { return 3, nil }))
+	owner.eng.lat.Store(2.0)
+	owner.eng.hold.Store(func() {
+		close(entered)
+		<-release
+	})
+	replica.eng.lat.Store(3.0)
 
 	lat, code := postKernelEngine(t, http.DefaultClient, "http://"+steerer.addr+"/v2/predict/kernel", engine, g)
 	if code != http.StatusOK || lat != 3 {
@@ -347,7 +337,6 @@ func TestProxyToReplicaWhenPrimaryDead(t *testing.T) {
 	engine, g := ringKey(t, a.node, func(primary, rep string) bool {
 		return primary == dead && rep == replica.addr
 	})
-	replica.serveAs(engine)
 	for i := 0; i < DefaultDeadAfter; i++ {
 		a.node.markContact(dead, false)
 	}
@@ -391,7 +380,7 @@ func TestRingEndpoint(t *testing.T) {
 	if len(ra.Members) != 2 {
 		t.Fatalf("members = %v, want both processes", ra.Members)
 	}
-	want := len(gpu.All()) // one engine registered
+	want := (1 + ringKeys) * len(gpu.All()) // alpha and the ringKey names
 	if len(ra.Assignments) != want {
 		t.Fatalf("assignments = %d, want %d (engines x GPUs)", len(ra.Assignments), want)
 	}

@@ -146,13 +146,6 @@ func (m *Matrix) Scale(s float64) *Matrix {
 	return r
 }
 
-// ScaleInPlace multiplies every element by s.
-func (m *Matrix) ScaleInPlace(s float64) {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-}
-
 // AddScalar returns m + s elementwise.
 func (m *Matrix) AddScalar(s float64) *Matrix {
 	r := New(m.Rows, m.Cols)

@@ -128,6 +128,3 @@ func (c *CompiledMLP) ForwardRow(in, out []float64) []float64 {
 	c.ForwardInto(&dst, &x)
 	return out
 }
-
-// NumLayers returns the Linear layer count (hidden layers + output head).
-func (c *CompiledMLP) NumLayers() int { return len(c.ws) }

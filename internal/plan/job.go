@@ -252,8 +252,11 @@ func (m *Manager) Submit(spec Spec) (Status, error) {
 	m.jobs[j.id] = j
 	m.mu.Unlock()
 	m.submitted.Add(1)
+	// Take the birth status before the run starts, as Resume does: a
+	// small job can finish before a status taken after `go` is read.
+	st := j.status(false)
 	go m.run(ctx, j)
-	return j.status(false), nil
+	return st, nil
 }
 
 // Resume restarts a cancelled job's unevaluated cells. Done and running

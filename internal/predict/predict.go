@@ -17,9 +17,8 @@
 // state generations for cache invalidation, native batching, placement
 // affinity — are separate interfaces an engine implements only when its
 // backend supports them. The Registry holds the engine set a process
-// serves, turning "which predictor answers this request" into per-request
-// routing instead of a compile-time decision; its version counter lets
-// serving layers rebalance when the set changes.
+// serves, registered at start-up, turning "which predictor answers this
+// request" into per-request routing instead of a compile-time decision.
 package predict
 
 import (

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // ErrUnknownEngine is wrapped by Get for unregistered names, so callers
@@ -14,21 +13,16 @@ import (
 // apart from a prediction failure.
 var ErrUnknownEngine = errors.New("unknown engine")
 
-// Registry is a thread-safe name -> Engine map: the set of predictors a
-// process can route requests to. Serving picks an engine per request, the
-// CLI per flag, and the experiment harness iterates the set — all against
-// the same registration.
-//
-// The registry also carries the routing hints the serving and cluster
-// layers consume: a monotonically increasing Version that bumps on every
-// registration change (so the serving layer knows when its engine states
-// are stale and must rebalance), and the per-engine affinity key the
-// cluster's member ring hashes by (see ShardHint / ShardAffinity in
-// predict.go).
+// Registry is a thread-safe, add-only name -> Engine map: the set of
+// predictors a process can route requests to. Engines are registered at
+// start-up, before the serving layer reads the set; nothing is ever
+// removed. Serving picks an engine per request, the CLI per flag, and the
+// experiment harness iterates the set — all against the same registration.
+// The cluster's member ring hashes each engine by its affinity key (see
+// ShardAffinity in predict.go).
 type Registry struct {
 	mu      sync.RWMutex
 	engines map[string]Engine
-	version atomic.Uint64
 }
 
 // NewRegistry returns an empty registry.
@@ -53,30 +47,8 @@ func (r *Registry) Register(e Engine) error {
 		return fmt.Errorf("predict: engine %q already registered", name)
 	}
 	r.engines[name] = e
-	r.version.Add(1)
 	return nil
 }
-
-// Unregister removes the engine registered under name, reporting whether
-// one was registered. Traffic already routed to the engine completes; new
-// lookups fail with ErrUnknownEngine, and serving layers observing Version
-// rebalance and drop the engine's cached forecasts.
-func (r *Registry) Unregister(name string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.engines[name]; !ok {
-		return false
-	}
-	delete(r.engines, name)
-	r.version.Add(1)
-	return true
-}
-
-// Version returns a counter that increases on every Register/Unregister.
-// Serving layers cache it alongside derived routing state (per-engine
-// states) and rebuild when it drifts — a cheap atomic load
-// per request instead of a registry diff.
-func (r *Registry) Version() uint64 { return r.version.Load() }
 
 // MustRegister is Register that panics on error — for process start-up
 // where a collision is a programming bug.
@@ -109,6 +81,18 @@ func (r *Registry) List() []string {
 	r.mu.RUnlock()
 	sort.Strings(names)
 	return names
+}
+
+// Engines returns the registered engines, sorted by name.
+func (r *Registry) Engines() []Engine {
+	r.mu.RLock()
+	out := make([]Engine, 0, len(r.engines))
+	for _, e := range r.engines {
+		out = append(out, e)
+	}
+	r.mu.RUnlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].Name() < out[j].Name() })
+	return out
 }
 
 // Len returns the number of registered engines.

@@ -1,7 +1,6 @@
 package predict
 
 import (
-	"errors"
 	"sync"
 	"testing"
 
@@ -12,32 +11,6 @@ import (
 func testEngine(name string) Engine {
 	return NewFuncEngine(name, SourceAnalytical,
 		func(k kernels.Kernel, g gpu.Spec) (float64, error) { return 1, nil })
-}
-
-func TestRegistryUnregisterAndVersion(t *testing.T) {
-	reg := NewRegistry()
-	v0 := reg.Version()
-	reg.MustRegister(testEngine("a"))
-	if reg.Version() == v0 {
-		t.Error("Version must bump on Register")
-	}
-	v1 := reg.Version()
-	if !reg.Unregister("a") {
-		t.Fatal("Unregister(a) reported no engine")
-	}
-	if reg.Version() == v1 {
-		t.Error("Version must bump on Unregister")
-	}
-	if reg.Unregister("a") {
-		t.Error("second Unregister must report false")
-	}
-	if _, err := reg.Get("a"); !errors.Is(err, ErrUnknownEngine) {
-		t.Errorf("Get after Unregister = %v, want ErrUnknownEngine", err)
-	}
-	// The name is reusable after unregistration.
-	if err := reg.Register(testEngine("a")); err != nil {
-		t.Errorf("re-Register after Unregister: %v", err)
-	}
 }
 
 func TestRegistryConcurrentChurn(t *testing.T) {
@@ -51,15 +24,17 @@ func TestRegistryConcurrentChurn(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				reg.Register(testEngine("churn"))
 				reg.Get("stable")
-				reg.Version()
 				reg.List()
-				reg.Unregister("churn")
+				reg.Engines()
 			}
 		}()
 	}
 	wg.Wait()
 	if _, err := reg.Get("stable"); err != nil {
 		t.Errorf("stable engine lost during churn: %v", err)
+	}
+	if got := reg.Engines(); len(got) != 2 || got[0].Name() != "churn" || got[1].Name() != "stable" {
+		t.Errorf("Engines() = %v, want churn and stable in name order", got)
 	}
 }
 

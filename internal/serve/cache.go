@@ -75,9 +75,9 @@ func (c *lruCache[K, V]) Put(key K, val V) {
 }
 
 // DropFunc removes every entry whose key satisfies match, returning how
-// many were dropped. Rebalancing uses it to evict the cache slice of
-// an unregistered engine (keys carry the engine state) without
-// disturbing the entries of engines still serving.
+// many were dropped. InvalidateEngine uses it to evict one engine's cache
+// slice (keys carry the engine's index) without disturbing the entries
+// of the other engines.
 func (c *lruCache[K, V]) DropFunc(match func(K) bool) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

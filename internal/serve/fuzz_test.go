@@ -65,3 +65,18 @@ func FuzzObserveRoute(f *testing.F) {
 		postEach(t, h, body, "/v2/observe")
 	})
 }
+
+// FuzzPlanRoute sends every body to /v2/plan of a roofline service with a
+// planner attached, as cmd/neusight attaches one. Every accepted job is
+// cancelled before the next input, so no input's background run
+// overlaps the next. The seed corpus is testdata/fuzz/FuzzPlanRoute.
+func FuzzPlanRoute(f *testing.F) {
+	svc := planService(f)
+	m := svc.Planner()
+	f.Cleanup(m.Close)
+	h := NewHandler(svc)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		postEach(t, h, body, "/v2/plan")
+		m.Close()
+	})
+}

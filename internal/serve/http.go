@@ -293,9 +293,9 @@ type EnginesResponse struct {
 }
 
 // StatsV2 is the JSON reply of GET /v2/stats: the aggregate counters plus
-// one entry per engine traffic has touched, the graph-plan memo counters,
-// the last cache-warmup report when one ran, and the trace-compaction state when a compacting
-// recorder is attached.
+// one entry per served engine (zeros until traffic reaches it), the
+// graph-plan memo counters, the last cache-warmup report when one ran, and
+// the trace-compaction state when a compacting recorder is attached.
 type StatsV2 struct {
 	Stats
 	Engines         []EngineStats    `json:"engines"`
@@ -307,8 +307,8 @@ type StatsV2 struct {
 }
 
 // predictErrorCode classifies a Predict*Engine error for HTTP: naming an
-// unregistered engine is a client error (400, the message lists the
-// registered set); saturation is backpressure (503 — retry after
+// engine the service does not serve is a client error (400, the message
+// lists the served set); saturation is backpressure (503 — retry after
 // backing off); anything else is an unpredictable request (422).
 func predictErrorCode(err error) int {
 	if errors.Is(err, predict.ErrUnknownEngine) {
@@ -494,11 +494,8 @@ func handleEngines(s *Service) http.HandlerFunc {
 			return
 		}
 		resp := EnginesResponse{Default: s.DefaultEngine()}
-		for _, name := range s.Registry().List() {
-			eng, err := s.Registry().Get(name)
-			if err != nil {
-				continue // unregistered between List and Get
-			}
+		for _, eng := range s.Registry().Engines() {
+			name := eng.Name()
 			info := EngineInfo{
 				Name:        name,
 				Default:     name == s.DefaultEngine(),

@@ -15,7 +15,7 @@ import (
 
 // planService builds a service with the roofline engine and an in-memory
 // planner attached — the wiring cmd/neusight does.
-func planService(t *testing.T) *Service {
+func planService(t testing.TB) *Service {
 	t.Helper()
 	reg := predict.NewRegistry()
 	reg.MustRegister(predict.NewRooflineEngine())

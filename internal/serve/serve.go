@@ -20,8 +20,8 @@
 //   - One bounded serving unit: the Service holds one cache, one
 //     coalescing table and one worker pool behind one in-flight bound, so
 //     overload pushes back with ErrSaturated instead of queueing without
-//     bound, and engine registration changes trigger a rebalance that
-//     evicts orphaned cache slices.
+//     bound. The engine set is the registry's at construction and never
+//     changes while the service runs.
 //   - Workload traces (trace.go): the keys the service actually serves can
 //     be recorded to an append-only JSONL trace, and a saved trace replayed
 //     at startup to warm the caches concurrently before the listener
@@ -34,7 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -91,9 +91,9 @@ const DefaultCacheSize = 4096
 //  3. a bounded worker pool so graph fan-out cannot oversubscribe the CPU,
 //     behind a bounded queue so overload is shed, not buffered.
 //
-// Requests name an engine (or take the default); engines are looked up in
-// the registry per request, so engines registered after the service starts
-// become routable immediately.
+// Requests name an engine (or take the default) from the set registered
+// when the service was built: engines are registered at start-up, and one
+// registered later is not served.
 type Service struct {
 	reg   *predict.Registry
 	def   string
@@ -112,11 +112,6 @@ type Service struct {
 	queue    int
 	inFlight atomic.Int64
 
-	// regVersion is the registry version the engine states were built
-	// against; drift triggers Rebalance. epoch numbers the engine states
-	// ever created, namespacing each one's cache entries.
-	regVersion atomic.Uint64
-	epoch      atomic.Uint64
 	// recorder, when set, appends every newly served key to a workload
 	// trace; warmup holds the report of the last trace replay (trace.go).
 	// warming is true while WarmFromTrace replays — replay traffic must not
@@ -131,8 +126,11 @@ type Service struct {
 	// planner, when set, serves /v2/plan what-if sweeps (plan.go).
 	planner atomic.Pointer[plan.Manager]
 
-	emu     sync.RWMutex
-	engines map[string]*engineState
+	// engines holds one state per engine registered at construction, in
+	// name order; byName resolves a request's engine name to its state.
+	// Both are fixed by NewMulti and read without a lock.
+	engines []*engineState
+	byName  map[string]*engineState
 
 	// plans memoizes compiled graph plans for the HTTP graph handlers
 	// (graphplan.go).
@@ -156,12 +154,9 @@ type Service struct {
 type engineState struct {
 	name string
 	eng  predict.Engine
-	// epoch numbers this state among every engine state the service has
-	// created. It makes a replaced engine (unregister + re-register under
-	// the same name) a distinct key space, so a backend evaluation in flight
-	// across a rebalance caches under the old state's epoch and can never be
-	// served by the replacement — even for engines that track no generation.
-	epoch uint64
+	// index is the state's position in Service.engines: the namespace of
+	// its entries in the cache every engine shares.
+	index uint64
 
 	requests    atomic.Uint64
 	errors      atomic.Uint64
@@ -172,19 +167,19 @@ type engineState struct {
 }
 
 // cacheKey identifies a cached forecast and an in-flight evaluation: the
-// engine state (the cache is shared across engines), its generation (0
+// engine's index (the cache is shared across engines), its generation (0
 // when it tracks none; a retrain leaves every prior entry unreachable to
 // age out of the LRU), and the whole kernel on the GPU, not its Label.
 type cacheKey struct {
-	epoch, gen uint64
+	engine, gen uint64
 	tile.CacheKey
 }
 
 // owns reports whether a cache key belongs to this engine state.
-func (es *engineState) owns(key cacheKey) bool { return key.epoch == es.epoch }
+func (es *engineState) owns(key cacheKey) bool { return key.engine == es.index }
 
 func (es *engineState) key(k kernels.Kernel, g gpu.Spec) cacheKey {
-	return cacheKey{es.epoch, predict.Generation(es.eng), tile.CacheKey{Kernel: k.Key(), GPU: g.Name}}
+	return cacheKey{es.index, predict.Generation(es.eng), tile.CacheKey{Kernel: k.Key(), GPU: g.Name}}
 }
 
 // inflightCall is one in-progress backend prediction that later arrivals
@@ -195,8 +190,8 @@ type inflightCall struct {
 	err  error
 }
 
-// NewMulti returns a Service routing across every engine in reg, serving
-// defaultEngine when a request does not name one.
+// NewMulti returns a Service routing across every engine registered in reg
+// now, serving defaultEngine when a request does not name one.
 func NewMulti(reg *predict.Registry, defaultEngine string, cfg Config) *Service {
 	if reg == nil {
 		panic("serve: nil registry")
@@ -228,10 +223,14 @@ func NewMulti(reg *predict.Registry, defaultEngine string, cfg Config) *Service 
 		inflight: map[cacheKey]*inflightCall{},
 		sem:      make(chan struct{}, workers),
 		queue:    queue,
-		engines:  map[string]*engineState{},
+		byName:   map[string]*engineState{},
 		plans:    newLRUCache[planKey, *graph.Plan](planMemoSize),
 	}
-	s.regVersion.Store(reg.Version())
+	for i, eng := range reg.Engines() {
+		es := &engineState{name: eng.Name(), eng: eng, index: uint64(i)}
+		s.engines = append(s.engines, es)
+		s.byName[es.name] = es
+	}
 	return s
 }
 
@@ -241,53 +240,21 @@ func (s *Service) Registry() *predict.Registry { return s.reg }
 // DefaultEngine returns the engine name served when a request names none.
 func (s *Service) DefaultEngine() string { return s.def }
 
-// engine resolves name ("" means the default) to its serving state,
-// creating the state on first use so engines registered after the service
-// started are routable, and rebalancing first when the registry changed
-// since the routing state was built.
+// engine resolves name ("" means the default) to its serving state. An
+// unknown name fails with an error that wraps predict.ErrUnknownEngine and
+// names the served engines.
 func (s *Service) engine(name string) (*engineState, error) {
-	s.maybeRebalance()
 	if name == "" {
 		name = s.def
 	}
-	s.emu.RLock()
-	es, ok := s.engines[name]
-	s.emu.RUnlock()
-	if ok {
+	if es, ok := s.byName[name]; ok {
 		return es, nil
 	}
-	if _, err := s.reg.Get(name); err != nil {
-		return nil, err
+	names := make([]string, len(s.engines))
+	for i, es := range s.engines {
+		names[i] = es.name
 	}
-	s.emu.Lock()
-	defer s.emu.Unlock()
-	if es, ok := s.engines[name]; ok {
-		return es, nil
-	}
-	// Re-resolve under the state lock: Rebalance scans s.engines under the
-	// same lock, so an engine unregistered between the lock-free Get above
-	// and this insert is either caught here (Get fails) or inserted before
-	// the version-drift rebalance that will drop it — it can never be
-	// inserted after that rebalance already ran and stay routable forever.
-	eng, err := s.reg.Get(name)
-	if err != nil {
-		return nil, err
-	}
-	es = &engineState{name: name, eng: eng, epoch: s.epoch.Add(1)}
-	s.engines[name] = es
-	return es, nil
-}
-
-// states returns the engine states created so far, sorted by name.
-func (s *Service) states() []*engineState {
-	s.emu.RLock()
-	out := make([]*engineState, 0, len(s.engines))
-	for _, es := range s.engines {
-		out = append(out, es)
-	}
-	s.emu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
+	return nil, fmt.Errorf("serve: %w %q (serving: %s)", predict.ErrUnknownEngine, name, strings.Join(names, ", "))
 }
 
 // InvalidateEngine drops every cached forecast of the engine named name,
@@ -295,54 +262,14 @@ func (s *Service) states() []*engineState {
 // invalidation hook: a peer process reporting a newer state generation for
 // this engine means locally cached forecasts may be stale even though the
 // local engine's own generation — the one cache keys fold in — never
-// moved. An engine no traffic has touched has nothing cached and drops
+// moved. An engine the service does not serve has nothing cached and drops
 // zero.
 func (s *Service) InvalidateEngine(name string) int {
-	s.emu.RLock()
-	es, ok := s.engines[name]
-	s.emu.RUnlock()
+	es, ok := s.byName[name]
 	if !ok {
 		return 0
 	}
 	return s.cache.DropFunc(es.owns)
-}
-
-// Rebalance reconciles the service's engine states with the current
-// registry: states of engines that unregistered (or were replaced by a new
-// instance under the same name) are dropped and their cached forecasts
-// evicted. The cache and its counters stay, so the aggregate hit/miss
-// counters keep their history. It runs automatically when the registry
-// version drifts from the one the service last observed — explicit calls
-// are only needed by callers that want eviction to happen eagerly rather
-// than on the next request.
-func (s *Service) Rebalance() {
-	// Record the version first: a registration racing this rebalance
-	// bumps the version after our read and triggers another pass, rather
-	// than being masked by a later read.
-	s.regVersion.Store(s.reg.Version())
-
-	var stale []*engineState
-	s.emu.Lock()
-	for name, es := range s.engines {
-		cur, err := s.reg.Get(name)
-		if err != nil || cur != es.eng {
-			delete(s.engines, name)
-			stale = append(stale, es)
-		}
-	}
-	s.emu.Unlock()
-	for _, es := range stale {
-		s.cache.DropFunc(es.owns)
-	}
-}
-
-// maybeRebalance triggers a rebalance when engines have registered or
-// unregistered since the last one. The steady-state cost is one atomic
-// load per request.
-func (s *Service) maybeRebalance() {
-	if s.regVersion.Load() != s.reg.Version() {
-		s.Rebalance()
-	}
 }
 
 // admit applies the in-flight bound, reserving a slot on success. Callers
@@ -462,8 +389,9 @@ type Stats struct {
 	UptimeSec      float64 `json:"uptime_sec"`
 }
 
-// EngineStats is one engine's slice of the counters, exposed on
-// /v2/stats and as labeled Prometheus series.
+// EngineStats is one served engine's slice of the counters, exposed on
+// /v2/stats and as labeled Prometheus series for every engine the
+// service was built with, touched by traffic or not.
 type EngineStats struct {
 	Engine      string  `json:"engine"`
 	Requests    uint64  `json:"requests"`
@@ -480,8 +408,8 @@ type EngineStats struct {
 
 // Stats returns the current aggregate counters. HitRate is
 // hits/(hits+misses), 0 before any traffic. The cache lives as long as the
-// service — Rebalance evicts a stale engine's entries, never the cache —
-// so its counters, exported to Prometheus as counters, are monotonic.
+// service, so its counters, exported to Prometheus as counters, are
+// monotonic.
 func (s *Service) Stats() Stats {
 	hits, misses := s.cache.Counters()
 	length := s.cache.Len()
@@ -520,11 +448,11 @@ func (s *Service) engineCacheLen(es *engineState) int {
 	return s.cache.LenFunc(es.owns)
 }
 
-// EngineStats returns per-engine counters for every engine traffic has
-// touched, sorted by engine name.
+// EngineStats returns per-engine counters for every served engine, sorted
+// by engine name; an engine no traffic has touched reads zero.
 func (s *Service) EngineStats() []EngineStats {
 	var out []EngineStats
-	for _, es := range s.states() {
+	for _, es := range s.engines {
 		hits, misses := es.cacheHits.Load(), es.cacheMisses.Load()
 		st := EngineStats{
 			Engine:      es.name,

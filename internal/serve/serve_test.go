@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +14,42 @@ import (
 	"neusight/internal/kernels"
 	"neusight/internal/predict"
 )
+
+// TestEngineSetFixedAtStart pins the engine table NewMulti builds: every
+// engine registered by then is listed in name order, an untouched one at
+// zero, and an engine registered afterwards is not served.
+func TestEngineSetFixedAtStart(t *testing.T) {
+	reg := predict.NewRegistry()
+	reg.MustRegister(constEngine("beta", 2))
+	reg.MustRegister(constEngine("alpha", 1))
+	svc := NewMulti(reg, "alpha", Config{CacheSize: 64})
+	ctx := context.Background()
+	g := gpu.MustLookup("V100")
+	k := kernels.NewBMM(2, 64, 64, 64)
+	if _, err := svc.PredictKernelEngine(ctx, "", k, g); err != nil {
+		t.Fatal(err)
+	}
+
+	es := svc.EngineStats()
+	if len(es) != 2 || es[0].Engine != "alpha" || es[1].Engine != "beta" {
+		t.Fatalf("engine stats = %+v, want alpha then beta", es)
+	}
+	if es[0].Requests != 1 || es[0].CacheLen != 1 {
+		t.Errorf("alpha stats = %+v, want 1 request and 1 entry", es[0])
+	}
+	if untouched := (EngineStats{Engine: "beta", NativeBatch: es[1].NativeBatch}); es[1] != untouched {
+		t.Errorf("untouched beta stats = %+v, want zeros", es[1])
+	}
+
+	reg.MustRegister(constEngine("late", 3))
+	_, err := svc.PredictKernelEngine(ctx, "late", k, g)
+	if !errors.Is(err, predict.ErrUnknownEngine) || !strings.Contains(err.Error(), "alpha, beta") {
+		t.Errorf("engine registered after start-up = %v, want ErrUnknownEngine naming alpha, beta", err)
+	}
+	if n := len(svc.EngineStats()); n != 2 {
+		t.Errorf("engine stats list %d engines after a late registration, want 2", n)
+	}
+}
 
 // TestInvalidateEngine pins the cluster layer's invalidation hook: only
 // the named engine's cached forecasts drop from the cache it shares with

@@ -26,13 +26,23 @@ var testOnlyAllowed = map[string]string{
 	"internal/models.Llama7B":  "the same fixture for the RMSNorm/rotary/SwiGLU decoder family, whose 2048-token attention BMMs fall outside the training range.",
 }
 
+// stdlibMethods are exported method names the standard library calls
+// through its own interfaces (fmt.Stringer, error, json.Marshaler,
+// json.Unmarshaler, http.Handler), so no selector in the module need
+// name them.
+var stdlibMethods = map[string]bool{
+	"String": true, "Error": true, "MarshalJSON": true, "UnmarshalJSON": true, "ServeHTTP": true,
+}
+
 // TestNoTestOnlyExports keeps internal/ from growing API that only its own
 // tests use: every exported package-level function, type, variable and
 // constant under internal/ must be referenced from at least one non-test
 // .go file — another internal package, cmd/, examples/ or the bench/
-// module — or be allow-listed above with a reason. Methods and struct
-// fields are left out: interface dispatch makes their reachability
-// undecidable without whole-program analysis.
+// module — or be allow-listed above with a reason. Struct fields are left
+// out. Methods get a weaker check, because interface dispatch makes their
+// callers undecidable without type checking: an exported method under
+// internal/ fails only when no selector anywhere in the module, test or
+// not, uses its name (stdlibMethods aside).
 //
 // The check is syntactic (go/parser only, no type checking, nothing outside
 // the standard library): a qualified reference is pkgname.Ident through the
@@ -82,6 +92,9 @@ func TestNoTestOnlyExports(t *testing.T) {
 	// a same-package identifier can be told from a local of the same name.
 	type counts struct{ real, test int }
 	refs := map[string]*counts{}
+	// methods maps "internal/pkg.Recv.Name" to the method's name, for every
+	// exported method declared outside _test.go files under internal/.
+	methods := map[string]string{}
 	declPos := map[string]token.Pos{}
 	declare := func(dir string, id *ast.Ident) {
 		if id.IsExported() {
@@ -98,6 +111,8 @@ func TestNoTestOnlyExports(t *testing.T) {
 			case *ast.FuncDecl:
 				if d.Recv == nil {
 					declare(f.dir, d.Name)
+				} else if d.Name.IsExported() {
+					methods[f.dir+"."+recvName(d.Recv.List[0].Type)+"."+d.Name.Name] = d.Name.Name
 				}
 			case *ast.GenDecl:
 				for _, spec := range d.Specs {
@@ -114,6 +129,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 		}
 	}
 
+	selected := map[string]bool{} // every selector name in the module
 	for _, f := range files {
 		// Local import name -> declaring directory, for this file's imports
 		// of the module's internal packages.
@@ -144,6 +160,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
 				selectors[n.Sel] = true
+				selected[n.Sel.Name] = true
 				if x, ok := n.X.(*ast.Ident); ok && x.Obj == nil {
 					if dir, ok := imported[x.Name]; ok {
 						count(dir + "." + n.Sel.Name)
@@ -171,6 +188,16 @@ func TestNoTestOnlyExports(t *testing.T) {
 			}
 		}
 	}
+	var unused []string
+	for key, name := range methods {
+		if !selected[name] && !stdlibMethods[name] {
+			unused = append(unused, key)
+		}
+	}
+	sort.Strings(unused)
+	for _, key := range unused {
+		t.Errorf("method %s is exported but no selector in the module names %s: delete it or unexport it", key, methods[key])
+	}
 	sort.Strings(offenders)
 	for _, key := range offenders {
 		t.Errorf("%s is exported but referenced only from _test.go files: delete it, unexport it, or add it to testOnlyAllowed with a reason", key)
@@ -188,5 +215,24 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 	if len(testOnlyAllowed) > 10 {
 		t.Errorf("testOnlyAllowed has %d entries; the limit is 10", len(testOnlyAllowed))
+	}
+}
+
+// recvName returns the type name of a method receiver: T for T, *T, T[P]
+// and *T[P].
+func recvName(x ast.Expr) string {
+	for {
+		switch e := x.(type) {
+		case *ast.StarExpr:
+			x = e.X
+		case *ast.IndexExpr:
+			x = e.X
+		case *ast.IndexListExpr:
+			x = e.X
+		case *ast.Ident:
+			return e.Name
+		default:
+			return "?"
+		}
 	}
 }
