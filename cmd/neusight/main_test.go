@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -104,6 +105,25 @@ func TestForecastUnknownInputs(t *testing.T) {
 	}
 	if err := forecast(p, "BERT-Large", "NotAGPU", 1, false, false); err == nil {
 		t.Fatal("unknown GPU must error")
+	}
+}
+
+// TestQuickPredictorDigest pins the bits of the model `quick` and
+// `serve -quick` train: the SHA-256 of quickPredictor's Save output. The
+// digest does not depend on GOMAXPROCS; a change that moves it changes
+// every forecast the quick model serves, and must say so.
+func TestQuickPredictorDigest(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "quick.json")
+	if err := quickPredictor().Save(path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "937e0e896de5ab83b4fab11b908a822aeecba6566d6348920ee1a6733b4305ef"
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
+		t.Errorf("quick model digest %s, want %s", got, want)
 	}
 }
 

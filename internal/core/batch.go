@@ -56,6 +56,7 @@ func (p *Predictor) PredictKernelsDetail(ks []kernels.Kernel, g gpu.Spec) (lats,
 		errs[i] = fmt.Errorf("core: network kernel %s must be predicted by the network model", ks[i].Label())
 	}
 
+	v := p.cur.Load() // one model for the whole batch
 	rows := make([]batchRow, start[kernels.CatNetwork])
 	X := make([]float64, len(rows)*NumFeatures)
 	H := make([]float64, len(rows)*2)
@@ -64,8 +65,8 @@ func (p *Predictor) PredictKernelsDetail(ks []kernels.Kernel, g gpu.Spec) (lats,
 		if lo == hi {
 			continue
 		}
-		cm, st, ok := p.compiledModel(cat)
-		if !ok {
+		m := v.cats[cat]
+		if m == nil {
 			for _, i := range order[lo:hi] {
 				if cat == kernels.CatMemoryBound {
 					lats[i] = MemBoundLatency(ks[i], g)
@@ -97,11 +98,11 @@ func (p *Predictor) PredictKernelsDetail(ks []kernels.Kernel, g gpu.Spec) (lats,
 			rows[r].c, rows[r].waves = c, float64(waves)
 			f := x.Row(r - lo)
 			featuresInto(f, k, g, rows[r].t, waves)
-			st.applyInPlace(f)
+			m.stats.applyInPlace(f)
 		}
 		// One compiled forward pass for the whole group.
 		heads := mat.Matrix{Rows: hi - lo, Cols: 2, Data: H[lo*2 : hi*2]}
-		cm.ForwardInto(&heads, &x)
+		m.compiled.ForwardInto(&heads, &x)
 		for r := lo; r < hi; r++ {
 			i := order[r]
 			utils[i] = utilScalar(H[2*r], H[2*r+1], rows[r].waves)

@@ -133,7 +133,7 @@ func TestPredictKernelsEmpty(t *testing.T) {
 	}
 }
 
-// TestRecompileAfterTrain: retraining a category must invalidate the
+// TestRecompileAfterTrain: retraining a category must publish a freshly
 // compiled snapshot so predictions pick up the new weights.
 func TestRecompileAfterTrain(t *testing.T) {
 	p := trainSmall(t, 15)
@@ -149,7 +149,7 @@ func TestRecompileAfterTrain(t *testing.T) {
 	// snapshot must be rebuilt, not reused.
 	p.Cfg.Seed = 999
 	ds := trainSmallDataset(t, 16)
-	p.TrainCategory(kernels.CatBMM, ds.FilterCategory(kernels.CatBMM))
+	p.Train(ds.FilterCategory(kernels.CatBMM))
 	after, err := p.PredictKernel(k, g)
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +215,7 @@ func TestColdBatchScansConcurrently(t *testing.T) {
 	}
 	trained := sharedRacePredictor(t)
 	p := NewPredictor(trained.Cfg, tdb)
-	p.mlps, p.stats = trained.mlps, trained.stats
+	p.cur.Store(trained.cur.Load())
 	ks := make([]kernels.Kernel, 64)
 	for i := range ks {
 		ks[i] = kernels.NewBMM(2, 40+8*i, 64, 48)

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"neusight/internal/dataset"
 	"neusight/internal/kernels"
 )
@@ -28,9 +26,11 @@ type CalibrationReport struct {
 // samples are grouped by kernel category, replicated to rough parity with
 // the base training set for that category (so a small observation window
 // still moves the model), merged with the base samples, and each affected
-// category is retrained through TrainCategory — the same shadow-train,
-// hot-swap, generation-bump path as offline training, so cache-key
-// versioning and cluster gossip invalidate stale forecasts for free.
+// category is retrained off to the side. The retrained categories are then
+// published as one version over the untouched ones — the same publish and
+// single generation step as offline training, so no forecast mixes old and
+// new categories, and cache-key versioning and cluster gossip invalidate
+// stale forecasts for free.
 //
 // base is the offline training set to retain (nil trains on the
 // calibration samples alone, e.g. a process started from -model without
@@ -52,14 +52,12 @@ func (p *Predictor) Calibrate(base *dataset.Dataset, calib []dataset.Sample) Cal
 		byCat[cat] = append(byCat[cat], s)
 	}
 
-	cats := make([]kernels.Category, 0, len(byCat))
-	for cat := range byCat {
-		cats = append(cats, cat)
-	}
-	sort.Slice(cats, func(i, j int) bool { return cats[i] < cats[j] })
-
-	for _, cat := range cats {
+	trained := map[kernels.Category]*catModel{}
+	for _, cat := range trainedCats {
 		obs := byCat[cat]
+		if len(obs) == 0 {
+			continue
+		}
 		merged := &dataset.Dataset{}
 		if base != nil {
 			merged.Samples = append(merged.Samples, base.FilterCategory(cat).Samples...)
@@ -74,9 +72,10 @@ func (p *Predictor) Calibrate(base *dataset.Dataset, calib []dataset.Sample) Cal
 		for i := 0; i < reps; i++ {
 			merged.Samples = append(merged.Samples, obs...)
 		}
-		rep.Loss[cat] = p.TrainCategory(cat, merged)
+		trained[cat], rep.Loss[cat] = p.trainCategory(cat, merged)
 		rep.Trained[cat] = len(obs)
 	}
+	p.publish(trained)
 	return rep
 }
 

@@ -205,7 +205,8 @@ func TestUntrainedCategoryError(t *testing.T) {
 
 // TestGenerationMovesOnRetrainAndProfiling: Generation must change on
 // every event that can change a forecast — retraining a category and
-// adding tile records — so generation-keyed serving caches invalidate.
+// adding tile records — so generation-keyed serving caches invalidate, and
+// only then: a Train that fits no category publishes nothing.
 func TestGenerationMovesOnRetrainAndProfiling(t *testing.T) {
 	tdb := tile.NewDB()
 	ds := dataset.Generate(dataset.GenConfig{
@@ -219,10 +220,13 @@ func TestGenerationMovesOnRetrainAndProfiling(t *testing.T) {
 	if g1 == g0 {
 		t.Fatal("Generation must change after Train")
 	}
-	p.TrainCategory(kernels.CatBMM, ds.FilterCategory(kernels.CatBMM))
+	p.Train(ds.FilterCategory(kernels.CatBMM))
 	g2 := p.Generation()
 	if g2 == g1 {
 		t.Fatal("Generation must change after a category retrain")
+	}
+	if rep := p.Train(ds.FilterCategory(kernels.CatMemoryBound)); len(rep.FinalLoss) != 0 || p.Generation() != g2 {
+		t.Fatalf("Train with no trainable category fit %v and moved the generation %d -> %d", rep.FinalLoss, g2, p.Generation())
 	}
 	k := kernels.NewBMM(1, 32, 32, 32)
 	gp := gpu.MustLookup("V100")

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -46,29 +45,42 @@ func DefaultConfig() Config {
 // operator category plus the tile database recorded during profiling.
 //
 // A trained Predictor is safe for concurrent PredictKernel / PredictKernels
-// / PredictGraph / Utilization calls: the MLP and normalization maps are
-// guarded against a concurrent Train, and tiles resolve through the tile
+// / PredictGraph / Utilization calls alongside Train and Calibrate: the
+// learned state is one immutable version behind an atomic pointer, which
+// every read path loads once, and tiles resolve through the tile
 // database's single-flight memo, so identical kernels arriving together pay
 // for one nearest-match scan.
 //
 // Training and prediction use different representations of the same
 // weights. Train fits autodiff MLPs (gradients flow through the latency
 // equations); every prediction then runs through a nn.CompiledMLP — an
-// immutable weight snapshot with an allocation-free forward pass — compiled
-// lazily on the first prediction after Train or Load and invalidated
-// whenever a category is retrained.
+// immutable weight snapshot with an allocation-free forward pass. Train,
+// Calibrate and Load fit or decode a new version off to the side, compile
+// it whole and publish it with one pointer store, so a batch or a graph is
+// always priced by one model, never by categories from two.
 type Predictor struct {
 	Cfg    Config
 	TileDB *tile.DB
 
-	stateMu  sync.RWMutex
-	mlps     map[kernels.Category]*nn.MLP
-	stats    map[kernels.Category]*featureStats
-	compiled map[kernels.Category]*nn.CompiledMLP
+	publishMu sync.Mutex // serializes publishers; readers never take it
+	cur       atomic.Pointer[version]
+}
 
-	// modelGen counts learned-state changes: TrainCategory and Load bump it
-	// so Generation moves whenever weights are replaced.
-	modelGen atomic.Uint64
+// version is one published learned state; it is never modified once
+// stored. Its categories are indexed by kernels.Category, nil where
+// untrained; every category has a slot, so any kernel's category indexes
+// it.
+type version struct {
+	gen  uint64 // counts publishes: the model half of Generation
+	cats [kernels.CatNetwork + 1]*catModel
+}
+
+// catModel is one category's trained MLP, its compiled forward pass and
+// its feature normalization.
+type catModel struct {
+	mlp      *nn.MLP
+	compiled *nn.CompiledMLP
+	stats    featureStats
 }
 
 // NewPredictor returns an untrained predictor that resolves tiles via tdb.
@@ -76,50 +88,26 @@ func NewPredictor(cfg Config, tdb *tile.DB) *Predictor {
 	if tdb == nil {
 		tdb = tile.NewDB()
 	}
-	return &Predictor{
-		Cfg: cfg, TileDB: tdb,
-		mlps:     map[kernels.Category]*nn.MLP{},
-		stats:    map[kernels.Category]*featureStats{},
-		compiled: map[kernels.Category]*nn.CompiledMLP{},
-	}
+	p := &Predictor{Cfg: cfg, TileDB: tdb}
+	p.cur.Store(&version{})
+	return p
 }
 
-// model returns the trained MLP and feature stats for cat, or ok=false.
-func (p *Predictor) model(cat kernels.Category) (*nn.MLP, *featureStats, bool) {
-	p.stateMu.RLock()
-	defer p.stateMu.RUnlock()
-	mlp, ok := p.mlps[cat]
-	return mlp, p.stats[cat], ok
-}
-
-// compiledModel returns the compiled forward pass and feature stats for
-// cat, compiling lazily on the first prediction after Train or Load. The
-// common case is a read-locked map hit; the slow path double-checks under
-// the write lock so concurrent first predictions compile once.
-func (p *Predictor) compiledModel(cat kernels.Category) (*nn.CompiledMLP, *featureStats, bool) {
-	p.stateMu.RLock()
-	if cm := p.compiled[cat]; cm != nil {
-		st := p.stats[cat]
-		p.stateMu.RUnlock()
-		return cm, st, true
+// publish stores a new version holding the current one's categories with
+// those of trained laid over them. Nothing is published, and the
+// generation stays, when trained holds no category.
+func (p *Predictor) publish(trained map[kernels.Category]*catModel) {
+	if len(trained) == 0 {
+		return
 	}
-	_, trained := p.mlps[cat]
-	p.stateMu.RUnlock()
-	if !trained {
-		return nil, nil, false
+	p.publishMu.Lock()
+	defer p.publishMu.Unlock()
+	cur := p.cur.Load()
+	next := &version{gen: cur.gen + 1, cats: cur.cats}
+	for cat, m := range trained {
+		next.cats[cat] = m
 	}
-	p.stateMu.Lock()
-	defer p.stateMu.Unlock()
-	mlp, ok := p.mlps[cat]
-	if !ok { // retrain/reload raced us away
-		return nil, nil, false
-	}
-	cm := p.compiled[cat]
-	if cm == nil {
-		cm = nn.Compile(mlp)
-		p.compiled[cat] = cm
-	}
-	return cm, p.stats[cat], true
+	p.cur.Store(next)
 }
 
 // Name implements the predictor naming convention used by the harness.
@@ -137,21 +125,23 @@ func (p *Predictor) Train(ds *dataset.Dataset) TrainReport {
 		FinalLoss: map[kernels.Category]float64{},
 		Samples:   map[kernels.Category]int{},
 	}
+	trained := map[kernels.Category]*catModel{}
 	for _, cat := range trainedCats {
 		sub := ds.FilterCategory(cat)
 		if sub.Len() == 0 {
 			continue
 		}
-		l := p.TrainCategory(cat, sub)
-		rep.FinalLoss[cat] = l
+		trained[cat], rep.FinalLoss[cat] = p.trainCategory(cat, sub)
 		rep.Samples[cat] = sub.Len()
 	}
+	p.publish(trained)
 	return rep
 }
 
-// TrainCategory fits the MLP for one operator category and returns the
-// final epoch's mean SMAPE loss.
-func (p *Predictor) TrainCategory(cat kernels.Category, ds *dataset.Dataset) float64 {
+// trainCategory fits and compiles the MLP for one operator category
+// without publishing it, and returns it with the final epoch's mean SMAPE
+// loss.
+func (p *Predictor) trainCategory(cat kernels.Category, ds *dataset.Dataset) (*catModel, float64) {
 	rng := rand.New(rand.NewSource(p.Cfg.Seed + int64(cat)))
 	mlp := nn.NewMLP(rng, nn.MLPConfig{
 		In: NumFeatures, Hidden: p.Cfg.Hidden, Out: 2,
@@ -198,25 +188,17 @@ func (p *Predictor) TrainCategory(cat kernels.Category, ds *dataset.Dataset) flo
 		}
 		final = total / float64(batches)
 	}
-	p.stateMu.Lock()
-	p.mlps[cat] = mlp
-	p.stats[cat] = &st
-	// Invalidate the compiled snapshot; the next prediction recompiles from
-	// the fresh weights. In-flight predictions keep their old snapshot.
-	delete(p.compiled, cat)
-	p.stateMu.Unlock()
-	p.modelGen.Add(1)
-	return final
+	return &catModel{mlp: mlp, compiled: nn.Compile(mlp), stats: st}, final
 }
 
 // Generation identifies the predictor's current learned state: it changes
-// whenever TrainCategory replaces a category's weights or the tile database
+// whenever Train, Calibrate or Load publishes a version or the tile database
 // records new profiles — exactly the events that make previously returned
 // forecasts stale. Serving caches fold it into their keys so retraining
 // invalidates cached predictions automatically instead of relying on a
 // manual flush.
 func (p *Predictor) Generation() uint64 {
-	return p.modelGen.Load()<<32 | p.TileDB.Generation()&0xffffffff
+	return p.cur.Load().gen<<32 | p.TileDB.Generation()&0xffffffff
 }
 
 // predictExpr builds the differentiable latency expression: c / util with
@@ -246,14 +228,14 @@ func (p *Predictor) PredictKernelDetail(k kernels.Kernel, g gpu.Spec) (lat, util
 	if cat == kernels.CatNetwork {
 		return 0, 0, fmt.Errorf("core: network kernel %s must be predicted by the network model", k.Label())
 	}
-	cm, st, ok := p.compiledModel(cat)
-	if !ok {
+	m := p.cur.Load().cats[cat]
+	if m == nil {
 		if cat == kernels.CatMemoryBound {
 			return MemBoundLatency(k, g), 0, nil
 		}
 		return 0, 0, fmt.Errorf("%w %v", ErrUntrained, cat)
 	}
-	c, util := p.compiledEval(cm, st, k, g)
+	c, util := p.compiledEval(m, k, g)
 	return c / util, util, nil
 }
 
@@ -263,13 +245,13 @@ func (p *Predictor) PredictKernelDetail(k kernels.Kernel, g gpu.Spec) (lat, util
 // utilization. It is the one copy of the pipeline whose bit-identity with
 // the autodiff expression the parity tests enforce; PredictKernel and
 // Utilization must not diverge from each other.
-func (p *Predictor) compiledEval(cm *nn.CompiledMLP, st *featureStats, k kernels.Kernel, g gpu.Spec) (c, util float64) {
+func (p *Predictor) compiledEval(m *catModel, k kernels.Kernel, g gpu.Spec) (c, util float64) {
 	t := p.TileDB.LookupOrSelect(k, g)
 	c, waves := latencyConstant(k, g, t)
 	f := Features(k, g, t, waves)
-	st.applyInPlace(f)
+	m.stats.applyInPlace(f)
 	var heads [2]float64
-	cm.ForwardRow(f, heads[:])
+	m.compiled.ForwardRow(f, heads[:])
 	return c, utilScalar(heads[0], heads[1], float64(waves))
 }
 
@@ -282,8 +264,8 @@ func (p *Predictor) predictKernelAutodiff(k kernels.Kernel, g gpu.Spec) (float64
 	if cat == kernels.CatNetwork {
 		return 0, fmt.Errorf("core: network kernel %s must be predicted by the network model", k.Label())
 	}
-	mlp, st, ok := p.model(cat)
-	if !ok {
+	m := p.cur.Load().cats[cat]
+	if m == nil {
 		if cat == kernels.CatMemoryBound {
 			return MemBoundLatency(k, g), nil
 		}
@@ -291,23 +273,23 @@ func (p *Predictor) predictKernelAutodiff(k kernels.Kernel, g gpu.Spec) (float64
 	}
 	t := p.TileDB.LookupOrSelect(k, g)
 	c, waves := latencyConstant(k, g, t)
-	f := st.apply(Features(k, g, t, waves))
+	f := m.stats.apply(Features(k, g, t, waves))
 
 	x := ad.NewConstant(mat.FromSlice(1, NumFeatures, f))
 	cv := ad.NewConstant(mat.FromSlice(1, 1, []float64{c}))
 	wv := ad.NewConstant(mat.FromSlice(1, 1, []float64{float64(waves)}))
-	return predictExpr(mlp, x, cv, wv).Data.Data[0], nil
+	return predictExpr(m.mlp, x, cv, wv).Data.Data[0], nil
 }
 
 // Utilization returns the bounded utilization the predictor assigns to k on
 // g — useful for introspection and the Table 2 style analyses.
 func (p *Predictor) Utilization(k kernels.Kernel, g gpu.Spec) (float64, error) {
 	cat := k.Category()
-	cm, st, ok := p.compiledModel(cat)
-	if !ok {
+	m := p.cur.Load().cats[cat]
+	if m == nil {
 		return 0, fmt.Errorf("%w %v", ErrUntrained, cat)
 	}
-	_, util := p.compiledEval(cm, st, k, g)
+	_, util := p.compiledEval(m, k, g)
 	return util, nil
 }
 
@@ -399,13 +381,12 @@ func (p *Predictor) PredictPlan(pl *graph.Plan, g gpu.Spec) (float64, GraphRepor
 
 // TrainedCategories lists the categories with fitted MLPs, sorted.
 func (p *Predictor) TrainedCategories() []kernels.Category {
-	p.stateMu.RLock()
 	var cats []kernels.Category
-	for c := range p.mlps {
-		cats = append(cats, c)
+	for cat, m := range p.cur.Load().cats {
+		if m != nil {
+			cats = append(cats, kernels.Category(cat))
+		}
 	}
-	p.stateMu.RUnlock()
-	sort.Slice(cats, func(i, j int) bool { return cats[i] < cats[j] })
 	return cats
 }
 
@@ -420,12 +401,12 @@ type predictorState struct {
 // tile database is saved separately via its own Save.
 func (p *Predictor) Save(path string) error {
 	st := predictorState{Cfg: p.Cfg, MLPs: map[string]*nn.MLP{}, Stats: map[string]featureStats{}}
-	p.stateMu.RLock()
-	for cat, m := range p.mlps {
-		st.MLPs[cat.String()] = m
-		st.Stats[cat.String()] = *p.stats[cat]
+	for cat, m := range p.cur.Load().cats {
+		if m != nil {
+			st.MLPs[kernels.Category(cat).String()] = m.mlp
+			st.Stats[kernels.Category(cat).String()] = m.stats
+		}
 	}
-	p.stateMu.RUnlock()
 	data, err := json.Marshal(st)
 	if err != nil {
 		return err
@@ -443,14 +424,13 @@ func Load(path string, tdb *tile.DB) (*Predictor, error) {
 	if err := json.Unmarshal(data, &st); err != nil {
 		return nil, err
 	}
-	p := NewPredictor(st.Cfg, tdb)
+	loaded := map[kernels.Category]*catModel{}
 	for _, cat := range trainedCats {
 		if m, ok := st.MLPs[cat.String()]; ok {
-			p.mlps[cat] = m
-			s := st.Stats[cat.String()]
-			p.stats[cat] = &s
+			loaded[cat] = &catModel{mlp: m, compiled: nn.Compile(m), stats: st.Stats[cat.String()]}
 		}
 	}
-	p.modelGen.Add(1)
+	p := NewPredictor(st.Cfg, tdb)
+	p.publish(loaded)
 	return p, nil
 }

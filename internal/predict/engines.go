@@ -107,8 +107,9 @@ func (e *CoreEngine) Train(ds *dataset.Dataset) error {
 }
 
 // Calibrate implements Calibrator: observed latencies are folded into the
-// training set and the affected categories retrained through the core
-// predictor's shadow-train + hot-swap path, bumping the generation.
+// training set, the affected categories are retrained off to the side, and
+// the core predictor publishes them with the untouched ones as one model
+// version, moving the generation once.
 func (e *CoreEngine) Calibrate(base *dataset.Dataset, observed []dataset.Sample) error {
 	rep := e.P.Calibrate(base, observed)
 	if len(rep.Trained) == 0 {

@@ -61,6 +61,11 @@ if [[ "$fast" == 1 ]]; then
   # concurrency-critical surface: they stay race-checked even in fast mode.
   echo "==> go test -race -shuffle=on ./internal/tile ./internal/predict ./internal/serve ./internal/cluster ./internal/loadgen ./internal/observe"
   go test -race -shuffle=on ./internal/tile ./internal/predict ./internal/serve ./internal/cluster ./internal/loadgen ./internal/observe
+  # The predictor's own concurrency tests: forecasts alongside each other
+  # and alongside a Calibrate that publishes a new model version. The whole
+  # package under -race takes about a minute; this subset a quarter of it.
+  echo "==> go test -race -shuffle=on -run 'Concurrent|Torn' ./internal/core"
+  go test -race -shuffle=on -run 'Concurrent|Torn' ./internal/core
 else
   echo "==> go test -race -shuffle=on ./..."
   go test -race -shuffle=on ./...
