@@ -19,7 +19,7 @@
 //	                 [-join host2:8080] [-steer proxy|off]
 //	                 [-advertise host1:8080] [-cluster-listen :9090]
 //	                 [-cluster-token secret] [-health-interval 1s]
-//	                 [-observe] [-drift-threshold 0.25] [-observe-store obs.jsonl]
+//	                 [-observe] [-drift-threshold 0.25]
 //	neusight loadgen (-target http://host:8080 | -self roofline) \
 //	                 -rate 500 -duration 10s \
 //	                 [-arrival poisson|bursty -burst-on 20ms -burst-off 80ms]

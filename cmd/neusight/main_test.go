@@ -223,6 +223,11 @@ func TestServeCmdFlagValidation(t *testing.T) {
 	if err := serveCmd([]string{"-quick", "-advertise", "h:1"}); err == nil {
 		t.Fatal("-advertise without -peers must error")
 	}
+	// -model beside -quick would be ignored, and with it every saved
+	// calibration; the pair fails before -quick trains anything.
+	if err := serveCmd([]string{"-quick", "-model", "m.json"}); err == nil || !strings.Contains(err.Error(), "not both") {
+		t.Fatalf("-quick -model = %v, want an error", err)
+	}
 	// -steer validation must run before the expensive training step: these
 	// return in milliseconds precisely because they fail early.
 	for _, mode := range []string{"proyx", "redirect"} {

@@ -61,8 +61,6 @@ func serveCmd(args []string) error {
 	healthInterval := fs.Duration("health-interval", 0, "cluster health-sweep cadence driving the suspect/dead failure detector (0 = default 1s)")
 	observeFlag := fs.Bool("observe", false, "accept measured kernel latencies on POST /v2/observe and track prediction drift (retrainable engines background-retrain past -drift-threshold)")
 	driftThreshold := fs.Float64("drift-threshold", observe.DefaultThreshold, "rolling-MAPE level above which a retrainable engine recalibrates from observations (requires -observe)")
-	observeStore := fs.String("observe-store", "", "persist observations to this bounded JSONL store, replayed into drift windows on restart (requires -observe)")
-	observeCap := fs.Int("observe-cap", 0, fmt.Sprintf("observation store capacity in records, oldest evicted (0 = default %d; requires -observe-store)", observe.DefaultStoreCap))
 	planDir := fs.String("plan-dir", "", "persist /v2/plan job checkpoints to this directory so interrupted sweeps restore as resumable after a restart (default: in-memory only)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -73,17 +71,16 @@ func serveCmd(args []string) error {
 	if *traceCompact > 0 && *tracePath == "" {
 		return fmt.Errorf("serve: -trace-compact requires -trace-record")
 	}
-	if !*observeFlag && (*observeStore != "" || *driftThreshold != observe.DefaultThreshold) {
-		return fmt.Errorf("serve: -observe-store and -drift-threshold require -observe")
+	if !*observeFlag && *driftThreshold != observe.DefaultThreshold {
+		return fmt.Errorf("serve: -drift-threshold requires -observe")
 	}
 	if *driftThreshold <= 0 {
 		return fmt.Errorf("serve: -drift-threshold must be positive, got %v", *driftThreshold)
 	}
-	if *observeCap != 0 && *observeStore == "" {
-		return fmt.Errorf("serve: -observe-cap requires -observe-store")
-	}
-	if *observeCap < 0 {
-		return fmt.Errorf("serve: -observe-cap must be >= 0, got %d", *observeCap)
+	// A -model ignored under -quick would silently drop every calibration
+	// the process saves; reject the pair before -quick trains anything.
+	if *quickTrain && *modelPath != "" {
+		return fmt.Errorf("serve: pass -model or -quick, not both")
 	}
 	clustered := *peers != "" || *join != ""
 	if (*clusterListen != "" || *advertise != "" || *clusterToken != "" || *healthInterval != 0) && !clustered {
@@ -102,11 +99,13 @@ func serveCmd(args []string) error {
 	}
 	reg := predict.NewRegistry()
 	defaultEngine := predict.EngineNeuSight
-	// baseDS is the -quick run's generated dataset, retained so calibration
-	// retrains keep the offline distribution under the folded observations
-	// (nil for -model and -engines: calibration then trains on observations
-	// alone).
-	var baseDS *dataset.Dataset
+	// p is the core predictor, the one engine that calibrates (nil under
+	// -engines). ds is the -quick run's generated dataset, retained so
+	// calibration retrains keep the offline distribution under the folded
+	// observations (nil for -model: calibration then fine-tunes the
+	// loaded weights, with their own forecasts as the base set).
+	var p *core.Predictor
+	var ds *dataset.Dataset
 	if *engineList != "" {
 		// Model-free serving: only engines that need no training can run
 		// without a predictor (-model) or an in-process dataset (-quick).
@@ -130,8 +129,6 @@ func serveCmd(args []string) error {
 		}
 		defaultEngine = names[0]
 	} else {
-		var p *core.Predictor
-		var ds *dataset.Dataset
 		switch {
 		case *quickTrain:
 			fmt.Println("training a reduced in-process predictor...")
@@ -144,8 +141,7 @@ func serveCmd(args []string) error {
 			if err != nil {
 				return err
 			}
-			p, err = core.Load(*modelPath, tdb)
-			if err != nil {
+			if p, err = core.Load(*modelPath, tdb); err != nil {
 				return err
 			}
 		default:
@@ -165,7 +161,6 @@ func serveCmd(args []string) error {
 			}
 			reg.MustRegister(eng)
 		}
-		baseDS = ds
 	}
 	svc := serve.NewMulti(reg, defaultEngine, serve.Config{CacheSize: *cacheSize, Workers: *workers, Queue: *queue})
 	planMgr, err := plan.NewManager(*planDir, planResolver(reg, defaultEngine), plan.Options{})
@@ -182,48 +177,17 @@ func serveCmd(args []string) error {
 		}
 	}
 	if *observeFlag {
-		ocfg := observe.Config{Threshold: *driftThreshold}
-		if *observeStore != "" {
-			st, err := observe.OpenStore(*observeStore, *observeCap)
-			if err != nil {
-				return err
-			}
-			ocfg.Store = st
-		}
-		mon := observe.NewMonitor(ocfg, func(ctx context.Context, engine string, k kernels.Kernel, g gpu.Spec) (float64, error) {
+		mon := observe.NewMonitor(observe.Config{Threshold: *driftThreshold}, func(ctx context.Context, engine string, k kernels.Kernel, g gpu.Spec) (float64, error) {
 			res, err := svc.PredictKernelEngine(ctx, engine, k, g)
 			return res.Latency, err
 		})
-		// Engines that can fold observations back in AND version their state
-		// get a retrainer: a recalibration must bump the generation, or the
-		// serving caches (local and cluster-wide, via gossip) would keep
-		// answering from the pre-retrain model. Everything else is tracked
-		// alert-only.
-		for _, eng := range reg.Engines() {
-			cal, ok := eng.(predict.Calibrator)
-			if !ok {
-				continue
-			}
-			gen, ok := eng.(predict.Generational)
-			if !ok {
-				continue
-			}
-			mon.RegisterRetrainer(eng.Name(), func(calib []dataset.Sample) (uint64, error) {
-				err := cal.Calibrate(baseDS, calib)
-				return gen.Generation(), err
-			})
-		}
-		if ocfg.Store != nil {
-			replayed, skipped := mon.ReplayStore(context.Background())
-			fmt.Printf("observe: store %s, %d persisted observations replayed (%d skipped)\n",
-				*observeStore, replayed, skipped)
+		// The core predictor is the one engine that folds observations
+		// back in; every other engine is tracked alert-only.
+		if p != nil {
+			mon.RegisterRetrainer(predict.EngineNeuSight, calibrator(p, ds, *modelPath))
 		}
 		svc.SetObserver(mon)
-		defer func() {
-			if err := mon.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "neusight: closing observation store: %v\n", err)
-			}
-		}()
+		defer mon.Close()
 		fmt.Printf("observation ingestion on POST /v2/observe (drift threshold %.0f%%, window %d, min samples %d)\n",
 			*driftThreshold*100, observe.DefaultWindow, observe.DefaultMinSamples)
 	}
@@ -360,6 +324,30 @@ func serveCmd(args []string) error {
 		IdleTimeout:       2 * time.Minute,
 	}
 	return runServer(ctx, srv, ln, *drain)
+}
+
+// calibrator is the core predictor's retrainer: it folds a calibration
+// set into p, which publishes the calibrated version with one generation
+// step (the serving caches and cluster gossip invalidate on it), and —
+// when p was loaded from modelPath — saves that version over the file,
+// so a restart with the same flags serves the calibrated model. A failed
+// save is returned with the path and the new generation: the published
+// version keeps serving, and the monitor still resets its windows, so a
+// disk that stays full costs one error per calibration, not a retrain per
+// observation. Without a model file (-quick) a calibration lasts as long
+// as the process, like its training.
+func calibrator(p *core.Predictor, base *dataset.Dataset, modelPath string) observe.RetrainFunc {
+	return func(calib []dataset.Sample) (uint64, error) {
+		if rep := p.Calibrate(base, calib); len(rep.Trained) == 0 {
+			return 0, fmt.Errorf("calibrate: no calibration sample falls in a trained category (%d skipped)", rep.Skipped)
+		}
+		if modelPath != "" {
+			if err := p.Save(modelPath); err != nil {
+				return p.Generation(), fmt.Errorf("calibrate: %w", err)
+			}
+		}
+		return p.Generation(), nil
+	}
 }
 
 // splitPeers parses the -peers flag: comma-separated addresses, blanks

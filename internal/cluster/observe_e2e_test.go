@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"net"
 	"net/http"
@@ -108,10 +109,10 @@ func TestContinuousCalibrationAcrossCluster(t *testing.T) {
 			return res.Latency, err
 		})
 	mon.RegisterRetrainer(predict.EngineNeuSight, func(calib []dataset.Sample) (uint64, error) {
-		if err := coreEng.Calibrate(ds, calib); err != nil {
-			return predict.Generation(coreEng), err
+		if rep := p.Calibrate(ds, calib); len(rep.Trained) == 0 {
+			return p.Generation(), errors.New("no calibration sample in a trained category")
 		}
-		return predict.Generation(coreEng), nil
+		return p.Generation(), nil
 	})
 	a.svc.SetObserver(mon)
 	t.Cleanup(func() { mon.Close() })

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 	"testing/quick"
@@ -265,13 +266,24 @@ func TestPredictKernelDetailMatchesPredictKernel(t *testing.T) {
 	}
 }
 
+// TestSaveLoadRoundTrip: a calibrated predictor reloaded from its saved
+// file answers every probe with the same bits on every GPU — a restart
+// that loads a saved calibration serves exactly what was served before it.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	p := trainSmall(t, 26)
-	g := gpu.MustLookup("L4")
-	k := kernels.NewBMM(16, 768, 768, 768)
-	want, err := p.PredictKernel(k, g)
-	if err != nil {
-		t.Fatal(err)
+	h100 := gpu.MustLookup("H100")
+	var window []dataset.Sample
+	for _, m := range []int{256, 384, 512, 640} {
+		for _, k := range []kernels.Kernel{kernels.NewBMM(4, m, 512, 512), kernels.NewLinear(m, 1024, 1024)} {
+			lat, err := p.PredictKernel(k, h100)
+			if err != nil {
+				t.Fatal(err)
+			}
+			window = append(window, dataset.Sample{Kernel: k, GPU: h100, Latency: 3 * lat})
+		}
+	}
+	if rep := p.Calibrate(nil, window); len(rep.Trained) != 2 {
+		t.Fatalf("calibration retrained %v, want BMM and Linear", rep.Trained)
 	}
 
 	dir := t.TempDir()
@@ -292,15 +304,90 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := back.PredictKernel(k, g)
-	if err != nil {
-		t.Fatal(err)
+	probes := []kernels.Kernel{
+		kernels.NewBMM(16, 768, 768, 768), kernels.NewBMM(4, 512, 512, 512),
+		kernels.NewLinear(2048, 1024, 4096), kernels.NewLinear(512, 1024, 1024),
+		kernels.NewSoftmax(64, 1024), kernels.NewSoftmax(4096, 512),
+		kernels.NewLayerNorm(4096, 1024), kernels.NewLayerNorm(512, 768),
 	}
-	if math.Abs(got-want) > 1e-9 {
-		t.Fatalf("reloaded prediction %v != original %v", got, want)
+	n := 0
+	for _, g := range gpu.All() {
+		for _, k := range probes {
+			want, err := p.PredictKernel(k, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := back.PredictKernel(k, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s on %s: reloaded prediction %v != original %v", k.Label(), g.Name, got, want)
+			}
+			n++
+		}
+	}
+	if n == 0 {
+		t.Fatal("no probe compared")
 	}
 	if len(back.TrainedCategories()) != 5 {
 		t.Fatalf("reloaded categories = %v", back.TrainedCategories())
+	}
+}
+
+// TestSaveReplacesTheModel: a Save over a saved model replaces it whole
+// and leaves no temporary file beside it, and a Save that cannot even
+// create its temporary file fails without writing anything. The failures
+// part-way through the write (jsonl.Commit) are tested in internal/jsonl.
+func TestSaveReplacesTheModel(t *testing.T) {
+	p := trainSmall(t, 28)
+	dir := t.TempDir()
+	modelPath := filepath.Join(dir, "neusight.json")
+	if err := p.Save(modelPath); err != nil {
+		t.Fatal(err)
+	}
+	h100 := gpu.MustLookup("H100")
+	k := kernels.NewBMM(4, 512, 512, 512)
+	lat, err := p.PredictKernel(k, h100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Calibrate(nil, []dataset.Sample{{Kernel: k, GPU: h100, Latency: 3 * lat}})
+	if err := p.Save(modelPath); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "neusight.json" {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("directory holds %v after two Saves, want only neusight.json", names)
+	}
+	info, err := os.Stat(modelPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Mode().Perm() != 0o644 {
+		t.Fatalf("model file mode %v, want 0644", info.Mode().Perm())
+	}
+	back, err := Load(modelPath, p.TileDB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := p.PredictKernel(k, h100)
+	if want == lat {
+		t.Fatal("the calibration did not move the forecast")
+	}
+	if got, _ := back.PredictKernel(k, h100); got != want {
+		t.Fatalf("reloaded forecast %v, want the calibrated %v", got, want)
+	}
+	// A directory that does not exist fails before any byte is written.
+	if err := p.Save(filepath.Join(dir, "gone", "neusight.json")); err == nil {
+		t.Fatal("Save into a missing directory returned nil")
 	}
 }
 

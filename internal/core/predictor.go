@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 
@@ -14,6 +16,7 @@ import (
 	"neusight/internal/dataset"
 	"neusight/internal/gpu"
 	"neusight/internal/graph"
+	"neusight/internal/jsonl"
 	"neusight/internal/kernels"
 	"neusight/internal/loss"
 	"neusight/internal/mat"
@@ -131,28 +134,40 @@ func (p *Predictor) Train(ds *dataset.Dataset) TrainReport {
 		if sub.Len() == 0 {
 			continue
 		}
-		trained[cat], rep.FinalLoss[cat] = p.trainCategory(cat, sub)
+		trained[cat], rep.FinalLoss[cat] = p.trainCategory(cat, sub, nil)
 		rep.Samples[cat] = sub.Len()
 	}
 	p.publish(trained)
 	return rep
 }
 
+// fineTuneLR scales the configured learning rate for a fine-tune: a
+// small window must nudge trained weights, not relearn them.
+const fineTuneLR = 0.1
+
 // trainCategory fits and compiles the MLP for one operator category
 // without publishing it, and returns it with the final epoch's mean SMAPE
-// loss.
-func (p *Predictor) trainCategory(cat kernels.Category, ds *dataset.Dataset) (*catModel, float64) {
+// loss. With from nil it trains from a fresh initialization and fits the
+// feature normalization to ds; otherwise it fine-tunes a copy of from's
+// weights under from's normalization at fineTuneLR of the learning rate.
+func (p *Predictor) trainCategory(cat kernels.Category, ds *dataset.Dataset, from *catModel) (*catModel, float64) {
 	rng := rand.New(rand.NewSource(p.Cfg.Seed + int64(cat)))
-	mlp := nn.NewMLP(rng, nn.MLPConfig{
-		In: NumFeatures, Hidden: p.Cfg.Hidden, Out: 2,
-		Layers: p.Cfg.Layers, Activation: nn.ActReLU,
-	})
-
-	rawX, _, _, _ := sampleTensors(ds.Samples, p.TileDB, nil)
-	st := fitStats(rawX)
+	var mlp *nn.MLP
+	var st featureStats
+	lr := p.Cfg.LR
+	if from == nil {
+		mlp = nn.NewMLP(rng, nn.MLPConfig{
+			In: NumFeatures, Hidden: p.Cfg.Hidden, Out: 2,
+			Layers: p.Cfg.Layers, Activation: nn.ActReLU,
+		})
+		rawX, _, _, _ := sampleTensors(ds.Samples, p.TileDB, nil)
+		st = fitStats(rawX)
+	} else {
+		mlp, st, lr = from.mlp.Clone(), from.stats, lr*fineTuneLR
+	}
 	X, c, w, y := sampleTensors(ds.Samples, p.TileDB, &st)
 
-	optim := opt.NewAdamW(mlp.Params(), opt.AdamWConfig{LR: p.Cfg.LR, WeightDecay: p.Cfg.WeightDecay})
+	optim := opt.NewAdamW(mlp.Params(), opt.AdamWConfig{LR: lr, WeightDecay: p.Cfg.WeightDecay})
 	n := len(X)
 	bs := p.Cfg.BatchSize
 	if bs > n {
@@ -160,7 +175,7 @@ func (p *Predictor) trainCategory(cat kernels.Category, ds *dataset.Dataset) (*c
 	}
 	var final float64
 	for epoch := 0; epoch < p.Cfg.Epochs; epoch++ {
-		optim.SetLR(opt.CosineDecay(p.Cfg.LR, p.Cfg.LR/20, epoch, p.Cfg.Epochs))
+		optim.SetLR(opt.CosineDecay(lr, lr/20, epoch, p.Cfg.Epochs))
 		perm := rng.Perm(n)
 		total, batches := 0.0, 0
 		for lo := 0; lo < n; lo += bs {
@@ -399,6 +414,15 @@ type predictorState struct {
 
 // Save writes the trained predictor (MLPs + normalization) as JSON. The
 // tile database is saved separately via its own Save.
+//
+// The write is atomic (jsonl.Commit): the bytes go to a temporary file
+// beside path that is synced and closed before it is renamed over path,
+// so a kill or a full disk leaves the old model or the new one, never a
+// torn file that Load rejects. The temporary name is unique per call
+// (path + ".*.tmp"), so processes that share one model file never write
+// into each other's temporary file; for the same reason nothing removes
+// the one a killed Save leaves behind. On any error the temporary file is
+// removed and path is untouched.
 func (p *Predictor) Save(path string) error {
 	st := predictorState{Cfg: p.Cfg, MLPs: map[string]*nn.MLP{}, Stats: map[string]featureStats{}}
 	for cat, m := range p.cur.Load().cats {
@@ -408,10 +432,23 @@ func (p *Predictor) Save(path string) error {
 		}
 	}
 	data, err := json.Marshal(st)
-	if err != nil {
-		return err
+	var f *os.File
+	if err == nil {
+		f, err = os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
 	}
-	return os.WriteFile(path, data, 0o644)
+	if err == nil {
+		err = jsonl.Commit(f, path, func(w io.Writer) error {
+			if err := f.Chmod(0o644); err != nil { // CreateTemp makes the file 0600
+				return err
+			}
+			_, err := w.Write(data)
+			return err
+		})
+	}
+	if err != nil {
+		return fmt.Errorf("core: save %s: %w", path, err)
+	}
+	return nil
 }
 
 // Load restores a predictor saved by Save, attaching tdb for tile lookups.

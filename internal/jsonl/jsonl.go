@@ -1,8 +1,9 @@
 // Package jsonl is the one crash-safe JSON-lines store behind the
-// workload trace (internal/serve), the observation store
-// (internal/observe) and the plan checkpoints (internal/plan): a
-// damage-tolerant replay, a line encoder, an atomic whole-file rewrite
-// and an append handle whose first write error poisons it.
+// workload trace (internal/serve) and the plan checkpoints
+// (internal/plan): a damage-tolerant replay, a line encoder, an atomic
+// whole-file rewrite and an append handle whose first write error
+// poisons it. Its atomic commit also writes the saved model
+// (internal/core).
 package jsonl
 
 import (
@@ -15,7 +16,7 @@ import (
 )
 
 // maxLine is the longest line replay accepts (the read buffer). The
-// entries of all three users are a few hundred bytes; a longer line is
+// entries of both users are a few hundred bytes; a longer line is
 // damage.
 const maxLine = 64 * 1024
 
@@ -77,38 +78,50 @@ func Encode(w io.Writer, v any) error {
 	return err
 }
 
-// Replace atomically replaces the file at path with one line per item:
-// the lines go to a temporary file that is flushed, synced and closed
-// before it is renamed over path, so a crash or power loss leaves the old
-// file or the new one — never a torn or empty one. On any error the
-// temporary file is removed and path is untouched.
-func Replace[T any](path string, items []T) (err error) {
-	tmp := path + tmpSuffix
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+// Replace atomically replaces the file at path with one line per item,
+// written through Commit. On any error path is untouched.
+func Replace[T any](path string, items []T) error {
+	f, err := os.OpenFile(path+tmpSuffix, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err == nil {
+		err = Commit(f, path, func(w io.Writer) error {
+			for _, it := range items {
+				if err := Encode(w, it); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
 	if err != nil {
 		return fmt.Errorf("jsonl: replace %s: %w", path, err)
 	}
+	return nil
+}
+
+// Commit makes tmp, a temporary file the caller created beside path,
+// replace path atomically: write fills it through a buffer, and it is
+// flushed, synced and closed before it is renamed over path, so a crash
+// or power loss leaves the old file or the new one — never a torn or
+// empty one. On any error tmp is closed and removed and path is untouched.
+func Commit(tmp *os.File, path string, write func(io.Writer) error) (err error) {
 	defer func() {
 		if err != nil {
-			f.Close() // a second Close after a successful one is harmless
-			os.Remove(tmp)
-			err = fmt.Errorf("jsonl: replace %s: %w", path, err)
+			tmp.Close() // a second Close after a successful one is harmless
+			os.Remove(tmp.Name())
 		}
 	}()
-	bw := bufio.NewWriter(f)
-	for _, it := range items {
-		if err = Encode(bw, it); err != nil {
-			return err
-		}
-	}
-	if err = bw.Flush(); err == nil {
-		err = syncFile(f) // before the rename: the new name must never reach disk ahead of the data
+	bw := bufio.NewWriter(tmp)
+	if err = write(bw); err == nil {
+		err = bw.Flush()
 	}
 	if err == nil {
-		err = f.Close()
+		err = syncFile(tmp) // before the rename: the new name must never reach disk ahead of the data
 	}
 	if err == nil {
-		err = os.Rename(tmp, path)
+		err = tmp.Close()
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
 	return err
 }

@@ -35,8 +35,7 @@ func lineOf(r rec) string { return fmt.Sprintf(`{"n":%d}`, r.N) + "\n" }
 // fault damages a log of valid records and says what the damage costs, a
 // source decides how the damaged bytes reach Scan, and an operation is
 // what a user does with the replay (nothing, heal the file, heal and
-// append). Every user of the package — trace, observation store, plan
-// checkpoint — gets this behaviour by calling it; their own tests only
+// append). Every user of the package — trace, plan checkpoint — gets this behaviour by calling it; their own tests only
 // prove the wiring.
 
 var valid = []rec{{1}, {2}, {3}, {4}}
@@ -500,4 +499,63 @@ func FuzzScan(f *testing.F) {
 			t.Errorf("delivered %d + skipped %d != %d non-empty lines", delivered, skipped, nonEmpty)
 		}
 	})
+}
+
+// TestCommitFailureRemovesTemp: a Commit that fails part-way — the writer
+// failing after some bytes, or the sync before the rename — removes its
+// temporary file, whatever its name, and leaves the old file
+// byte-identical.
+func TestCommitFailureRemovesTemp(t *testing.T) {
+	const old = `{"model":1}`
+	for _, c := range []struct {
+		name  string
+		write func(io.Writer) error
+		sync  func(*os.File) error
+	}{
+		{name: "write fails midway", write: func(w io.Writer) error {
+			if _, err := w.Write([]byte(`{"mod`)); err != nil {
+				return err
+			}
+			return errors.New("encode: unsupported value")
+		}},
+		{name: "sync fails", sync: func(*os.File) error { return errors.New("sync: I/O error") }},
+	} {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "model.json")
+			if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if c.sync != nil {
+				syncFile = c.sync
+				defer func() { syncFile = (*os.File).Sync }()
+			}
+			write := c.write
+			if write == nil {
+				write = func(w io.Writer) error { _, err := w.Write([]byte(`{"model":2}`)); return err }
+			}
+			tmp, err := os.CreateTemp(dir, "model.json.*.tmp")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := Commit(tmp, path, write); err == nil {
+				t.Fatal("Commit succeeded")
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(entries) != 1 || entries[0].Name() != "model.json" {
+				var names []string
+				for _, e := range entries {
+					names = append(names, e.Name())
+				}
+				t.Errorf("directory holds %v after a failed Commit, want only model.json", names)
+			}
+			if data, _ := os.ReadFile(path); string(data) != old {
+				t.Errorf("old file changed to %q", data)
+			}
+		})
+	}
 }

@@ -103,6 +103,16 @@ func NewMLP(rng *rand.Rand, cfg MLPConfig) *MLP {
 	return m
 }
 
+// Clone returns a deep copy of m: the same architecture with weight
+// tensors of its own, so training the copy leaves m untouched.
+func (m *MLP) Clone() *MLP {
+	c := &MLP{Cfg: m.Cfg}
+	for _, l := range m.layers {
+		c.layers = append(c.layers, &Linear{W: ad.NewVariable(l.W.Data.Clone()), B: ad.NewVariable(l.B.Data.Clone())})
+	}
+	return c
+}
+
 // Forward implements Module.
 func (m *MLP) Forward(x *ad.Value) *ad.Value {
 	h := x

@@ -91,6 +91,30 @@ func TestMLPJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMLPCloneIsIndependent: a clone computes what the original does,
+// and training it leaves the original's weights alone.
+func TestMLPCloneIsIndependent(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	m := NewMLP(rng, MLPConfig{In: 3, Hidden: 8, Out: 2, Layers: 2, Activation: ActReLU})
+	x := ad.NewConstant(mat.RandN(rng, 4, 3, 1))
+	want := m.Forward(x).Data.Clone()
+
+	c := m.Clone()
+	if !mat.Equal(c.Forward(x).Data, want, 0) {
+		t.Fatal("clone output differs from the original")
+	}
+	optim := opt.NewAdamW(c.Params(), opt.AdamWConfig{LR: 0.1})
+	l := loss.MSE(c.Forward(x), ad.NewConstant(mat.New(4, 2)))
+	ad.Backward(l)
+	optim.Step()
+	if mat.Equal(c.Forward(x).Data, want, 0) {
+		t.Fatal("a training step did not change the clone")
+	}
+	if !mat.Equal(m.Forward(x).Data, want, 0) {
+		t.Fatal("training the clone changed the original")
+	}
+}
+
 func TestMLPUnmarshalRejectsCorrupt(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := NewMLP(rng, MLPConfig{In: 3, Hidden: 8, Out: 1, Layers: 2, Activation: ActReLU})

@@ -27,11 +27,6 @@ func WriteMetrics(p *promtext.Writer, rep *Report) {
 	p.Gauge("neusight_observe_retrain_active", "1 while a background retrain is in flight.", promtext.Bool(rep.RetrainActive))
 	p.Gauge("neusight_observe_drift_threshold", "Rolling-MAPE level above which a retrainable engine retrains.", rep.Threshold)
 	p.Gauge("neusight_observe_windows", "Live (engine, GPU) drift windows.", float64(len(rep.Windows)))
-	if rep.Store != nil {
-		p.Gauge("neusight_observe_store_records", "Observations held in the persistent store.", float64(rep.Store.Records))
-		p.Counter("neusight_observe_store_evicted_total", "Observations evicted past the store cap.", float64(rep.Store.Evicted))
-		p.Counter("neusight_observe_store_compactions_total", "Store compactions (tmp+rename rewrites).", float64(rep.Store.Compactions))
-	}
 	promtext.Families(p, rep.Windows, func(w WindowReport) string {
 		return promtext.Label("engine", w.Engine) + "," + promtext.Label("gpu", w.GPU)
 	}, windowFamilies...)

@@ -1,3 +1,12 @@
+// Package observe closes the loop between prediction and reality:
+// measured kernel latencies reported by clients (POST /v2/observe) are
+// compared against the serving engine's current predictions, per-(engine,
+// GPU) drift is tracked as a rolling MAPE, and when drift crosses a
+// threshold a single-flight background worker folds the observations into
+// the training set and retrains the affected categories — hot-swapping
+// the model through the predictor's generation bump so the existing
+// cache-key versioning and cluster gossip invalidate stale forecasts with
+// no new coordination.
 package observe
 
 import (
@@ -21,8 +30,11 @@ type PredictFunc func(ctx context.Context, engine string, k kernels.Kernel, g gp
 
 // RetrainFunc folds a calibration set (observed latencies, in the same
 // millisecond unit the engine predicts) back into an engine's trained
-// state and returns the engine's generation after the swap. It runs on
-// the monitor's single background worker and may take seconds.
+// state and returns the engine's generation after the swap, or 0 when it
+// published nothing. It runs on the monitor's single background worker
+// and may take seconds. An error is counted and reported on the engine's
+// windows; a non-zero generation returned with an error says the new
+// state serves although a later step (saving it) failed.
 type RetrainFunc func(calib []dataset.Sample) (generation uint64, err error)
 
 // Defaults for Config's zero values.
@@ -43,9 +55,6 @@ type Config struct {
 	// Threshold is the rolling-MAPE level above which a retrainable
 	// engine's calibration retrain fires (0.25 = 25% mean error).
 	Threshold float64
-	// Store, when non-nil, persists every accepted observation. The
-	// monitor takes ownership: Close closes it.
-	Store *Store
 }
 
 // point is one accepted observation held in a drift window.
@@ -155,30 +164,16 @@ func (m *Monitor) RegisterRetrainer(engine string, fn RetrainFunc) {
 
 // Ingest accepts one measured latency for (engine, k, g): it resolves the
 // engine's current prediction, pushes the (observed, predicted) pair into
-// the (engine, GPU) drift window, persists the observation, and — if the
-// window's MAPE now exceeds the threshold with at least MinSamples
-// samples and the engine is retrainable — starts the background retrain,
-// unless one is already in flight (single-flight: concurrent drift on
-// many windows coalesces into one worker).
+// the (engine, GPU) drift window, and — if the window's MAPE now exceeds
+// the threshold with at least MinSamples samples and the engine is
+// retrainable — starts the background retrain, unless one is already in
+// flight (single-flight: concurrent drift on many windows coalesces into
+// one worker).
 //
 // The engine name must be resolved (non-empty) by the caller. A
 // non-positive or non-finite observation, or a prediction failure
 // (unknown engine, saturated shard), rejects the observation.
 func (m *Monitor) Ingest(ctx context.Context, engine string, k kernels.Kernel, g gpu.Spec, observedMs float64) error {
-	if err := m.ingest(ctx, engine, k, g, observedMs, true); err != nil {
-		return err
-	}
-	if st := m.cfg.Store; st != nil {
-		// Persistence is best-effort: a full disk must not take ingestion
-		// (and with it drift detection) down.
-		st.Append(NewRecord(engine, k, g.Name, observedMs))
-	}
-	return nil
-}
-
-// ingest implements Ingest minus persistence; trigger=false (store
-// replay) rebuilds windows without scheduling retrains.
-func (m *Monitor) ingest(ctx context.Context, engine string, k kernels.Kernel, g gpu.Spec, observedMs float64, trigger bool) error {
 	if engine == "" {
 		m.rejected.Add(1)
 		return fmt.Errorf("observe: empty engine")
@@ -203,7 +198,7 @@ func (m *Monitor) ingest(ctx context.Context, engine string, k kernels.Kernel, g
 	w.push(point{k: k, g: g, observed: observedMs, pred: pred}, m.cfg.Window)
 	m.ingested.Add(1)
 
-	if trigger && !m.closed &&
+	if !m.closed &&
 		len(w.ring) >= m.cfg.MinSamples && w.mape() > m.cfg.Threshold {
 		if fn := m.retrainers[engine]; fn != nil && m.retrainActive.CompareAndSwap(false, true) {
 			calib := m.calibrationSetLocked(engine)
@@ -231,9 +226,13 @@ func (m *Monitor) calibrationSetLocked(engine string) []dataset.Sample {
 	return calib
 }
 
-// retrain runs one background calibration retrain. On success the
-// engine's windows reset — drift is measured against the new model from
-// scratch, and the MinSamples refill doubles as a retrain cooldown.
+// retrain runs one background calibration retrain. Once the retrainer
+// has published (a non-zero generation) the engine's windows reset —
+// drift is measured against the new model from scratch, and the
+// MinSamples refill doubles as a retrain cooldown — even when it then
+// failed: the published model serves, and its drift is no longer the one
+// the windows measured. A retrainer that published nothing keeps the
+// windows, so the next drifting observation retries.
 func (m *Monitor) retrain(engine string, fn RetrainFunc, calib []dataset.Sample) {
 	defer m.wg.Done()
 	defer m.retrainActive.Store(false)
@@ -249,12 +248,15 @@ func (m *Monitor) retrain(engine string, fn RetrainFunc, calib []dataset.Sample)
 	if err != nil {
 		m.retrainErrors.Add(1)
 		ed.lastErr = err.Error()
+	} else {
+		m.retrains.Add(1)
+		ed.retrains++
+		ed.lastErr = ""
+	}
+	if err != nil && gen == 0 {
 		return
 	}
-	m.retrains.Add(1)
-	ed.retrains++
 	ed.lastGen = gen
-	ed.lastErr = ""
 	for _, w := range m.windows {
 		if w.engine == engine {
 			w.ring = w.ring[:0]
@@ -263,47 +265,13 @@ func (m *Monitor) retrain(engine string, fn RetrainFunc, calib []dataset.Sample)
 	}
 }
 
-// ReplayStore re-seeds the drift windows from the persisted observation
-// store — after a restart the monitor resumes with the drift state it had,
-// instead of blind windows. Records that no longer resolve (unknown op,
-// GPU, or engine in this build) are skipped and counted; no retrain is
-// triggered during replay. Call before serving traffic.
-func (m *Monitor) ReplayStore(ctx context.Context) (replayed, skipped int) {
-	st := m.cfg.Store
-	if st == nil {
-		return 0, 0
-	}
-	for _, rec := range st.Records() {
-		k, err := rec.Kernel()
-		if err != nil {
-			skipped++
-			continue
-		}
-		g, err := gpu.Lookup(rec.GPU)
-		if err != nil {
-			skipped++
-			continue
-		}
-		if m.ingest(ctx, rec.Engine, k, g, rec.ObservedMs, false) != nil {
-			skipped++
-			continue
-		}
-		replayed++
-	}
-	return replayed, skipped
-}
-
 // Close stops scheduling retrains and waits for an in-flight retrain to
-// finish, then closes the store (if any).
-func (m *Monitor) Close() error {
+// finish.
+func (m *Monitor) Close() {
 	m.mu.Lock()
 	m.closed = true
 	m.mu.Unlock()
 	m.wg.Wait()
-	if m.cfg.Store != nil {
-		return m.cfg.Store.Close()
-	}
-	return nil
 }
 
 // WindowReport is the drift state of one (engine, GPU) pair.
@@ -338,7 +306,6 @@ type Report struct {
 	RetrainErrors uint64         `json:"retrain_errors,omitempty"`
 	RetrainActive bool           `json:"retrain_active"`
 	Windows       []WindowReport `json:"windows,omitempty"`
-	Store         *StoreStats    `json:"store,omitempty"`
 }
 
 // Report snapshots the monitor's drift state. Windows are sorted by
@@ -380,9 +347,5 @@ func (m *Monitor) Report() Report {
 		}
 		return rep.Windows[i].GPU < rep.Windows[j].GPU
 	})
-	if st := m.cfg.Store; st != nil {
-		ss := st.Stats()
-		rep.Store = &ss
-	}
 	return rep
 }

@@ -4,9 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"neusight/internal/dataset"
 	"neusight/internal/gpu"
@@ -128,9 +128,7 @@ func TestMonitorAlertOnlyWithoutRetrainer(t *testing.T) {
 	}
 	// Close waits on the worker waitgroup: if a goroutine leaked, this
 	// hangs and the test times out.
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
+	m.Close()
 }
 
 func TestMonitorBelowThresholdNeverRetrains(t *testing.T) {
@@ -199,63 +197,33 @@ func TestMonitorRetrainErrorReported(t *testing.T) {
 	}
 }
 
-func TestMonitorPersistsAndReplays(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "obs.jsonl")
-	st, err := OpenStore(path, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := testMonitor(Config{Window: 8, MinSamples: 4, Threshold: 0.5, Store: st})
-	ingestN(t, m, "neusight", 6, 10)
-	if err := m.Close(); err != nil { // closes the store too
-		t.Fatal(err)
-	}
-
-	st2, err := OpenStore(path, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2 := testMonitor(Config{Window: 8, MinSamples: 4, Threshold: 0.5, Store: st2})
-	defer m2.Close()
-	// Replay must never schedule a retrain, even with a retrainer
-	// registered and the persisted window far past the threshold.
-	m2.RegisterRetrainer("neusight", func([]dataset.Sample) (uint64, error) {
-		t.Error("retrain fired during store replay")
-		return 0, nil
+// TestMonitorPublishedRetrainErrorResetsWindows: a retrainer that
+// published a model and then failed (its save did) is counted as an
+// error, yet resets the windows like a success — the next drifting
+// observations refill a window instead of each starting a retrain.
+func TestMonitorPublishedRetrainErrorResetsWindows(t *testing.T) {
+	m := testMonitor(Config{Window: 8, MinSamples: 2, Threshold: 0.5})
+	calls := 0
+	m.RegisterRetrainer("neusight", func([]dataset.Sample) (uint64, error) {
+		calls++
+		return 9, fmt.Errorf("save model.json: no space left on device")
 	})
-	replayed, skipped := m2.ReplayStore(context.Background())
-	if replayed != 6 || skipped != 0 {
-		t.Fatalf("replayed %d skipped %d, want 6/0", replayed, skipped)
+	ingestN(t, m, "neusight", 2, 10)
+	for m.Report().RetrainActive {
+		time.Sleep(time.Millisecond)
 	}
-	rep := m2.Report()
-	if len(rep.Windows) != 1 || rep.Windows[0].Samples != 6 {
-		t.Fatalf("replay rebuilt %+v, want one 6-sample window", rep.Windows)
+	rep := m.Report()
+	if rep.RetrainErrors != 1 || rep.Retrains != 0 {
+		t.Fatalf("retrain errors=%d retrains=%d, want 1/0", rep.RetrainErrors, rep.Retrains)
 	}
-	if !rep.Windows[0].Drifting {
-		t.Fatal("replayed drift state lost")
+	w := rep.Windows[0]
+	if w.Samples != 0 || w.LastRetrainGeneration != 9 || !strings.Contains(w.LastError, "no space") {
+		t.Fatalf("window %+v, want it reset at generation 9 with the save error", w)
 	}
-	if rep.Store == nil || rep.Store.Records != 6 {
-		t.Fatalf("report store section = %+v, want 6 records", rep.Store)
-	}
-}
-
-func TestMonitorReplaySkipsUnresolvable(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "obs.jsonl")
-	st, err := OpenStore(path, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Append(testRecord(0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Append(Record{Engine: "neusight", GPU: "NO-SUCH-GPU", Op: "bmm", B: 1, M: 64, K: 64, N: 64, ObservedMs: 1}); err != nil {
-		t.Fatal(err)
-	}
-	m := testMonitor(Config{Store: st})
-	defer m.Close()
-	replayed, skipped := m.ReplayStore(context.Background())
-	if replayed != 1 || skipped != 1 {
-		t.Fatalf("replayed %d skipped %d, want 1/1", replayed, skipped)
+	ingestN(t, m, "neusight", 1, 10) // one short of MinSamples after the reset
+	m.Close()
+	if calls != 1 {
+		t.Fatalf("retrainer ran %d times, want 1", calls)
 	}
 }
 

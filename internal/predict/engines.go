@@ -2,7 +2,6 @@ package predict
 
 import (
 	"context"
-	"fmt"
 
 	"neusight/internal/baselines"
 	"neusight/internal/core"
@@ -103,18 +102,6 @@ func (e *CoreEngine) NativeBatch() bool { return true }
 // Train implements Trainable.
 func (e *CoreEngine) Train(ds *dataset.Dataset) error {
 	e.P.Train(ds)
-	return nil
-}
-
-// Calibrate implements Calibrator: observed latencies are folded into the
-// training set, the affected categories are retrained off to the side, and
-// the core predictor publishes them with the untouched ones as one model
-// version, moving the generation once.
-func (e *CoreEngine) Calibrate(base *dataset.Dataset, observed []dataset.Sample) error {
-	rep := e.P.Calibrate(base, observed)
-	if len(rep.Trained) == 0 {
-		return fmt.Errorf("predict: no calibration sample falls in a trained category (%d skipped)", rep.Skipped)
-	}
 	return nil
 }
 

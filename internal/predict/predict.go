@@ -96,17 +96,6 @@ type Trainable interface {
 	Train(ds *dataset.Dataset) error
 }
 
-// Calibrator is implemented by engines that can fold measured latencies
-// back into their trained state — the retrain half of the observe
-// feedback loop. base is the offline training set to retain (nil when the
-// process has none, e.g. a model loaded from disk); observed carries the
-// measured latencies as samples. Implementations must hot-swap atomically
-// and, when also Generational, bump their generation so serving caches
-// invalidate.
-type Calibrator interface {
-	Calibrate(base *dataset.Dataset, observed []dataset.Sample) error
-}
-
 // GraphPredictor is implemented by engines with a whole-graph forecast
 // path that is cheaper or more faithful than summing PredictKernels —
 // core.Predictor batches a graph's distinct kernels through one compiled

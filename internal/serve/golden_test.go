@@ -57,7 +57,6 @@ func TestMetricsGolden(t *testing.T) {
 			{Engine: "neusight", GPU: "H100", Samples: 256, Total: 3000, MAPE: 0.3125, Drifting: true, Retrainable: true},
 			{Engine: "roofline", GPU: "V100", Samples: 40, Total: 1096, MAPE: 0.0625},
 		},
-		Store: &observe.StoreStats{Path: "obs.jsonl", Records: 4096, Cap: 8192, Evicted: 100, Compactions: 1},
 	})
 	WritePlanMetrics(p, &plan.Stats{
 		Jobs: 7, Active: 2, Submitted: 9, Completed: 4, Cancelled: 2, Failed: 1,

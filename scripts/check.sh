@@ -135,6 +135,28 @@ for flag in $doc_flags; do
     missing=1
   fi
 done
+# And for /metrics: every metric family the code writes (a "neusight_..."
+# string literal in non-test Go under internal/ and cmd/) needs a row in
+# docs/OPERATIONS.md's metric reference, and every family a row there
+# names must be one the code writes. Rows spell each family in full.
+echo "==> docs gate (metric families vs docs/OPERATIONS.md)"
+code_metrics=$(grep -rhoE --include='*.go' --exclude='*_test.go' '"neusight_[a-z0-9_]+"' internal cmd | tr -d '"' | sort -u)
+doc_metrics=$(
+  awk '/^## Prometheus metric reference/ { on = 1; next } /^## / { on = 0 } on && /^\| `neusight_/' docs/OPERATIONS.md |
+    cut -d'|' -f2 | grep -o '`neusight_[a-z0-9_]*' | sed 's/^`//' | sort -u
+)
+for metric in $code_metrics; do
+  if ! grep -qxF -- "$metric" <<<"$doc_metrics"; then
+    echo "metric family $metric written by the code but missing from docs/OPERATIONS.md's metric reference" >&2
+    missing=1
+  fi
+done
+for metric in $doc_metrics; do
+  if ! grep -qxF -- "$metric" <<<"$code_metrics"; then
+    echo "docs/OPERATIONS.md's metric reference names $metric, which no non-test code writes" >&2
+    missing=1
+  fi
+done
 if [[ "$missing" != 0 ]]; then
   exit 1
 fi
@@ -148,7 +170,7 @@ fi
 echo "==> benchmark smoke (-benchtime=1x)"
 go test -run '^$' -bench . -benchtime=1x ./internal/mat ./internal/core >/dev/null
 go test -run '^$' -bench 'EngineDispatch' -benchtime=1x ./internal/predict >/dev/null
-go test -run '^$' -bench 'ObserveIngest|StoreAppend' -benchtime=1x ./internal/observe >/dev/null
+go test -run '^$' -bench 'ObserveIngest' -benchtime=1x ./internal/observe >/dev/null
 go test -run '^$' -bench 'Serve|ForecastOffline' -benchtime=1x . >/dev/null
 
 # Loadgen smoke run: one short fixed-rate step against a self-served
