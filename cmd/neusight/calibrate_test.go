@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"testing"
 	"time"
 
@@ -47,36 +46,6 @@ func trainModelFiles(t *testing.T, dir string) (modelPath, tilePath string) {
 		return train([]string{"-data", dataPath, "-out", modelPath, "-tiles", tilePath})
 	})
 	return modelPath, tilePath
-}
-
-// startServe runs `serve -addr addr args...` in this process until the
-// returned stop sends SIGTERM (stop is also registered as a cleanup; a
-// second call is a no-op).
-func startServe(t *testing.T, addr string, args ...string) (stop func()) {
-	t.Helper()
-	done := make(chan error, 1)
-	go func() { done <- serveCmd(append([]string{"-addr", addr}, args...)) }()
-	if err := waitHealthy(addr, done); err != nil {
-		t.Fatal(err)
-	}
-	stopped := false
-	stop = func() {
-		if stopped {
-			return
-		}
-		stopped = true
-		syscall.Kill(os.Getpid(), syscall.SIGTERM)
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Error(err)
-			}
-		case <-time.After(20 * time.Second):
-			t.Error("serve did not shut down on SIGTERM")
-		}
-	}
-	t.Cleanup(stop)
-	return stop
 }
 
 // postJSON posts body to addr+route and decodes the 200 reply into out.
@@ -202,10 +171,11 @@ func restartProbes() []kernels.Kernel {
 // with empty drift windows and no retrain at start-up.
 func TestServeCalibratedRestart(t *testing.T) {
 	modelPath, tilePath := trainModelFiles(t, t.TempDir())
-	addr := freeAddr(t)
+	addr := freeAddrs(t, 1)[0]
 	args := []string{"-model", modelPath, "-tiles", tilePath, "-observe"}
 
-	stop := startServe(t, addr, args...)
+	g := newServeGroup(t)
+	g.start(addr, args...)
 	trained := map[string][]float64{}
 	for _, g := range gpu.All() {
 		trained[g.Name] = predictBatch(t, addr, g.Name, restartProbes())
@@ -219,9 +189,9 @@ func TestServeCalibratedRestart(t *testing.T) {
 		before[g.Name] = predictBatch(t, addr, g.Name, restartProbes())
 	}
 	checkCalibration(t, trained, before)
-	stop()
+	g.stop()
 
-	startServe(t, addr, args...)
+	g.start(addr, args...)
 	if o := observeReport(t, addr).Observe; o.Ingested != 0 || o.Retrains != 0 || len(o.Windows) != 0 {
 		t.Fatalf("restart drift report: ingested %d, retrains %d, %d windows; want all 0", o.Ingested, o.Retrains, len(o.Windows))
 	}
@@ -275,8 +245,8 @@ func checkCalibration(t *testing.T, was, now map[string][]float64) {
 // another retrain that would fail the same way.
 func TestServeCalibrationSaveFailure(t *testing.T) {
 	modelPath, tilePath := trainModelFiles(t, t.TempDir())
-	addr := freeAddr(t)
-	startServe(t, addr, "-model", modelPath, "-tiles", tilePath, "-observe")
+	addr := freeAddrs(t, 1)[0]
+	newServeGroup(t).start(addr, "-model", modelPath, "-tiles", tilePath, "-observe")
 
 	probe := []kernels.Kernel{kernels.NewBMM(4, 512, 512, 512)}
 	was := predictBatch(t, addr, "H100", probe)[0]

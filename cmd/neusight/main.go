@@ -16,7 +16,7 @@
 //	neusight serve   -addr :8080 [-model model.json -tiles tiles.json | -quick | -engines roofline,gpusim]
 //	                 [-queue 1024] [-warmup trace.jsonl] [-trace-record trace.jsonl]
 //	                 [-trace-compact 5] [-peers host2:8080,host3:8080]
-//	                 [-join host2:8080] [-steer proxy|off]
+//	                 [-steer proxy|off]
 //	                 [-advertise host1:8080] [-cluster-listen :9090]
 //	                 [-cluster-token secret] [-health-interval 1s]
 //	                 [-observe] [-drift-threshold 0.25]
@@ -37,8 +37,9 @@
 // profile across restarts. -peers forms a cluster with other serve
 // processes: engine-generation changes gossip between members so a
 // retrain anywhere invalidates every member's stale cache, and requests
-// are proxied to the member owning their (engine, GPU) key; -join grows
-// a running cluster by announcing this process to any existing member.
+// are proxied to the member owning their (engine, GPU) key. A -peers list
+// naming any one live member joins a running cluster: the member learns
+// the rest from it before it starts listening.
 // "loadgen" offers a service (or one it boots in-process via -self)
 // open-loop Poisson or bursty traffic at a fixed rate and reports latency
 // percentiles, outcomes and the server's own /v2/stats delta. "plan"

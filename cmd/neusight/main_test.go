@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -237,8 +238,84 @@ func TestServeCmdFlagValidation(t *testing.T) {
 		}
 	}
 	// -steer proxy is the default, yet setting it still needs a cluster.
-	if err := serveCmd([]string{"-quick", "-steer", "proxy"}); err == nil {
-		t.Fatal("-steer proxy without -peers must error")
+	if err := serveCmd([]string{"-quick", "-steer", "proxy"}); err == nil || !strings.Contains(err.Error(), "-steer requires -peers") {
+		t.Fatalf("-steer proxy without -peers = %v, want an error", err)
+	}
+}
+
+// serveGroup runs `serve` processes in this test binary and stops them
+// all with one SIGTERM: each installs its handler before it answers
+// /v2/healthz and drops it on the first signal, so a second signal would
+// find no handler and kill the test binary.
+type serveGroup struct {
+	t    *testing.T
+	done chan error
+	up   int
+}
+
+// newServeGroup returns an empty group that stops when the test ends.
+func newServeGroup(t *testing.T) *serveGroup {
+	g := &serveGroup{t: t, done: make(chan error, 8)}
+	t.Cleanup(g.stop)
+	return g
+}
+
+// start runs `serve -addr addr flags...` and returns once its /v2/healthz
+// first answers.
+func (g *serveGroup) start(addr string, flags ...string) {
+	g.t.Helper()
+	args := append([]string{"-addr", addr}, flags...)
+	go func() { g.done <- serveCmd(args) }()
+	if err := waitHealthy(addr, g.done); err != nil {
+		g.t.Fatal(err)
+	}
+	g.up++
+}
+
+// stop sends one SIGTERM and waits for every started member to return.
+func (g *serveGroup) stop() {
+	if g.up == 0 {
+		return
+	}
+	syscall.Kill(os.Getpid(), syscall.SIGTERM)
+	for ; g.up > 0; g.up-- {
+		select {
+		case err := <-g.done:
+			if err != nil {
+				g.t.Error(err)
+			}
+		case <-time.After(20 * time.Second):
+			g.t.Error("serve did not shut down on SIGTERM")
+		}
+	}
+}
+
+// postPeerOwned sends via a kernel on a GPU whose key one of owners
+// holds, and checks the answer is 200 and that via proxied exactly one
+// request.
+func postPeerOwned(t *testing.T, via string, owners ...string) {
+	t.Helper()
+	var gpuName, owner string
+	for _, as := range fetchRing(t, via).Assignments {
+		if slices.Contains(owners, as.Owner) {
+			gpuName, owner = as.GPU, as.Owner
+			break
+		}
+	}
+	if gpuName == "" {
+		t.Fatalf("no key owned by %v on %s's ring", owners, via)
+	}
+	resp, err := http.Post("http://"+via+"/v2/predict/kernel", "application/json",
+		strings.NewReader(fmt.Sprintf(`{"op":"bmm","b":2,"m":64,"k":64,"n":64,"gpu":%q}`, gpuName)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("kernel owned by %s = %d via %s, want 200", owner, resp.StatusCode, via)
+	}
+	if ring := fetchRing(t, via); ring.Mode != cluster.SteerProxy || ring.Steering.Proxied != 1 {
+		t.Fatalf("ring mode %q, steering %+v; want proxy with 1 proxied request", ring.Mode, ring.Steering)
 	}
 }
 
@@ -246,67 +323,64 @@ func TestServeCmdFlagValidation(t *testing.T) {
 // process with no -steer flag and sends one of them a kernel whose
 // (engine, GPU) key the other owns: the default mode proxies it there.
 func TestServeClusterProxiesByDefault(t *testing.T) {
-	a, b := freeAddr(t), freeAddr(t)
-	done := make(chan error, 2)
-	for _, m := range [][2]string{{a, b}, {b, a}} {
-		args := []string{"-engines", "roofline", "-addr", m[0], "-peers", m[1]}
-		go func() { done <- serveCmd(args) }()
-	}
-	for _, addr := range []string{a, b} {
-		if err := waitHealthy(addr, done); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Both members answer, so both have installed their SIGTERM handler:
-	// one signal shuts both down.
-	t.Cleanup(func() {
-		syscall.Kill(os.Getpid(), syscall.SIGTERM)
-		for i := 0; i < 2; i++ {
-			select {
-			case err := <-done:
-				if err != nil {
-					t.Error(err)
-				}
-			case <-time.After(20 * time.Second):
-				t.Error("serve did not shut down on SIGTERM")
-			}
-		}
-	})
+	addrs := freeAddrs(t, 2)
+	a, b := addrs[0], addrs[1]
+	g := newServeGroup(t)
+	g.start(a, "-engines", "roofline", "-peers", b)
+	g.start(b, "-engines", "roofline", "-peers", a)
+	postPeerOwned(t, a, b)
+}
 
-	ring := fetchRing(t, a)
-	var gpuB string
-	for _, as := range ring.Assignments {
-		if as.Owner == b {
-			gpuB = as.GPU
-			break
+// TestServeJoinsThroughOneSeed starts three members, then a fourth whose
+// -peers names only the first. Its one gossip round before the listener
+// opens must give it the whole membership: when its /v2/healthz first
+// answers, its ring already lists all four (its own first background
+// round is at least 0.8 x DefaultPollInterval away), and a kernel owned by
+// a member it never named is proxied there. The other three list it
+// within two gossip rounds.
+func TestServeJoinsThroughOneSeed(t *testing.T) {
+	addrs := freeAddrs(t, 4)
+	a, b, c, d := addrs[0], addrs[1], addrs[2], addrs[3]
+	g := newServeGroup(t)
+	for _, m := range [][2]string{{a, b + "," + c}, {b, a + "," + c}, {c, a + "," + b}} {
+		g.start(m[0], "-engines", "roofline", "-peers", m[1])
+	}
+	started := time.Now()
+	g.start(d, "-engines", "roofline", "-peers", a)
+
+	all := slices.Clone(addrs)
+	slices.Sort(all)
+	if got := fetchRing(t, d).Members; !slices.Equal(got, all) {
+		t.Fatalf("ring members at the joiner's first healthz = %v, want %v", got, all)
+	}
+	postPeerOwned(t, d, b, c)
+
+	deadline := started.Add(2 * cluster.DefaultPollInterval * 6 / 5)
+	for _, m := range addrs[:3] {
+		for !slices.Contains(fetchRing(t, m).Members, d) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s does not list %s %v after it started", m, d, time.Since(started))
+			}
+			time.Sleep(20 * time.Millisecond)
 		}
-	}
-	if gpuB == "" {
-		t.Fatalf("no key owned by %s in %+v", b, ring.Assignments)
-	}
-	resp, err := http.Post("http://"+a+"/v2/predict/kernel", "application/json",
-		strings.NewReader(fmt.Sprintf(`{"op":"bmm","b":2,"m":64,"k":64,"n":64,"gpu":%q}`, gpuB)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("peer-owned kernel = %d, want 200", resp.StatusCode)
-	}
-	if ring := fetchRing(t, a); ring.Mode != cluster.SteerProxy || ring.Steering.Proxied != 1 {
-		t.Fatalf("ring mode %q, steering %+v; want proxy with 1 proxied request", ring.Mode, ring.Steering)
 	}
 }
 
-// freeAddr returns a loopback address no listener holds right now.
-func freeAddr(t *testing.T) string {
+// freeAddrs returns n distinct loopback addresses no listener holds right
+// now. Every listener stays open until all n are picked, so the kernel
+// cannot hand one port out twice.
+func freeAddrs(t *testing.T, n int) []string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	addrs := make([]string, n)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		addrs[i] = ln.Addr().String()
 	}
-	defer ln.Close()
-	return ln.Addr().String()
+	return addrs
 }
 
 // waitHealthy polls addr's /v2/healthz until it answers 200, failing

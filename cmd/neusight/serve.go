@@ -52,8 +52,7 @@ func serveCmd(args []string) error {
 	warmupPath := fs.String("warmup", "", "replay this workload trace to warm caches before accepting traffic")
 	traceCompact := fs.Int("trace-compact", 0, "age out trace keys not requested within the last K replays (0 = off; requires -trace-record)")
 	engineList := fs.String("engines", "", "serve only these non-trainable engines, comma-separated (no -model/-quick needed; e.g. roofline,gpusim)")
-	peers := fs.String("peers", "", "comma-separated addresses of peer serve processes forming a cluster")
-	join := fs.String("join", "", "join a running cluster by announcing this process to the given member address")
+	peers := fs.String("peers", "", "comma-separated addresses of peer serve processes forming a cluster (any one live member joins a running cluster)")
 	steer := fs.String("steer", cluster.SteerProxy, "cluster steering for requests owned by a peer: proxy (forward to the owner) or off (serve locally)")
 	advertise := fs.String("advertise", "", "address peers reach this process at (default: -addr with an empty host replaced by 127.0.0.1)")
 	clusterListen := fs.String("cluster-listen", "", "optional extra listener serving only the cluster control routes (/v2/cluster/*)")
@@ -82,9 +81,9 @@ func serveCmd(args []string) error {
 	if *quickTrain && *modelPath != "" {
 		return fmt.Errorf("serve: pass -model or -quick, not both")
 	}
-	clustered := *peers != "" || *join != ""
+	clustered := *peers != ""
 	if (*clusterListen != "" || *advertise != "" || *clusterToken != "" || *healthInterval != 0) && !clustered {
-		return fmt.Errorf("serve: -cluster-listen, -advertise, -cluster-token, and -health-interval require -peers or -join")
+		return fmt.Errorf("serve: -cluster-listen, -advertise, -cluster-token, and -health-interval require -peers")
 	}
 	// Validate -steer before the expensive model loading/training below: a
 	// typo'd mode must fail in milliseconds, not after a -quick train.
@@ -95,7 +94,7 @@ func serveCmd(args []string) error {
 	steerSet := false
 	fs.Visit(func(f *flag.Flag) { steerSet = steerSet || f.Name == "steer" })
 	if steerSet && !clustered {
-		return fmt.Errorf("serve: -steer requires -peers or -join")
+		return fmt.Errorf("serve: -steer requires -peers")
 	}
 	reg := predict.NewRegistry()
 	defaultEngine := predict.EngineNeuSight
@@ -257,21 +256,21 @@ func serveCmd(args []string) error {
 		}
 		node = n
 		planMgr.SetDispatcher(node.PlanDispatcher())
-		if *join != "" {
-			// Join before the listener opens: the seed hands back the
-			// membership and generation views, and the trace warmup below
-			// primes the keys this member is about to own — its first
-			// steered request should be a cache hit, not a cold model run.
-			if err := node.Join(context.Background(), *join); err != nil {
-				return err
-			}
-			warmed, skipped, werr := node.WarmFromOwners(context.Background())
-			if werr != nil {
-				fmt.Fprintf(os.Stderr, "neusight: join warmup: %v\n", werr)
-			}
-			fmt.Printf("joined cluster via %s: members [%s], %d forecasts warmed (%d peers skipped)\n",
-				*join, strings.Join(node.Members(), " "), warmed, skipped)
+		// One gossip round before the listener opens: the seeds learn of
+		// this member and hand back their membership and generation views,
+		// so one live member in -peers is enough to join a running cluster
+		// with its full ring. The trace warmup then primes the keys this
+		// member is about to own — its first steered request should be a
+		// cache hit, not a cold model run. Neither step can fail the start:
+		// an unreachable seed costs at most one push and one poll deadline,
+		// is skipped by the warmup, and is readmitted by its first contact.
+		node.SyncNow()
+		warmed, skipped, werr := node.WarmFromOwners(context.Background())
+		if werr != nil {
+			fmt.Fprintf(os.Stderr, "neusight: start-up warmup: %v\n", werr)
 		}
+		fmt.Printf("cluster start-up: members [%s], %d forecasts warmed (%d peers skipped)\n",
+			strings.Join(node.Members(), " "), warmed, skipped)
 		handler = node.Handler(handler)
 		node.Start()
 		defer node.Stop()
@@ -302,7 +301,7 @@ func serveCmd(args []string) error {
 	}
 	if node != nil {
 		fmt.Println("           GET|POST /v2/cluster/generations (gossip)  GET /v2/cluster/ring (assignments)")
-		fmt.Println("           GET /v2/cluster/health (failure detector)  POST /v2/cluster/join  GET /v2/cluster/trace")
+		fmt.Println("           GET /v2/cluster/health (failure detector)  GET /v2/cluster/trace")
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

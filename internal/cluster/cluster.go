@@ -14,11 +14,12 @@
 //     prediction after a retrain anywhere in the cluster.
 //
 //   - Dynamic membership and failure detection (membership.go, health.go):
-//     membership is state, not configuration. A process joins by
-//     contacting any member (POST /v2/cluster/join) and is announced to
-//     everyone through the gossip channel's membership view; every member
-//     runs a failure detector fed by gossip contacts and a background
-//     health sweep, declaring unresponsive members suspect then dead.
+//     membership is state, not configuration. A process joins by seeding
+//     Config.Peers with any one member and running one gossip round
+//     (SyncNow) before it listens: the seed admits it, hands back the
+//     membership, and announces it to everyone. Every member runs a
+//     failure detector fed by gossip contacts and a background health
+//     sweep, declaring unresponsive members suspect then dead.
 //     Dead members are evicted from the ring automatically — and
 //     readmitted by their first successful contact, so a restart heals
 //     without operator action. GET /v2/cluster/health exposes the state.
@@ -33,10 +34,10 @@
 //     exposes the assignment; all steering/failover counters are exported
 //     to Prometheus.
 //
-//   - Join warmup (membership.go): a joining member pulls the recorded
-//     workload traces of the members currently owning the shards it will
-//     acquire (GET /v2/cluster/trace) and primes its caches with the keys
-//     it now owns, so its first steered request is a cache hit.
+//   - Start-up warmup (membership.go): after that first round a starting
+//     member pulls the recorded workload traces of the alive members
+//     (GET /v2/cluster/trace) and primes its caches with the keys it now
+//     owns, so its first steered request is a cache hit.
 //
 // All /v2/cluster/* control routes can require a shared bearer token
 // (Config.Token); requests without it are rejected with 401 and counted.
@@ -84,9 +85,9 @@ type Config struct {
 	// the node's identity on the membership ring and the address gossip
 	// messages advertise.
 	Self string
-	// Peers seeds the membership with the other members' addresses. Unlike
-	// the static clusters of old, the set then evolves at runtime: members
-	// join via /v2/cluster/join or gossiped membership views, and dead
+	// Peers seeds the membership: every other member's address, or any
+	// one live member of a running cluster. The set then evolves at
+	// runtime: members arrive through gossiped membership views, and dead
 	// members are evicted from the ring by the failure detector.
 	Peers []string
 	// Steer selects the steering mode (SteerProxy, SteerOff). Empty means
@@ -114,13 +115,13 @@ type Config struct {
 	// InvalidateEngine). Nil disables invalidation (gossip still tracked).
 	Invalidate func(engine string) int
 	// TraceDump returns this member's recorded workload trace as JSONL —
-	// what GET /v2/cluster/trace serves to joining members. Nil (or a nil
+	// what GET /v2/cluster/trace serves to starting members. Nil (or a nil
 	// return) serves an empty trace.
 	TraceDump func() []byte
 	// WarmOwned primes the local caches from a peer's JSONL trace data,
 	// keeping only entries whose (engine, GPU) key owns reports true, and
 	// returns how many forecasts were warmed
-	// (serve.Service.WarmFromTraceData). Nil disables join warmup.
+	// (serve.Service.WarmFromTraceData). Nil disables start-up warmup.
 	WarmOwned func(data []byte, owns func(engine, gpu string) bool) (int, error)
 }
 
@@ -132,7 +133,7 @@ type Node struct {
 	interval       time.Duration
 	healthInterval time.Duration
 	// reqTimeout bounds every outbound request (gossip push/poll, probe,
-	// proxy attempt, join, trace fetch); suspectAfter and deadAfter are the
+	// proxy attempt, trace fetch); suspectAfter and deadAfter are the
 	// failure detector's strike thresholds. They and client are the package
 	// defaults, which in-package tests lower before SetPeers and Start.
 	reqTimeout   time.Duration
@@ -182,7 +183,6 @@ type Node struct {
 	probeFailures atomic.Uint64
 	evictions     atomic.Uint64
 	readmissions  atomic.Uint64
-	joinsAccepted atomic.Uint64
 	authRejected  atomic.Uint64
 
 	// planner fan-out counters: batches and cells evaluated here on

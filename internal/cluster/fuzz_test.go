@@ -8,11 +8,12 @@ import (
 	"testing"
 )
 
-// FuzzControlRoutes POSTs every body to the two control routes that decode
-// a peer's JSON: /v2/cluster/generations (a GenMessage) and
-// /v2/cluster/join (a JoinRequest). Each input gets a fresh Node with no
-// token and no background loops, so no input leaks membership into the
-// next and nothing dials out. No body may panic, answer with a 5xx, or
+// FuzzControlRoutes POSTs every body to the control route that decodes a
+// peer's JSON: /v2/cluster/generations (a GenMessage). Each input gets a
+// fresh Node with no token and no background loops, so no input leaks
+// membership into the next and nothing dials out. The join_* seeds date
+// from a deleted join route; they stay as GenMessage inputs of the wrong
+// shape. No body may panic, answer with a 5xx, or
 // reply with anything but one JSON document. The seed corpus is
 // testdata/fuzz/FuzzControlRoutes, so plain `go test` replays it; dig with
 // `go test -run '^$' -fuzz FuzzControlRoutes -parallel 2 ./internal/cluster`.
@@ -26,16 +27,13 @@ func FuzzControlRoutes(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := n.ControlHandler()
-		for _, route := range []string{RouteGenerations, RouteJoin} {
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, route, bytes.NewReader(body)))
-			if rec.Code >= 500 {
-				t.Fatalf("%s answered %d: %s", route, rec.Code, rec.Body.Bytes())
-			}
-			if !json.Valid(rec.Body.Bytes()) {
-				t.Fatalf("%s answered %d with a body that is not JSON: %q", route, rec.Code, rec.Body.Bytes())
-			}
+		rec := httptest.NewRecorder()
+		n.ControlHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, RouteGenerations, bytes.NewReader(body)))
+		if rec.Code >= 500 {
+			t.Fatalf("%s answered %d: %s", RouteGenerations, rec.Code, rec.Body.Bytes())
+		}
+		if !json.Valid(rec.Body.Bytes()) {
+			t.Fatalf("%s answered %d with a body that is not JSON: %q", RouteGenerations, rec.Code, rec.Body.Bytes())
 		}
 	})
 }

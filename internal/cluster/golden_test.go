@@ -15,8 +15,8 @@ import (
 // testdata/metrics.golden was rendered by the commit before the shared
 // exposition writer (internal/promtext) from this fixture — a member with
 // three peers (one suspect, one dead) and every counter distinct. Since
-// then only the 307 counter's family has left it and the steered family's
-// help text has changed.
+// then only the 307 counter's and the joins-accepted counter's families
+// have left it and the steered family's help text has changed.
 func TestMetricsGolden(t *testing.T) {
 	n, err := NewNode(Config{
 		Self:     "10.0.0.1:8080",
@@ -28,12 +28,13 @@ func TestMetricsGolden(t *testing.T) {
 	}
 	n.members["10.0.0.3:8080"].state = MemberSuspect
 	n.members["10.0.0.4:8080"].state = MemberDead
-	// The second slot held the deleted 307 counter; a stand-in keeps
-	// every later counter's value, and so its golden line, unchanged.
+	// The second slot held the deleted 307 counter and the thirteenth the
+	// deleted joins-accepted counter; stand-ins keep every later counter's
+	// value, and so its golden line, unchanged.
 	for i, c := range []interface{ Store(uint64) }{
 		&n.steered, new(atomic.Uint64), &n.proxied, &n.misrouted, &n.proxyFailures, &n.proxyTimeouts,
 		&n.failedOver, &n.relayErrors, &n.probes, &n.probeFailures, &n.evictions, &n.readmissions,
-		&n.joinsAccepted, &n.authRejected, &n.pushes, &n.pushFailures, &n.polls, &n.pollFailures,
+		new(atomic.Uint64), &n.authRejected, &n.pushes, &n.pushFailures, &n.polls, &n.pollFailures,
 		&n.absorbed, &n.invalidations, &n.droppedEntries, &n.planEvalsServed, &n.planEvalCells,
 	} {
 		c.Store(uint64(1000 + 37*i))

@@ -33,8 +33,8 @@ type OriginView struct {
 // retrains on any member whose counter sits below another's. Views merge
 // before they are served, so gossip is transitive — C polling B learns
 // about A's retrain even if A's push to C was lost. The membership view
-// rides the same channel and merges the same way, which is how a join
-// accepted by one member reaches every member within a round or two.
+// rides the same channel and merges the same way, which is how a member
+// that one seed has heard of reaches every member within a round or two.
 type GenMessage struct {
 	// Node is the advertised address of the sender.
 	Node string `json:"node"`
@@ -129,7 +129,7 @@ func (n *Node) Snapshot() GenMessage {
 // Absorb merges a peer's view into this node's. The membership view
 // merges first — members the sender knows and this node does not are
 // admitted (never resurrected from dead; see absorbMembers) — so a
-// just-joined member's own generation slice passes the origin check
+// just-admitted member's own generation slice passes the origin check
 // below. Then, for every origin whose reported generation for an engine
 // is newer than anything seen from that origin's current instance, the
 // engine's locally cached forecasts are dropped via the Invalidate

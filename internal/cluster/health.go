@@ -16,8 +16,9 @@ const DefaultHealthInterval = time.Second
 
 // DefaultRequestTimeout bounds every individual outbound cluster request
 // — a gossip push or poll, a health probe, a steering proxy attempt, a
-// join, a trace fetch. One hung member must cost one attempt's deadline,
-// never a whole round or a client's patience.
+// trace fetch. One hung member must cost one attempt's deadline, never a
+// whole round or a client's patience; a hung seed delays a member's start
+// by one push and one poll deadline.
 const DefaultRequestTimeout = 2 * time.Second
 
 // healthzPath is what the sweeper probes: the serving layer's liveness
@@ -54,7 +55,6 @@ type HealthStats struct {
 	ProbeFailures uint64 `json:"probe_failures"`
 	Evictions     uint64 `json:"evictions"`
 	Readmissions  uint64 `json:"readmissions"`
-	JoinsAccepted uint64 `json:"joins_accepted"`
 	AuthRejected  uint64 `json:"auth_rejected"`
 }
 
@@ -65,7 +65,6 @@ func (n *Node) HealthStats() HealthStats {
 		ProbeFailures: n.probeFailures.Load(),
 		Evictions:     n.evictions.Load(),
 		Readmissions:  n.readmissions.Load(),
-		JoinsAccepted: n.joinsAccepted.Load(),
 		AuthRejected:  n.authRejected.Load(),
 	}
 }

@@ -31,12 +31,8 @@ const (
 	// RouteHealth is the failure-detector endpoint: GET returns every
 	// member's alive/suspect/dead state and the health counters.
 	RouteHealth = "/v2/cluster/health"
-	// RouteJoin is the membership endpoint: POST admits the announcing
-	// process into the cluster and returns the current membership and
-	// generation views.
-	RouteJoin = "/v2/cluster/join"
 	// RouteTrace is the warmup endpoint: GET returns this member's
-	// recorded workload trace (JSONL), which joining members replay to
+	// recorded workload trace (JSONL), which starting members replay to
 	// warm the shards they acquire.
 	RouteTrace = "/v2/cluster/trace"
 	// RoutePlanEval (plan.go) is the planner fan-out endpoint: POST
@@ -51,9 +47,9 @@ const clusterRoutePrefix = "/v2/cluster/"
 // handful of KiB is garbage.
 const maxControlBody = 64 << 10
 
-// maxTraceBody caps how much of a peer's trace a joiner will read: traces
-// are bounded at the recorder (maxTraceKeys distinct keys), but a
-// misbehaving peer must not be able to balloon a joiner's memory.
+// maxTraceBody caps how much of a peer's trace a starting member will
+// read: traces are bounded at the recorder (maxTraceKeys distinct keys),
+// but a misbehaving peer must not be able to balloon its memory.
 const maxTraceBody = 16 << 20
 
 // authorized reports whether r may touch the control plane: always, when
@@ -209,38 +205,9 @@ func (n *Node) handleRing(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleJoin admits a joining process: its address enters the membership
-// as alive (announced onward by the next gossip round), and the reply
-// hands it this member's membership and generation views so it starts
-// from the cluster's current state.
-func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSONError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	var jr JoinRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxControlBody)).Decode(&jr); err != nil {
-		writeJSONError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
-		return
-	}
-	if jr.Addr == "" {
-		writeJSONError(w, http.StatusBadRequest, "join request must carry addr")
-		return
-	}
-	if jr.Addr != n.self {
-		n.AddMember(jr.Addr, jr.Instance)
-		// The joiner just spoke to us: that is a successful contact,
-		// readmitting it if it was a dead member restarting.
-		n.markContact(jr.Addr, true)
-	}
-	n.joinsAccepted.Add(1)
-	snap := n.Snapshot()
-	writeJSON(w, http.StatusOK, JoinResponse{Members: snap.Members, Views: snap.Views})
-}
-
-// handleTrace serves this member's recorded workload trace for join
-// warmup. No recorder (or an empty one) is an empty 200 — joining next to
-// a trace-less member is fine, just cold.
+// handleTrace serves this member's recorded workload trace for start-up
+// warmup. No recorder (or an empty one) is an empty 200 — starting next
+// to a trace-less member is fine, just cold.
 func (n *Node) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeJSONError(w, http.StatusMethodNotAllowed, "GET only")
@@ -271,8 +238,6 @@ func (n *Node) serveControl(w http.ResponseWriter, r *http.Request) {
 		n.handleRing(w, r)
 	case RouteHealth:
 		n.handleHealth(w, r)
-	case RouteJoin:
-		n.handleJoin(w, r)
 	case RouteTrace:
 		n.handleTrace(w, r)
 	case RoutePlanEval:

@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"sort"
 	"time"
@@ -87,13 +85,12 @@ func (n *Node) memberDead(addr string) bool {
 	return st != nil && st.state == MemberDead
 }
 
-// AddMember admits addr into the membership as alive (a no-op if already
-// present), rebuilding the ring. It is how join requests and gossiped
-// membership views grow the cluster at runtime. Returns whether the
-// member was new.
-func (n *Node) AddMember(addr string, instance uint64) bool {
+// addMember admits addr into the membership as alive (a no-op if already
+// present), rebuilding the ring. It is how gossiped membership views grow
+// the cluster at runtime.
+func (n *Node) addMember(addr string, instance uint64) {
 	if addr == "" || addr == n.self {
-		return false
+		return
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -102,11 +99,10 @@ func (n *Node) AddMember(addr string, instance uint64) bool {
 		if instance != 0 {
 			st.instance = instance
 		}
-		return false
+		return
 	}
 	n.members[addr] = &memberState{state: MemberAlive, instance: instance}
 	n.rebuildRingLocked()
-	return true
 }
 
 // markContact feeds one contact outcome with addr into the failure
@@ -171,8 +167,8 @@ func (n *Node) rebuildRingLocked() {
 
 // MemberInfo is one member's slice of the gossiped membership view: its
 // address maps to the process instance last seen at it. Absorbing a view
-// admits members this node has not heard of — a join anywhere in the
-// cluster reaches everyone within a gossip round or two.
+// admits members this node has not heard of — a member starting with any
+// one seed in -peers reaches everyone within a gossip round or two.
 type MemberInfo struct {
 	Instance uint64 `json:"instance,omitempty"`
 }
@@ -195,51 +191,16 @@ func (n *Node) membersView() map[string]MemberInfo {
 // requires a successful direct contact (markContact), not a rumor.
 func (n *Node) absorbMembers(members map[string]MemberInfo) {
 	for addr, info := range members {
-		n.AddMember(addr, info.Instance)
+		n.addMember(addr, info.Instance)
 	}
 }
 
-// JoinRequest is the body of POST /v2/cluster/join: the joining process
-// announces the address peers reach it at and its instance ID.
-type JoinRequest struct {
-	Addr     string `json:"addr"`
-	Instance uint64 `json:"instance,omitempty"`
-}
-
-// JoinResponse is the seed member's reply: its full membership view and
-// its generation views, so the joiner starts with the cluster's current
-// state instead of converging from nothing.
-type JoinResponse struct {
-	Members map[string]MemberInfo `json:"members"`
-	Views   map[string]OriginView `json:"views"`
-}
-
-// Join contacts the seed member's /v2/cluster/join, announces this node,
-// and adopts the membership and generation views the seed returns. After
-// a successful Join the node's next gossip round announces it to every
-// member the seed knew about.
-func (n *Node) Join(ctx context.Context, seed string) error {
-	body, err := json.Marshal(JoinRequest{Addr: n.self, Instance: n.instance})
-	if err != nil {
-		return err
-	}
-	var jr JoinResponse
-	if err := n.call(ctx, n.reqTimeout, http.MethodPost, seed, RouteJoin, body, &jr, maxControlBody); err != nil {
-		return fmt.Errorf("cluster: joining via %s: %w", seed, err)
-	}
-	n.absorbMembers(jr.Members)
-	n.AddMember(seed, jr.Members[seed].Instance)
-	n.markContact(seed, true)
-	n.Absorb(GenMessage{Node: seed, Views: jr.Views, Members: jr.Members})
-	return nil
-}
-
-// WarmFromOwners pulls the recorded workload traces of every reachable
-// member and warms the local caches with the keys this node now owns (as
-// primary or replica) under the joined ring — so a joining member's first
-// steered request is a cache hit instead of a cold model evaluation.
-// Members without a trace contribute nothing; unreachable members are
-// skipped and counted in the returned skipped tally.
+// WarmFromOwners pulls the recorded workload traces of every alive member
+// and warms the local caches with the keys this node now owns (as primary
+// or replica), so a starting member's first steered request is a cache
+// hit instead of a cold model evaluation. Members without a trace add
+// nothing; members not alive (a seed the start-up SyncNow could not reach
+// is suspect) or whose fetch fails are counted as skipped.
 func (n *Node) WarmFromOwners(ctx context.Context) (warmed, peersSkipped int, err error) {
 	if n.warmOwned == nil {
 		return 0, 0, nil
@@ -248,12 +209,15 @@ func (n *Node) WarmFromOwners(ctx context.Context) (warmed, peersSkipped int, er
 		primary, replica := n.Owners(engine, gpuName)
 		return primary == n.self || replica == n.self
 	}
-	for _, peer := range n.Peers() {
-		if n.memberDead(peer) {
+	for _, ms := range n.MemberStates() {
+		if ms.Self {
+			continue
+		}
+		if ms.State != MemberAlive {
 			peersSkipped++
 			continue
 		}
-		data, ferr := n.fetchTrace(ctx, peer)
+		data, ferr := n.fetchTrace(ctx, ms.Addr)
 		if ferr != nil {
 			peersSkipped++
 			continue

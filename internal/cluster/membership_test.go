@@ -157,16 +157,28 @@ func TestAbsorbMembershipView(t *testing.T) {
 	}
 }
 
-// TestJoinAndGossipSpread: a third process joins a two-member cluster via
-// one seed, and the membership spreads to the member the joiner never
-// contacted through the ordinary gossip round.
+// joinVia starts p's membership from one seed and runs the one gossip
+// round a clustered `serve` runs before its listener opens: p pushes its
+// view to the seed (which admits it) and absorbs the seed's. Both calls
+// must reach the seed.
+func joinVia(t *testing.T, p, seed *proc) *proc {
+	t.Helper()
+	p.node.SetPeers([]string{seed.addr})
+	p.node.SyncNow()
+	if gs := p.node.GossipStats(); gs.Pushes != 1 || gs.Polls != 1 {
+		t.Fatalf("joining via %s: gossip %+v, want 1 push and 1 poll", seed.addr, gs)
+	}
+	return p
+}
+
+// TestJoinAndGossipSpread: a third process joins a two-member cluster by
+// naming one seed and running one gossip round, and the membership
+// spreads to the member the joiner never contacted through the seed's
+// ordinary gossip round.
 func TestJoinAndGossipSpread(t *testing.T) {
 	a, b := twoProcs(t, SteerOff)
-	c := startProc(t, 3, SteerOff)
+	c := joinVia(t, startProc(t, 3, SteerOff), a)
 
-	if err := c.node.Join(context.Background(), a.addr); err != nil {
-		t.Fatal(err)
-	}
 	// The joiner adopted the seed's membership...
 	if !c.node.isMember(a.addr) || !c.node.isMember(b.addr) {
 		t.Fatalf("joiner members = %v, want a and b", c.node.Members())
@@ -174,9 +186,6 @@ func TestJoinAndGossipSpread(t *testing.T) {
 	// ...the seed admitted the joiner...
 	if !a.node.isMember(c.addr) {
 		t.Fatalf("seed members = %v, want the joiner admitted", a.node.Members())
-	}
-	if hs := a.node.HealthStats(); hs.JoinsAccepted != 1 {
-		t.Fatalf("seed health stats = %+v, want 1 join accepted", hs)
 	}
 	// ...and one push round from the seed reaches B, which the joiner
 	// never contacted.
@@ -196,10 +205,10 @@ func TestJoinAndGossipSpread(t *testing.T) {
 	}
 }
 
-// TestJoinWarmup is the acceptance scenario for join warmup: a member
-// joining via a seed pulls the owners' recorded traces and serves its
-// first steered request as a cache hit — its backend engine is never
-// evaluated for a key the warmup primed.
+// TestJoinWarmup is the acceptance scenario for start-up warmup: a member
+// joining via a seed pulls the owners' recorded traces after its first
+// gossip round and serves its first steered request as a cache hit — its
+// backend engine is never evaluated for a key the warmup primed.
 func TestJoinWarmup(t *testing.T) {
 	a := startProc(t, 1, SteerProxy)
 	rec, err := serve.NewTraceRecorder(t.TempDir() + "/trace.jsonl")
@@ -218,10 +227,7 @@ func TestJoinWarmup(t *testing.T) {
 		}
 	}
 
-	c := startProc(t, 3, SteerProxy)
-	if err := c.node.Join(context.Background(), a.addr); err != nil {
-		t.Fatal(err)
-	}
+	c := joinVia(t, startProc(t, 3, SteerProxy), a)
 	warmed, skipped, err := c.node.WarmFromOwners(context.Background())
 	if err != nil || skipped != 0 {
 		t.Fatalf("warmup = (%d warmed, %d skipped, %v)", warmed, skipped, err)
@@ -243,6 +249,29 @@ func TestJoinWarmup(t *testing.T) {
 	}
 	if got := c.eng.calls.Load(); got != calls {
 		t.Fatalf("first steered request evaluated the engine (%d -> %d calls), want a cache hit", calls, got)
+	}
+}
+
+// TestWarmupSkipsUnreachedSeed: a member whose only seed hangs pays one
+// push and one poll deadline for its start-up round, and the warmup after
+// it skips the seed (suspect after those two strikes) instead of paying a
+// third deadline for its trace.
+func TestWarmupSkipsUnreachedSeed(t *testing.T) {
+	const timeout = 400 * time.Millisecond
+	seed := faultPeer(t, peerHangs, 0)
+	c := startProcOpts(t, procOpts{lat: 3, mode: SteerProxy, reqTimeout: timeout})
+	c.node.SetPeers([]string{seed})
+
+	start := time.Now()
+	c.node.SyncNow()
+	warmed, skipped, err := c.node.WarmFromOwners(context.Background())
+	elapsed := time.Since(start)
+	if warmed != 0 || skipped != 1 || err != nil {
+		t.Fatalf("warmup = (%d warmed, %d skipped, %v), want the hung seed skipped", warmed, skipped, err)
+	}
+	// Two deadlines, plus scheduling slack well short of a third.
+	if elapsed > 2*timeout+timeout/2 {
+		t.Fatalf("sync + warmup took %v with a hung seed, want at most two %v deadlines", elapsed, timeout)
 	}
 }
 
@@ -300,9 +329,9 @@ func TestControlPlaneAuth(t *testing.T) {
 		t.Fatalf("token'd gossip round failed: %+v", gs)
 	}
 	// And a token'd joiner can still join.
-	c := startProcOpts(t, procOpts{lat: 3, mode: SteerOff, token: token})
-	if err := c.node.Join(context.Background(), a.addr); err != nil {
-		t.Fatalf("token'd join: %v", err)
+	c := joinVia(t, startProcOpts(t, procOpts{lat: 3, mode: SteerOff, token: token}), a)
+	if !c.node.isMember(b.addr) || !a.node.isMember(c.addr) {
+		t.Fatalf("token'd join: joiner members %v, seed members %v", c.node.Members(), a.node.Members())
 	}
 	// The liveness probe target stays tokenless: probes must work without
 	// the control-plane secret.

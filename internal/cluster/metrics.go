@@ -33,7 +33,6 @@ func (n *Node) WriteMetrics(p *promtext.Writer) {
 	p.Counter("neusight_cluster_probe_failures_total", "Health probes that failed (no 200 within the deadline).", float64(hs.ProbeFailures))
 	p.Counter("neusight_cluster_evictions_total", "Members declared dead and evicted from the ring.", float64(hs.Evictions))
 	p.Counter("neusight_cluster_readmissions_total", "Dead members readmitted after a successful contact.", float64(hs.Readmissions))
-	p.Counter("neusight_cluster_joins_accepted_total", "Join requests admitted on /v2/cluster/join.", float64(hs.JoinsAccepted))
 	p.Counter("neusight_cluster_auth_rejected_total", "Control-plane requests rejected for a missing or invalid bearer token.", float64(hs.AuthRejected))
 	p.Counter("neusight_cluster_gossip_pushes_total", "Generation snapshots pushed to peers.", float64(gs.Pushes))
 	p.Counter("neusight_cluster_gossip_push_failures_total", "Generation pushes that failed to reach a peer.", float64(gs.PushFailures))

@@ -138,18 +138,6 @@ func TestPeerCallOutcomes(t *testing.T) {
 			},
 		},
 		{
-			name: "join", limit: maxControlBody,
-			run: func(t *testing.T, n *Node, peer, fault string) error {
-				return n.Join(context.Background(), peer)
-			},
-			want: map[string]peerOutcome{
-				peerRefuses:   {err: "*"},
-				peerHangs:     {err: "*"},
-				peer500:       {err: "500"},
-				peerOversized: {err: "unexpected EOF"},
-			},
-		},
-		{
 			name: "trace fetch", limit: maxTraceBody,
 			run: func(t *testing.T, n *Node, peer, fault string) error {
 				data, err := n.fetchTrace(context.Background(), peer)

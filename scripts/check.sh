@@ -91,11 +91,12 @@ fi
 
 # Docs gate: every versioned route the code actually serves must be
 # documented in docs/API.md — adding an endpoint without documenting it
-# fails CI here. The route list is derived from the source, not
-# maintained by hand: serve registers routes via mux.HandleFunc literals,
-# and the cluster layer declares its /v2/cluster/* paths as string
-# literals in non-test files.
-echo "==> docs gate (API routes vs docs/API.md)"
+# fails CI here — and every route heading there must name a route the code
+# serves, so a deleted endpoint's section fails it too. The route list is
+# derived from the source, not maintained by hand: serve registers routes
+# via mux.HandleFunc literals, and the cluster layer declares its
+# /v2/cluster/* paths as string literals in non-test files.
+echo "==> docs gate (API routes vs docs/API.md, both ways)"
 missing=0
 routes=$(
   {
@@ -113,6 +114,14 @@ if ! grep -q -- "/metrics" docs/API.md; then
   echo "route /metrics handled in internal/serve/http.go but missing from docs/API.md" >&2
   missing=1
 fi
+# A heading "## GET /v2/plan/{id}" names the prefix route "/v2/plan/".
+doc_routes=$(grep -E '^###? [A-Z|]+ /v[0-9]/' docs/API.md | awk '{ print $3 }' | sed 's/{[^}]*}$//' | sort -u)
+for route in $doc_routes; do
+  if ! grep -qxF -- "$route" <<<"$routes"; then
+    echo "docs/API.md has a section for $route, which the code does not handle" >&2
+    missing=1
+  fi
+done
 # The same both ways for `neusight serve` flags: every flag literal
 # (fs.<Type>("name", ...) in cmd/neusight/serve.go) needs a backticked
 # entry in the first column of docs/OPERATIONS.md's flag reference table,

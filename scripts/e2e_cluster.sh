@@ -7,8 +7,9 @@
 #      the outage — replica fall-through, never a sustained 502;
 #   2. the failure detector evicts the corpse (health endpoint reports
 #      it dead, the ring stops assigning it shards);
-#   3. restarting the member at the same address via -join readmits it
-#      and the ring heals.
+#   3. restarting the member at the same address with -peers naming one
+#      survivor gives it the whole membership before it listens, readmits
+#      it, and the ring heals.
 #
 # Run by scripts/check.sh in full mode; standalone: scripts/e2e_cluster.sh
 set -euo pipefail
@@ -28,12 +29,18 @@ trap cleanup EXIT
 echo "e2e_cluster: building neusight"
 go build -o "$workdir/neusight" ./cmd/neusight
 
-pick_port() {
-  python3 -c 'import socket; s=socket.socket(); s.bind(("127.0.0.1",0)); print(s.getsockname()[1]); s.close()'
-}
-A=127.0.0.1:$(pick_port)
-B=127.0.0.1:$(pick_port)
-C=127.0.0.1:$(pick_port)
+# Three distinct free ports: every socket stays bound until all three are
+# printed, so the kernel cannot hand one port out twice.
+read -r PA PB PC < <(python3 -c '
+import socket
+socks = [socket.socket() for _ in range(3)]
+for s in socks:
+    s.bind(("127.0.0.1", 0))
+print(*(s.getsockname()[1] for s in socks))
+')
+A=127.0.0.1:$PA
+B=127.0.0.1:$PB
+C=127.0.0.1:$PC
 
 start_member() { # addr cluster-flag log-name -> appends pid to $pids
   local addr=$1 flag=$2 log=$3
@@ -140,9 +147,17 @@ if owned:
     raise SystemExit(f"e2e_cluster: dead member {dead} still owns {len(owned)} shards")
 ' "$B"
 
-echo "e2e_cluster: restarting $B via -join $A"
-start_member "$B" "-join $A" b2
+echo "e2e_cluster: restarting $B with -peers $A only"
+start_member "$B" "-peers $A" b2
 wait_ready "$B"
+
+# B never named C: its one gossip round with A before the listener opened
+# must already have taught it C, alive.
+state=$(member_state "$B" "$C")
+if [[ "$state" != alive ]]; then
+  echo "e2e_cluster: restarted $B lists $C as $state at its first healthz (want alive)" >&2
+  exit 1
+fi
 
 deadline=$((SECONDS + 20))
 until [[ $(member_state "$A" "$B") == alive ]]; do
